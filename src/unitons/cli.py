@@ -17,6 +17,7 @@ All output is deterministic JSON on stdout (or --out FILE).  Exit codes:
 """
 
 import argparse
+import math
 import sys
 
 from . import jsonio
@@ -53,25 +54,25 @@ from .weierstrass import (
 # small input helpers
 
 
-def _parse_point(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise SchemaError(f"expected a point 'RE,IM', got {text!r}")
+def _parse_floats(text, expected="comma-separated numbers"):
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise SchemaError(f"expected a point 'RE,IM', got {text!r}") from None
+        raise SchemaError(f"expected {expected}, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise SchemaError(f"expected {expected} with finite values, got {text!r}")
+    return values
+
+
+def _parse_point(text):
+    parts = _parse_floats(text, "a point 'RE,IM'")
+    if len(parts) != 2 or text.count(",") != 1:
+        raise SchemaError(f"expected a point 'RE,IM', got {text!r}")
+    return complex(*parts)
 
 
 def _parse_grid(text):
     return [_parse_point(p) for p in text.split(";") if p.strip()]
-
-
-def _parse_floats(text):
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise SchemaError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _parse_exponents(text):
@@ -188,6 +189,8 @@ DEFAULT_GRID = ((0.3, 0.2), (-0.4, 0.5), (0.1, -0.6), (-0.2, -0.3))
 
 
 def cmd_verify(args):
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise SchemaError(f"--h must be a finite step > 0, got {args.h!r}")
     spec = _load_spec(args.solution)
     reports = [check_extended(spec)]
 

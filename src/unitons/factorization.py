@@ -2,12 +2,15 @@
 
 Four pieces live here.  `unitarize` splits an invertible numeric loop into a
 based unitary factor and a disc-holomorphic factor through spectral
-factorization of the symbol F = Psi~ Psi (block-Toeplitz Cholesky, Bauer
-iteration).  `bruhat_cell` recovers the diagonal lambda-exponents of an exact
-loop by Smith reduction over the rational-function field.  `cstar_flow` and
-`flow_limit` implement the lambda -> u*lambda deformation and its u -> 0
-limit.  `uniton_factorize` splits a built solution into affine projector
-factors by unitarizing along a chain of partial exponent subsets.
+factorization of the symbol F = Psi~ Psi: one dense Cholesky of its
+block-Toeplitz matrix with n*d + 1 block rows, exact for algebraic loops
+(det Psi = c lambda^m); the factor's residual is always checked and a loop
+that misses it raises NoConvergence.  `bruhat_cell` recovers the diagonal
+lambda-exponents of an exact loop by Smith reduction over the
+rational-function field.  `cstar_flow` and `flow_limit` implement the
+lambda -> u*lambda deformation and its u -> 0 limit.  `uniton_factorize`
+splits a built solution into affine projector factors by unitarizing along
+a chain of partial exponent subsets.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .loops import LoopMat
 from .roots import marks_from_exponents
-from .scalars import Poly, RatFun
+from .scalars import Poly
 from .weierstrass import (
     ExtendedSolutionSpec,
     WeierstrassData,
@@ -52,7 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-MAX_ORDER = 4096
 
 
 @dataclass(frozen=True)
@@ -89,90 +91,89 @@ def _symbol_blocks(psi: LoopMat):
 
 
 def _circle_min_singular(psi: LoopMat, samples: int = 64):
-    vals = [
-        psi.evaluate(np.exp(2j * np.pi * m / samples)) for m in range(samples)
-    ]
-    smin = min(np.linalg.svd(v, compute_uv=False)[-1] for v in vals)
-    smax = max(np.linalg.svd(v, compute_uv=False)[0] for v in vals)
-    return smin, smax
-
-
-def _bauer_pass(fblocks, n: int, d: int, rows: int):
-    """Last block row of the Cholesky factor of the F-block Toeplitz matrix.
-
-    The Toeplitz matrix T[i][j] = F_{j-i} factors as L L* with L lower block
-    banded; away from the top-left corner the band of L stabilizes to the
-    (conjugated, reversed) spectral factor, so the final row read backwards
-    gives G_j = L[rows-1][rows-1-j]^*.
-    """
-    band = {}  # (i, j) -> block, only j in [i-d, i] retained
-    for i in range(rows):
-        start = max(0, i - d)
-        for j in range(start, i + 1):
-            k = j - i  # in [-d, 0]
-            t = fblocks[-k].conj().T if k < 0 else fblocks[0]
-            s = t.copy()
-            for m in range(max(start, j - d), j):
-                s -= band[(i, m)] @ band[(j, m)].conj().T
-            if j < i:
-                # solve X @ L[j][j]^* = s
-                band[(i, j)] = np.linalg.solve(
-                    band[(j, j)].conj(), s.T
-                ).T
-            else:
-                s = 0.5 * (s + s.conj().T)
-                try:
-                    band[(i, i)] = np.linalg.cholesky(s)
-                except np.linalg.LinAlgError:
-                    raise SingularOnCircle(
-                        "symbol lost positive definiteness during factorization"
-                    ) from None
-        # drop rows falling out of the band window
-        if i - d - 1 >= 0:
-            for j in range(max(0, i - 2 * d - 1), i - d):
-                band.pop((i - d - 1, j), None)
-    last = rows - 1
-    return [band[(last, last - j)].conj().T for j in range(min(d, last) + 1)]
+    """Smallest and largest singular value of Psi over sampled |lambda| = 1."""
+    vals = psi.circle_values(samples)
+    if not np.isfinite(vals).all():
+        raise PoleAtZ("loop values on |lambda| = 1 are not finite")
+    sing = np.linalg.svd(vals, compute_uv=False)
+    return float(sing[:, -1].min()), float(sing[:, 0].max())
 
 
 def _factor_residual(fblocks, g, d: int) -> float:
-    res = 0.0
-    for k in range(d + 1):
-        acc = np.zeros_like(fblocks[0])
-        for l in range(0, d + 1 - k):
-            acc += g[l].conj().T @ g[l + k]
-        res = max(res, np.linalg.norm(fblocks[k] - acc))
-    return res
+    """max_k ||F_k - sum_l G_l^* G_(l+k)||_F; NaN if any term is NaN."""
+    norms = [
+        np.linalg.norm(
+            fblocks[k] - sum(g[l].conj().T @ g[l + k] for l in range(d + 1 - k))
+        )
+        for k in range(d + 1)
+    ]
+    return float(np.max(norms))
 
 
-def _spectral_factor(psi: LoopMat, tol: float, max_order: int, order=None):
-    """Polynomial G with G~G = Psi~Psi, invertible on the closed disc."""
+def _spectral_factor(psi: LoopMat, tol: float):
+    """Polynomial G with G~G = Psi~Psi, invertible on the closed disc.
+
+    G is read off one dense Cholesky factorization T = L L^* of the Hermitian
+    block-Toeplitz matrix T[i][j] = F_(j-i) with rows = n*d + 1 block rows,
+    where F = Psi~Psi has Fourier blocks F_-d..F_d.  The last block row of
+    L, read backwards, is G: G_j = L[rows-1][rows-1-j]^*.
+
+    The row count is exact, not a truncation, for algebraic loops
+    (det Psi = c lambda^m).  There det G is a polynomial without zeros in
+    the closed disc and of constant modulus on the circle, hence constant,
+    so G^-1 = adj G / det G is a polynomial of degree e <= (n-1)*d.  Row k of
+    L^-1 solves the Yule-Walker equations of the leading k+1 block rows;
+    for k >= e its solution is the coefficient row of G~^-1 lambda^k, since
+    G~^-1 lambda^k F = lambda^k G has no powers below k.  Then
+    L = T L^-*, and the last row of L sees only rows k >= rows-1-d of L^-1,
+    which gives L[rows-1][rows-1-j] = G_j^* once rows-1-d >= e, that is
+    rows >= n*d + 1.
+
+    The residual of G~G against F is always checked: a loop that is not
+    algebraic, or too ill-conditioned for the factorization, raises
+    NoConvergence with its residual and row count.
+    """
     if psi.lo < 0:
         raise ValueError("spectral factor expects nonnegative powers")
     smin, smax = _circle_min_singular(psi)
-    if smin <= 1e-10 * max(1.0, smax):
+    if not smin > 1e-10 * max(1.0, smax):
         raise SingularOnCircle(
             f"loop is numerically singular on |lambda| = 1 (sigma_min = {smin:.3e})"
         )
     fblocks, d = _symbol_blocks(psi)
-    if d == 0:
-        g = [np.linalg.cholesky(0.5 * (fblocks[0] + fblocks[0].conj().T)).conj().T]
-        return g, _factor_residual(fblocks, g, 0)
+    if not np.isfinite(fblocks).all():
+        raise PoleAtZ("symbol blocks of the loop are not finite")
+    n = psi.n
+    rows = n * d + 1
+    # band[rows - 1 + k] = F_k for |k| <= d, zero blocks outside the band
+    band = np.zeros((2 * rows - 1, n, n), dtype=complex)
+    for k in range(d + 1):
+        band[rows - 1 + k] = fblocks[k]
+        band[rows - 1 - k] = fblocks[k].conj().T
+    idx = np.arange(rows)
+    toeplitz = band[rows - 1 + idx[None, :] - idx[:, None]]
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(rows * n, rows * n)
+    try:
+        chol = np.linalg.cholesky(toeplitz)
+    except np.linalg.LinAlgError:
+        raise SingularOnCircle(
+            "block-Toeplitz matrix of the symbol is not positive definite"
+        ) from None
+    last = chol[-n:]
+    g = [
+        last[:, (rows - 1 - j) * n : (rows - j) * n].conj().T
+        for j in range(d + 1)
+    ]
+    res = _factor_residual(fblocks, g, d)
     scale = max(1.0, np.linalg.norm(fblocks[0]))
-    rows = min(max(16 * d, d + 2), max_order) if order is None else order
-    while True:
-        g = _bauer_pass(fblocks, psi.n, d, rows)
-        while len(g) < d + 1:
-            g.append(np.zeros((psi.n, psi.n), dtype=complex))
-        res = _factor_residual(fblocks, g, d)
-        if res <= tol * scale or order is not None:
-            return g, res
-        if rows >= max_order:
-            raise NoConvergence(
-                f"spectral factorization residual {res:.3e} at truncation order "
-                f"{rows} (limit {max_order})"
-            )
-        rows = min(2 * rows, max_order)
+    if not res <= tol * scale:
+        raise NoConvergence(
+            f"spectral factorization residual {res:.3e} exceeds "
+            f"{tol * scale:.3e} at {rows} block rows (n = {n}, d = {d}); "
+            "the loop is not algebraic (det Psi = c lambda^m) or is too "
+            "ill-conditioned"
+        )
+    return g, res
 
 
 def _fourier_coeffs(values, lo: int, hi: int) -> LoopMat:
@@ -184,61 +185,54 @@ def _fourier_coeffs(values, lo: int, hi: int) -> LoopMat:
     return LoopMat.numeric(coeffs, lo)
 
 
-def unitarize(
-    psi,
-    z=None,
-    tol: float = DEFAULT_TOL,
-    max_order: int = MAX_ORDER,
-    order: int | None = None,
-) -> IwasawaFactors:
+def unitarize(psi, z=None, tol: float = DEFAULT_TOL) -> IwasawaFactors:
     """Split an invertible loop into (based unitary) times (powers >= 0).
 
     The symbol F = Psi~Psi is factored as G~G with G polynomial and
-    invertible on the disc, by Cholesky of the banded block-Toeplitz matrix
-    of F at truncation order doubled adaptively from 16*(band width) until
-    the residual drops below tol (NoConvergence past max_order).  Then
-    Phi = Psi G^-1 is unitary on the circle and the returned parts are
-    Phi(lambda) Phi(1)^-1 and Phi(1) G.  Passing `order` pins the truncation
-    order, which keeps the output a smooth function of loop data (finite
-    difference stencils need that).
+    invertible on the disc, by one Cholesky factorization of the
+    block-Toeplitz matrix of F with n*d + 1 block rows (d the degree of F).
+    That row count is exact for algebraic loops, det Psi = c lambda^m, which
+    is every loop this package builds; numeric loops passed in must be
+    algebraic too.  The factor's residual is checked against tol, and a
+    loop that misses it (not algebraic, or too ill-conditioned) raises
+    NoConvergence.  Then Phi = Psi G^-1 is unitary on the circle and the
+    returned parts are Phi(lambda) Phi(1)^-1 and Phi(1) G.
     """
     psi = _as_numeric_loop(psi, z)
     shift = min(psi.lo, 0)
     work = psi.shift(-shift) if shift else psi
-    g, _ = _spectral_factor(work, tol, max_order, order)
+    g, _ = _spectral_factor(work, tol)
     gloop = LoopMat.numeric(g, 0)
     d = work.hi
     msamp = 8
     while msamp < 4 * (d + 2):
         msamp *= 2
-    lams = np.exp(2j * np.pi * np.arange(msamp) / msamp)
-    gvals = [gloop.evaluate(lam) for lam in lams]
-    pvals = [work.evaluate(lam) for lam in lams]
-    phi = _fourier_coeffs(
-        [p @ np.linalg.inv(gv) for p, gv in zip(pvals, gvals)], 0, d
-    )
+    phi_vals = work.circle_values(msamp) @ np.linalg.inv(gloop.circle_values(msamp))
+    phi = _fourier_coeffs(phi_vals, 0, d)
     phi_one = phi.evaluate(1.0)
     unitary = (phi @ LoopMat.numeric([np.linalg.inv(phi_one)])).shift(shift)
     plus = LoopMat.numeric([phi_one]) @ gloop
     resid_u = unitary.unitarity_residual(samples=64)
-    resid_s = 0.0
-    for m in range(64):
-        lam = np.exp(2j * np.pi * (m + 0.5) / 64)
-        diff = psi.evaluate(lam) - unitary.evaluate(lam) @ plus.evaluate(lam)
-        resid_s = max(resid_s, np.linalg.norm(diff))
+    psi_v, unitary_v, plus_v = (
+        loop.circle_values(64, 0.5) for loop in (psi, unitary, plus)
+    )
+    resid_s = float(np.linalg.norm(psi_v - unitary_v @ plus_v, axis=(1, 2)).max())
     return IwasawaFactors(unitary, plus, resid_u, resid_s)
 
 
-def harmonic_map_at(obj, z, tol: float = DEFAULT_TOL, order: int | None = None):
+def harmonic_map_at(obj, z, tol: float = DEFAULT_TOL):
     """Value at lambda = -1 of the based unitary factor of the loop at z.
 
     Works pointwise from the spectral factor: with Phi = Psi G^-1 the result
-    is Phi(-1) Phi(1)^-1, no Fourier extraction involved.
+    is Phi(-1) Phi(1)^-1, no Fourier extraction involved.  G comes from the
+    same finite block-Toeplitz Cholesky as in `unitarize` (n*d + 1 block
+    rows, the exact count for algebraic loops), so the value is a smooth
+    function of z; a loop whose factor misses tol raises NoConvergence.
     """
     psi = _as_numeric_loop(obj, z)
     shift = min(psi.lo, 0)
     work = psi.shift(-shift) if shift else psi
-    g, _ = _spectral_factor(work, tol, MAX_ORDER, order)
+    g, _ = _spectral_factor(work, tol)
     gloop = LoopMat.numeric(g, 0)
     pm = work.evaluate(-1.0) @ np.linalg.inv(gloop.evaluate(-1.0))
     pp = work.evaluate(1.0) @ np.linalg.inv(gloop.evaluate(1.0))
@@ -261,13 +255,7 @@ def energy(obj, z=None) -> float:
     )
 
 
-def cstar_flow(
-    obj,
-    t: float,
-    z=None,
-    tol: float = DEFAULT_TOL,
-    order: int | None = None,
-) -> LoopMat:
+def cstar_flow(obj, t: float, z=None, tol: float = DEFAULT_TOL) -> LoopMat:
     """Unitary factor of the loop with lambda replaced by exp(-t)*lambda.
 
     Columns decay like exp(-t*k_j) under the substitution, so before
@@ -286,7 +274,7 @@ def cstar_flow(
             scale[j] = 1.0 / top
     d = np.diag(scale)
     scaled = LoopMat.numeric([b @ d for b in blocks], loop.lo)
-    return unitarize(scaled, tol=tol, order=order).unitary_part
+    return unitarize(scaled, tol=tol).unitary_part
 
 
 def flow_limit(spec: ExtendedSolutionSpec) -> ExtendedSolutionSpec:
@@ -376,12 +364,7 @@ def bruhat_cell(obj) -> BruhatCell:
     return BruhatCell(tuple(exps))
 
 
-def uniton_factorize(
-    spec: ExtendedSolutionSpec,
-    z,
-    tol: float = DEFAULT_TOL,
-    order: int | None = None,
-):
+def uniton_factorize(spec: ExtendedSolutionSpec, z, tol: float = DEFAULT_TOL):
     """Affine projector factors of the built solution at a point z.
 
     Walks the chain of exponent subsets J_1 subset J_2 subset ... obtained by
@@ -403,9 +386,7 @@ def uniton_factorize(
     for count in range(1, len(support) + 1):
         subset = sorted(support, reverse=True)[:count]
         partial = transform_subset(spec, subset)
-        u = unitarize(
-            assemble_loop(partial), z=z, tol=tol, order=order
-        ).unitary_part
+        u = unitarize(assemble_loop(partial), z=z, tol=tol).unitary_part
         q = u if prev is None else prev.circle_adjoint() @ u
         factors.append(q)
         prev = u

@@ -105,10 +105,6 @@ def _no_extra_keys(obj, allowed, where):
 # scalars and rational functions
 
 
-def scalar_str(value):
-    return str(GaussianRational(value) if not isinstance(value, GaussianRational) else value)
-
-
 def parse_scalar(text, where="scalar"):
     _expect(isinstance(text, str), where, f"expected a string, got {type(text).__name__}")
     try:

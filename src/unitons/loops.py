@@ -121,8 +121,9 @@ class LoopMat:
     def _trim(self):
         if self.kind == "numeric":
             norms = [np.linalg.norm(m) for m in self.coeffs]
-            top = max(norms) if norms else 0.0
-            if top > 0:
+            top = float(np.max(norms)) if norms else 0.0
+            # a non-finite block is kept, so NaN and inf reach the checks
+            if 0 < top < np.inf:
                 cut = NUMERIC_TRIM * top
                 self.coeffs = [
                     m if nm >= cut else np.zeros_like(m)
@@ -453,14 +454,25 @@ class LoopMat:
 
     # -- numeric diagnostics -----------------------------------------------------
 
+    def circle_values(self, samples: int, offset: float = 0.0) -> np.ndarray:
+        """Values at lambda = exp(2 pi i (m + offset) / samples), stacked.
+
+        Returns a (samples, n, n) array computed with one contraction over
+        the coefficient stack.
+        """
+        loop = self.to_numeric()
+        lams = np.exp(2j * np.pi * (np.arange(samples) + offset) / samples)
+        powers = lams[:, None] ** np.arange(loop.lo, loop.hi + 1)
+        return np.einsum("sk,kab->sab", powers, np.array(loop.coeffs))
+
     def unitarity_residual(self, samples: int = 32) -> float:
-        """max over sampled |lambda| = 1 of || L(lam)* L(lam) - I ||_F."""
-        worst = 0.0
-        for t in range(samples):
-            lam = np.exp(2j * np.pi * t / samples)
-            v = self.evaluate(lam)
-            worst = max(worst, float(np.linalg.norm(v.conj().T @ v - np.eye(self.n))))
-        return worst
+        """max over sampled |lambda| = 1 of || L(lam)* L(lam) - I ||_F.
+
+        A non-finite value anywhere makes the result non-finite.
+        """
+        v = self.circle_values(samples)
+        gram = v.conj().transpose(0, 2, 1) @ v - np.eye(self.n)
+        return float(np.linalg.norm(gram, axis=(1, 2)).max())
 
     def max_coeff_norm(self) -> float:
         loop = self if self.kind == "numeric" else self.to_numeric()

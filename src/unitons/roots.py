@@ -129,10 +129,6 @@ class RootSystem:
     highest_root: tuple
     simple_norms: tuple
 
-    def pairing_with_simple(self, root, j):
-        """<root, alpha_j-check> for a coefficient vector root."""
-        return sum(root[k] * self.cartan[k][j] for k in range(self.rank))
-
     def inner(self, a, b):
         """Invariant inner product of two coefficient vectors."""
         total = Fraction(0)
@@ -180,10 +176,6 @@ def _check_marks(rs, marks):
     if any(m < 0 for m in marks):
         raise InvalidType("marks must be non-negative")
     return marks
-
-
-def is_canonical(marks):
-    return all(m in (0, 1) for m in marks)
 
 
 def level(root, marks):

@@ -192,12 +192,14 @@ def uniton_number_report(obj) -> UnitonNumbers:
     )
 
 
-def map_sampler(spec_or_loop, tol: float = 1e-9, order: int = 256):
-    """Map z to the harmonic-map value, with the truncation order pinned.
+def map_sampler(spec_or_loop, tol: float = 1e-9):
+    """Map z to the harmonic-map value, assembling the loop once.
 
-    Adaptive truncation produces tolerance-sized jumps between nearby z,
-    which finite differencing would amplify by 1/h^2; a fixed order keeps
-    the sampled map smooth down to rounding.
+    Each sample factors with the finite rule of `harmonic_map_at` (n*d + 1
+    block rows, exact for algebraic loops), so the row count never changes
+    with z and the sampled map is smooth down to rounding, as finite
+    differencing needs.  A sample whose spectral factor misses tol raises
+    NoConvergence.
     """
     loop = (
         assemble_loop(spec_or_loop)
@@ -206,7 +208,7 @@ def map_sampler(spec_or_loop, tol: float = 1e-9, order: int = 256):
     )
 
     def sample(z: complex):
-        return harmonic_map_at(loop, z, tol=tol, order=order)
+        return harmonic_map_at(loop, z, tol=tol)
 
     return sample
 
@@ -229,9 +231,10 @@ def harmonicity_residual(sampler, grid, h: float = 1e-3) -> float:
     """Max Frobenius norm of d_zbar(phi^-1 phi_z) + d_z(phi^-1 phi_zbar).
 
     Central differences with step h on the sampled map; the sampler is
-    called at 13 points per grid node (values are cached per node).
+    called at 13 points per grid node (values are cached per node).  A
+    non-finite node residual makes the result non-finite.
     """
-    worst = 0.0
+    node_residuals = []
     for z0 in grid:
         cache = {}
 
@@ -257,8 +260,8 @@ def harmonicity_residual(sampler, grid, h: float = 1e-3) -> float:
             return np.linalg.inv(phi(w)) @ d_zbar(phi, w)
 
         resid = d_zbar(a_field, z0) + d_z(b_field, z0)
-        worst = max(worst, float(np.linalg.norm(resid)))
-    return worst
+        node_residuals.append(float(np.linalg.norm(resid)))
+    return float(np.max(node_residuals, initial=0.0))
 
 
 def _loop_value(loop: LoopMat, lam):

@@ -202,14 +202,6 @@ class ExtendedSolutionSpec:
     def slot(self, i, j):
         return self.c_slots.get((i, j)) or _zero(self.n)
 
-    def free_values(self):
-        """The free entries, flattened in slot order."""
-        vals = []
-        for i, pos in free_slot_layout(self.exponents, self.even_only):
-            m = self.slot(i, i + 1)
-            vals.extend(m[a][b] for a, b in pos)
-        return vals
-
 
 def build_from_free_functions(n, exponents, free, even_only=False):
     """Solve the triangular integration conditions for the given free data.

@@ -230,3 +230,26 @@ def test_unknown_subcommand_exits_two(capsys):
 def test_bad_point_is_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "map", veronese_file(tmp_path, 2), "--z", "nope")
     assert code == 2 and "RE,IM" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("map", "--z", "nan,0"),
+        ("factor", "--z", "inf,0"),
+        ("flow", "--z", "0.1,0", "--t", "0,nan"),
+        ("verify", "--h", "0"),
+        ("verify", "--h", "inf"),
+        ("verify", "--grid", "nan,1"),
+    ],
+)
+def test_nonfinite_input_is_one_line_input_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, argv[0], veronese_file(tmp_path, 2), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_point_is_typed_error(tmp_path, capsys):
+    code, _, err = run(capsys, "map", veronese_file(tmp_path, 3), "--z", "1e200,0")
+    assert code == 2 and "PoleAtZ" in err

@@ -1,5 +1,6 @@
 """Unitarization, cell recovery, flow, uniton splitting, normalized form."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from oracles import flag_unitarize
 from unitons import exactmat
 from unitons.errors import (
     ExactKindUnsupported,
+    NoConvergence,
     NonMonomialDeterminant,
     NotCanonical,
     NotInBigCellForm,
@@ -17,6 +19,9 @@ from unitons.errors import (
     SingularOnCircle,
 )
 from unitons.factorization import (
+    _circle_min_singular,
+    _factor_residual,
+    _spectral_factor,
     big_cell_check,
     bruhat_cell,
     cstar_flow,
@@ -28,6 +33,7 @@ from unitons.factorization import (
 )
 from unitons.loops import LoopMat
 from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
+from unitons.verify import map_sampler
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
     assemble_loop,
@@ -160,6 +166,90 @@ def test_unitarize_random_loops_match_oracle():
         assert loops_close(fac.unitary_part, u_ref.to_numeric(), 1e-7)
         assert fac.residual_unitarity <= 1e-8
         assert fac.residual_split <= 1e-8 * max(1.0, loop.to_numeric().max_coeff_norm())
+
+
+# -- finite-order spectral factor ---------------------------------------------
+
+def _reference_factor(psi, rows):
+    """G from the last block row of a plain numpy block-Toeplitz Cholesky."""
+    n = psi.n
+    a = [np.asarray(psi.coeff(k)) for k in range(psi.lo, psi.hi + 1)]
+    d = len(a) - 1
+    f = {k: sum(a[i].conj().T @ a[i + k] for i in range(d + 1 - k)) for k in range(d + 1)}
+    t = np.zeros((rows * n, rows * n), dtype=complex)
+    for i in range(rows):
+        for j in range(rows):
+            k = j - i
+            if abs(k) <= d:
+                t[i * n:(i + 1) * n, j * n:(j + 1) * n] = f[k] if k >= 0 else f[-k].conj().T
+    last = np.linalg.cholesky(t)[-n:]
+    return [last[:, (rows - 1 - j) * n:(rows - j) * n].conj().T for j in range(d + 1)]
+
+
+def _assert_factor_matches_reference(psi):
+    g, res = _spectral_factor(psi, 1e-9)
+    d = len(g) - 1
+    ref = _reference_factor(psi, 4 * (psi.n * d + 1))
+    scale = max(1.0, psi.max_coeff_norm() ** 2)
+    assert res <= 1e-9 * scale
+    assert max(np.linalg.norm(x - y) for x, y in zip(g, ref)) <= 1e-12 * scale
+
+
+def test_spectral_factor_rows_rule_matches_4x_rows_on_veronese():
+    for n in range(2, 6):
+        psi = assemble_loop(veronese_solution(n)).to_numeric(complex(0.3, -0.2))
+        _assert_factor_matches_reference(psi)
+
+
+def test_spectral_factor_rows_rule_matches_4x_rows_on_random_loops():
+    rng = random.Random(7)
+    for trial in range(8):
+        loop = _random_exact_loop(rng, 2 + trial % 2)
+        _assert_factor_matches_reference(loop.to_numeric())
+
+
+def test_non_algebraic_numeric_loop_raises_no_convergence():
+    # det = 2 - lambda: regular on the circle, but not a lambda monomial
+    loop = LoopMat.numeric([np.diag([2.0, 1.0]), np.diag([-1.0, 0.0])])
+    with pytest.raises(NoConvergence, match="3 block rows"):
+        unitarize(loop)
+
+
+def test_circle_min_singular_matches_per_sample_svd():
+    psi = frame_loop().to_numeric(complex(0.4, -0.8))
+    lams = np.exp(2j * np.pi * np.arange(64) / 64)
+    sing = [np.linalg.svd(psi.evaluate(lam), compute_uv=False) for lam in lams]
+    smin, smax = _circle_min_singular(psi)
+    assert smin == pytest.approx(min(s[-1] for s in sing), rel=1e-12)
+    assert smax == pytest.approx(max(s[0] for s in sing), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "top, match",
+    [
+        (np.array([[np.nan, 0.0], [0.0, 0.0]]), "values"),  # NaN on the circle
+        (np.array([[0.0, 1e200], [0.0, 0.0]]), "symbol"),  # F overflows
+    ],
+)
+def test_nonfinite_loop_is_typed_error(top, match):
+    bad = LoopMat.numeric([np.eye(2) * max(1.0, np.nanmax(top)), top])
+    with pytest.raises(PoleAtZ, match=match):
+        unitarize(bad)
+
+
+def test_factor_residual_propagates_nan():
+    f = [np.eye(2), np.zeros((2, 2))]
+    g = [np.eye(2), np.full((2, 2), np.nan)]
+    assert np.isnan(_factor_residual(f, g, 1))
+
+
+@pytest.mark.parametrize(
+    "func", [unitarize, harmonic_map_at, cstar_flow, uniton_factorize, map_sampler]
+)
+def test_no_truncation_order_argument(func):
+    params = inspect.signature(func).parameters
+    assert "order" not in params and "max_order" not in params
 
 
 # -- harmonic_map_at ----------------------------------------------------------

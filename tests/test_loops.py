@@ -65,6 +65,20 @@ def test_numeric_trim_drops_noise():
     assert loop.hi == 0
 
 
+def test_numeric_trim_keeps_nonfinite_blocks():
+    loop = LoopMat.numeric([np.eye(2), np.full((2, 2), np.nan)])
+    assert loop.hi == 1
+    assert np.isnan(loop.unitarity_residual())
+
+
+def test_circle_values_match_pointwise_evaluation():
+    loop = frame_loop().to_numeric(complex(0.3, 0.1)).shift(-1)
+    vals = loop.circle_values(16, 0.5)
+    for m in range(16):
+        lam = np.exp(2j * np.pi * (m + 0.5) / 16)
+        assert np.linalg.norm(vals[m] - loop.evaluate(lam)) <= 1e-13
+
+
 # -- circle adjoint ----------------------------------------------------------
 
 def test_circle_adjoint_constant_exact():

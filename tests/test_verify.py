@@ -154,6 +154,13 @@ def test_harmonicity_constant_map():
     assert res <= 1e-12
 
 
+def test_harmonicity_nan_node_is_not_a_pass():
+    def sampler(z):
+        return np.full((2, 2), np.nan) if z.real > 0.25 else np.eye(2)
+
+    assert np.isnan(harmonicity_residual(sampler, [0.0, 0.5], h=1e-3))
+
+
 def grid5():
     pts = np.linspace(-1.0, 1.0, 5)
     return [complex(x, y) for x in pts for y in pts]
