@@ -191,6 +191,11 @@ DEFAULT_GRID = ((0.3, 0.2), (-0.4, 0.5), (0.1, -0.6), (-0.2, -0.3))
 def cmd_verify(args):
     if not (math.isfinite(args.h) and args.h > 0):
         raise SchemaError(f"--h must be a finite step > 0, got {args.h!r}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise SchemaError(f"--tol must be a finite threshold > 0, got {args.tol!r}")
+    grid = [complex(*p) for p in DEFAULT_GRID] if args.grid is None else _parse_grid(args.grid)
+    if not grid:
+        raise SchemaError(f"--grid must name at least one point, got {args.grid!r}")
     spec = _load_spec(args.solution)
     reports = [check_extended(spec)]
 
@@ -202,7 +207,6 @@ def cmd_verify(args):
 
     numbers = uniton_number_report(spec)
 
-    grid = _parse_grid(args.grid) if args.grid else [complex(*p) for p in DEFAULT_GRID]
     sampler = map_sampler(spec)
     residual = harmonicity_residual(sampler, grid, h=args.h)
     harm_ok = residual <= args.tol
@@ -249,8 +253,11 @@ def cmd_map(args):
 def cmd_flow(args):
     spec = _load_spec(args.solution)
     z = _parse_point(args.z)
+    times = _parse_floats(args.t)
+    if not times:
+        raise SchemaError(f"--t must name at least one time, got {args.t!r}")
     steps = []
-    for t in _parse_floats(args.t):
+    for t in times:
         loop = cstar_flow(spec, t, z)
         steps.append({"t": t, "energy": energy(loop), "loop": jsonio.loop_record(loop)})
     limit = flow_limit(spec)

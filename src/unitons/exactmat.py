@@ -7,7 +7,7 @@ from the numeric (numpy) lanes on purpose: the exact lanes must never round.
 from __future__ import annotations
 
 from .errors import SizeMismatch
-from .scalars import GaussianRational, RatFun
+from .scalars import RatFun
 
 __all__ = [
     "eye",
@@ -18,7 +18,6 @@ __all__ = [
     "mat_scale",
     "mat_is_zero",
     "mat_eq",
-    "mat_det",
     "mat_inv",
     "conj_transpose_const",
     "projector_const",
@@ -79,35 +78,6 @@ def mat_is_zero(a) -> bool:
 
 def mat_eq(a, b) -> bool:
     return mat_is_zero(mat_sub(a, b))
-
-
-def mat_det(a):
-    """Determinant by Gaussian elimination with exact division-free pivoting."""
-    n = len(a)
-    m = [row[:] for row in a]
-    det = None
-    sign = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not m[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            return a[0][0] - a[0][0]  # zero of the field
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        det = pivot if det is None else det * pivot
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            factor = m[r][col] / pivot
-            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    if sign < 0:
-        det = -det
-    return det
 
 
 def mat_inv(a):

@@ -263,10 +263,13 @@ def cstar_flow(obj, t: float, z=None, tol: float = DEFAULT_TOL) -> LoopMat:
     Lambda+ factor and leaves the based unitary part untouched.
     """
     loop = _as_numeric_loop(obj, z)
-    u = math.exp(-t)
-    blocks = [
-        np.array(loop.coeff(k)) * u**k for k in range(loop.lo, loop.hi + 1)
-    ]
+    try:
+        u = math.exp(-t)
+        blocks = [
+            np.array(loop.coeff(k)) * u**k for k in range(loop.lo, loop.hi + 1)
+        ]
+    except (OverflowError, ZeroDivisionError):
+        raise PoleAtZ(f"lambda -> exp(-t) lambda leaves the float range at t = {t!r}") from None
     scale = np.ones(loop.n)
     for j in range(loop.n):
         top = max(np.linalg.norm(b[:, j]) for b in blocks)
@@ -402,9 +405,10 @@ def big_cell_check(spec: ExtendedSolutionSpec) -> WeierstrassData:
     lambda^-1 exactly.
     """
     n = spec.n
-    lp = left_log_derivative(spec.c_lambda(), n)
+    lp = left_log_derivative(spec.c_lambda())
     v = exactmat.zeros(n)
-    for i, mat in sorted(lp.items()):
+    for i in range(lp.lo, lp.hi + 1):
+        mat = lp.coeff(i)
         for a in range(n):
             for b in range(n):
                 if mat[a][b].is_zero():

@@ -168,14 +168,20 @@ class LoopMat:
         lo = self.lo + other.lo
         length = len(self.coeffs) + len(other.coeffs) - 1
         if self.kind == "exact":
-            out = [exactmat.zeros(self.n) for _ in range(length)]
+            # None marks a block no product has reached; the first product is
+            # assigned, so nothing is ever added into a zero block
+            out = [None] * length
+            right = [
+                (j, b) for j, b in enumerate(other.coeffs) if not exactmat.mat_is_zero(b)
+            ]
             for i, a in enumerate(self.coeffs):
                 if exactmat.mat_is_zero(a):
                     continue
-                for j, b in enumerate(other.coeffs):
-                    if exactmat.mat_is_zero(b):
-                        continue
-                    out[i + j] = exactmat.mat_add(out[i + j], exactmat.mat_mul(a, b))
+                for j, b in right:
+                    prod = exactmat.mat_mul(a, b)
+                    acc = out[i + j]
+                    out[i + j] = prod if acc is None else exactmat.mat_add(acc, prod)
+            out = [exactmat.zeros(self.n) if m is None else m for m in out]
             return LoopMat("exact", self.n, lo, out)
         out = [np.zeros((self.n, self.n), dtype=complex) for _ in range(length)]
         for i, a in enumerate(self.coeffs):
@@ -187,17 +193,27 @@ class LoopMat:
         self._check_compatible(other)
         lo = min(self.lo, other.lo)
         hi = max(self.hi, other.hi)
-        if self.kind == "exact":
-            coeffs = [
-                exactmat.mat_add(self.coeff(k), other.coeff(k))
-                for k in range(lo, hi + 1)
-            ]
-        else:
+        if self.kind == "numeric":
             coeffs = [self.coeff(k) + other.coeff(k) for k in range(lo, hi + 1)]
-        return LoopMat(self.kind, self.n, lo, coeffs)
+            return LoopMat("numeric", self.n, lo, coeffs)
+        coeffs = []
+        for k in range(lo, hi + 1):
+            a, b = self.coeff(k), other.coeff(k)
+            if exactmat.mat_is_zero(b):
+                coeffs.append(a)
+            elif exactmat.mat_is_zero(a):
+                coeffs.append(b)
+            else:
+                coeffs.append(exactmat.mat_add(a, b))
+        return LoopMat("exact", self.n, lo, coeffs)
 
     def __sub__(self, other: "LoopMat") -> "LoopMat":
-        return self + other.scale(-1)
+        self._check_compatible(other)
+        if self.kind == "numeric":
+            return self + other.scale(-1)
+        # negating an entry needs no gcd, unlike scaling it by -1
+        negated = [[[-x for x in row] for row in m] for m in other.coeffs]
+        return self + LoopMat("exact", self.n, other.lo, negated)
 
     def scale(self, c) -> "LoopMat":
         if self.kind == "exact":

@@ -78,13 +78,12 @@ def check_extended(spec: ExtendedSolutionSpec) -> VerificationReport:
     conditions involve only the z-bar derivative of a potential holomorphic
     in z, so they hold identically.
     """
-    n = spec.n
     r = spec.height
-    lp = left_log_derivative(spec.c_lambda(), n)
+    lp = left_log_derivative(spec.c_lambda())
     checks = []
     for i in range(max(r - 1, 0)):
-        mat = lp.get(i)
-        if mat is None:
+        mat = lp.coeff(i)
+        if exactmat.mat_is_zero(mat):
             checks.append(
                 CheckEntry(
                     f"lambda^{i} grades {i + 2}..{r}",
@@ -123,15 +122,8 @@ def check_superhorizontal(spec: ExtendedSolutionSpec) -> VerificationReport:
         raise NotS1Invariant(
             f"potential carries lambda powers {sorted({k[0] for k in off})}"
         )
-    n = spec.n
-    r = spec.height
-    lp = left_log_derivative(spec.c_lambda(), n)
-    mat = lp.get(0)
-    bad = (
-        _grade_window_witnesses(mat, spec.exponents, 2, max(r, 2))
-        if mat is not None
-        else []
-    )
+    mat = left_log_derivative(spec.c_lambda()).coeff(0)
+    bad = _grade_window_witnesses(mat, spec.exponents, 2, max(spec.height, 2))
     checks = (
         CheckEntry("lambda-free potential", True, "only lambda^0 slots present"),
         CheckEntry(
@@ -264,12 +256,6 @@ def harmonicity_residual(sampler, grid, h: float = 1e-3) -> float:
     return float(np.max(node_residuals, initial=0.0))
 
 
-def _loop_value(loop: LoopMat, lam):
-    if loop.kind == "exact":
-        return loop.evaluate_exact(lam)
-    return loop.evaluate(lam)
-
-
 def check_T_invariant(loop: LoopMat, tol: float = 1e-9) -> VerificationReport:
     """Is the based loop fixed by lambda -> -lambda up to re-basing?
 
@@ -287,12 +273,13 @@ def check_T_invariant(loop: LoopMat, tol: float = 1e-9) -> VerificationReport:
         ev_fixed = f"max coefficient difference {diff:.3e}"
     checks = [CheckEntry("fixed by the twist", fixed, ev_fixed)]
     if fixed:
-        phi = _loop_value(loop, -1)
         if loop.kind == "exact":
+            phi = loop.evaluate_exact(-1)
             sq = exactmat.mat_mul(phi, phi)
             ok = exactmat.mat_eq(sq, exactmat.eye(loop.n))
             ev = "phi(-1)^2 = I exactly" if ok else "phi(-1)^2 differs from I"
         else:
+            phi = loop.evaluate(-1)
             d = float(np.linalg.norm(phi @ phi - np.eye(loop.n)))
             ok = d <= tol
             ev = f"|phi(-1)^2 - I| = {d:.3e}"

@@ -12,6 +12,10 @@ higher blocks are forced, slot by slot, by the requirement that the
 lambda^i coefficient of (exp C)^{-1} (exp C)_z has no component in
 grades i+2, ..., r.  Each forced entry is a single rational
 integration, so the construction stays inside exact arithmetic.
+
+C, exp C and (exp C)^{-1} (exp C)_z are matrix polynomials in lambda and
+are all held as exact `LoopMat`s; the finite series for exp and for the
+log derivative are written with the loop algebra itself.
 """
 
 from __future__ import annotations
@@ -35,113 +39,38 @@ from .roots import exponents_from_marks, marks_from_exponents
 from .scalars import GaussianRational, Poly, RatFun, integrate_rational
 
 
-def _zero(n):
-    return exactmat.zeros(n)
+def _dz(c):
+    """Entrywise z-derivative of an exact loop."""
+    blocks = [[[e.derivative() for e in row] for row in m] for m in c.coeffs]
+    return LoopMat("exact", c.n, c.lo, blocks)
 
 
-def _is_zero(m):
-    return exactmat.mat_is_zero(m)
+def left_log_derivative(c):
+    """(exp C)^{-1} d/dz exp C for a strictly graded (nilpotent) exact loop C.
 
-
-def _dz(m):
-    return [[e.derivative() for e in row] for row in m]
-
-
-def _scale(m, c):
-    return exactmat.mat_scale(m, c)
-
-
-# -- lambda-polynomial matrices as sparse dicts power -> matrix ----------------
-
-def _lp_trim(d):
-    return {p: m for p, m in d.items() if not _is_zero(m)}
-
-
-def _lp_add(a, b):
-    out = dict(a)
-    for p, m in b.items():
-        out[p] = exactmat.mat_add(out[p], m) if p in out else m
-    return _lp_trim(out)
-
-
-def _lp_mul(a, b, n):
-    out = {}
-    for p, ma in a.items():
-        for q, mb in b.items():
-            prod = exactmat.mat_mul(ma, mb)
-            key = p + q
-            out[key] = exactmat.mat_add(out[key], prod) if key in out else prod
-    return _lp_trim(out)
-
-
-def _lp_commutator(a, b, n):
-    ab = _lp_mul(a, b, n)
-    ba = _lp_mul(b, a, n)
-    out = dict(ab)
-    for p, m in ba.items():
-        out[p] = exactmat.mat_sub(out[p], m) if p in out else exactmat.mat_scale(m, RatFun.const(-1))
-    return _lp_trim(out)
-
-
-def _lp_dz(a):
-    return _lp_trim({p: _dz(m) for p, m in a.items()})
-
-
-def _as_lp(c):
-    """Accept either a plain matrix (treated as the lambda^0 slab) or a
-    dict mapping lambda powers to matrices."""
-    if isinstance(c, dict):
-        return _lp_trim(c)
-    return _lp_trim({0: c})
-
-
-def left_log_derivative(c, n=None):
-    """(exp C)^{-1} d/dz exp C for strictly graded (nilpotent) C.
-
-    C may be a plain RatFun matrix or a dict {lambda power: matrix}.
-    Returns a dict {lambda power: matrix}; the series
+    Returns an exact LoopMat; the series
     sum_k (-1)^k/(k+1)! (ad C)^k C_z terminates by nilpotency.
     """
-    c = _as_lp(c)
-    if not c:
-        return {}
-    if n is None:
-        n = len(next(iter(c.values())))
-    term = _lp_dz(c)
-    total = dict(term)
-    for k in range(1, 2 * n + 1):
-        term = _lp_commutator(c, term, n)
-        if not term:
-            return _lp_trim(total)
+    term = total = _dz(c)
+    for k in range(1, 2 * c.n + 1):
+        term = c @ term - term @ c
+        if term.is_zero():
+            return total
         coeff = RatFun.const(GaussianRational(Fraction((-1) ** k, factorial(k + 1))))
-        total = _lp_add(total, {p: _scale(m, coeff) for p, m in term.items()})
-    if term:
-        raise NotNilpotent("ad-C series did not terminate")
-    return _lp_trim(total)
+        total = total + term.scale(coeff)
+    raise NotNilpotent("ad-C series did not terminate")
 
 
-def exp_nilpotent(c, n=None):
-    """Finite exponential series of a nilpotent matrix (or lambda-dict)."""
-    lp = _as_lp(c)
-    want_matrix = not isinstance(c, dict)
-    if n is None:
-        n = len(c) if want_matrix else len(next(iter(lp.values())))
-    result = {0: exactmat.eye(n)}
-    term = {0: exactmat.eye(n)}
-    for k in range(1, 2 * n + 1):
-        term = _lp_mul(term, lp, n)
-        if not term:
-            break
+def exp_nilpotent(c):
+    """exp C as the finite series sum_k C^k / k! of a nilpotent exact loop C."""
+    result = term = LoopMat.identity(c.n)
+    for k in range(1, 2 * c.n + 1):
+        term = term @ c
+        if term.is_zero():
+            return result
         inv_fact = RatFun.const(GaussianRational(Fraction(1, factorial(k))))
-        result = _lp_add(result, {p: _scale(m, inv_fact) for p, m in term.items()})
-    else:
-        if term:
-            raise NotNilpotent("matrix is not nilpotent")
-    if want_matrix:
-        if any(p != 0 for p in result):
-            raise NotNilpotent("lambda-graded input passed as plain matrix")
-        return result[0]
-    return result
+        result = result + term.scale(inv_fact)
+    raise NotNilpotent("matrix is not nilpotent")
 
 
 # -- extended solution specifications ------------------------------------------
@@ -193,14 +122,14 @@ class ExtendedSolutionSpec:
         return self.exponents[0]
 
     def c_lambda(self):
-        """C as {lambda power: matrix}, summing graded slots."""
-        out = {}
+        """C = sum of lambda^i C^j_i over the graded slots, as an exact LoopMat."""
+        c = LoopMat.exact([exactmat.zeros(self.n)])
         for (i, _), m in sorted(self.c_slots.items()):
-            out[i] = exactmat.mat_add(out[i], m) if i in out else m
-        return _lp_trim(out)
+            c = c + LoopMat("exact", self.n, i, [m])
+        return c
 
     def slot(self, i, j):
-        return self.c_slots.get((i, j)) or _zero(self.n)
+        return self.c_slots.get((i, j)) or exactmat.zeros(self.n)
 
 
 def build_from_free_functions(n, exponents, free, even_only=False):
@@ -224,11 +153,11 @@ def build_from_free_functions(n, exponents, free, even_only=False):
     slots = {}
     at = 0
     for i, pos in layout:
-        m = _zero(n)
+        m = exactmat.zeros(n)
         for a, b in pos:
             m[a][b] = values[at]
             at += 1
-        if not _is_zero(m):
+        if not exactmat.mat_is_zero(m):
             slots[(i, i + 1)] = m
 
     spec = ExtendedSolutionSpec(
@@ -241,12 +170,11 @@ def build_from_free_functions(n, exponents, free, even_only=False):
             pos = graded_positions(exponents, j)
             if not pos:
                 continue
-            ell = left_log_derivative(spec.c_lambda(), n)
-            rhs = ell.get(i)
-            m = _zero(n)
+            rhs = left_log_derivative(spec.c_lambda()).coeff(i)
+            m = exactmat.zeros(n)
             nonzero = False
             for a, b in pos:
-                entry = rhs[a][b] if rhs is not None else RatFun.zero()
+                entry = rhs[a][b]
                 if entry.is_zero():
                     continue
                 try:
@@ -267,10 +195,7 @@ def build_from_free_functions(n, exponents, free, even_only=False):
 
 def assemble_loop(spec):
     """The polynomial loop exp(C) * diag(lambda^{k_1}, ..., lambda^{k_n})."""
-    e = exp_nilpotent(spec.c_lambda() or {0: _zero(spec.n)}, spec.n)
-    top = max(e)
-    coeffs = [e.get(p, _zero(spec.n)) for p in range(top + 1)]
-    return LoopMat.exact(coeffs) @ LoopMat.diag_powers(spec.exponents)
+    return exp_nilpotent(spec.c_lambda()) @ LoopMat.diag_powers(spec.exponents)
 
 
 def closed_form_full_flag_C0(n, f_components):

@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitons import jsonio
 from unitons.cli import main
@@ -253,3 +256,71 @@ def test_nonfinite_input_is_one_line_input_error(tmp_path, capsys, argv):
 def test_overflowing_point_is_typed_error(tmp_path, capsys):
     code, _, err = run(capsys, "map", veronese_file(tmp_path, 3), "--z", "1e200,0")
     assert code == 2 and "PoleAtZ" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--grid", ";"),
+        ("verify", "--grid", ""),
+        ("verify", "--tol", "inf"),
+        ("verify", "--tol", "nan"),
+        ("verify", "--tol", "0"),
+        ("flow", "--z", "0.1,0", "--t", ""),
+        ("flow", "--z", "0.1,0", "--t", ","),
+        ("flow", "--z", "0.1,0", "--t=-1e308"),
+    ],
+)
+def test_empty_or_out_of_range_input_is_input_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, argv[0], veronese_file(tmp_path, 2), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- exit-code contract under fuzzed arguments -----------------------------------------------
+
+_TOKENS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "0", "1e-9", "", " ", "x"]),
+    st.sampled_from(["0.3", "-0.25", "0.05", "1e-3"]),
+)
+# empty tokens joined with "," give stray commas
+_LISTS = st.one_of(
+    st.tuples(_TOKENS, _TOKENS).map(",".join),
+    st.lists(_TOKENS, max_size=3).map(",".join),
+)
+_GRIDS = st.lists(_LISTS, max_size=2).map(";".join)
+
+
+@pytest.fixture(scope="module")
+def veronese2_path(tmp_path_factory):
+    return veronese_file(tmp_path_factory.mktemp("fuzz"), 2)
+
+
+def _argv_for(command, draw):
+    if command == "verify":
+        flags = {"grid": draw(_GRIDS), "h": draw(_TOKENS), "tol": draw(_TOKENS)}
+    elif command == "flow":
+        flags = {"z": draw(_LISTS), "t": draw(_LISTS)}
+    else:
+        flags = {"z": draw(_LISTS)}
+    # verify has defaults for every flag; the other commands require theirs
+    given_flags = [name for name in sorted(flags) if command != "verify" or draw(st.booleans())]
+    return [f"--{name}={flags[name]}" for name in given_flags]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60)
+@given(command=st.sampled_from(["verify", "map", "flow", "factor"]), data=st.data())
+def test_fuzzed_arguments_keep_exit_code_contract(veronese2_path, command, data):
+    argv = [command, veronese2_path] + _argv_for(command, data.draw)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument list
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code != 2:
+        payload = json.loads(out.getvalue())
+        assert code == 0 or payload["passed"] is False, argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -386,6 +386,14 @@ def test_flow_converges_to_limit_spec():
     assert loops_close(flowed, target, 1e-5)
 
 
+def test_flow_out_of_float_range_is_typed_error():
+    # exp(-t) overflows a float for t below about -709.8
+    with pytest.raises(PoleAtZ):
+        cstar_flow(veronese_solution(2), -1e308, z=0.3)
+    with pytest.raises(PoleAtZ):
+        cstar_flow(LoopMat.diag_powers((1, 0)).shift(-1), 1e308)
+
+
 def test_flow_limit_keeps_lambda0_slots_only():
     spec = u4_build(poly(0, 1), poly(1), poly(0, 0, 1), poly(0, 1), poly(2), poly(1))
     lim = flow_limit(spec)

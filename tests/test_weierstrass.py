@@ -49,39 +49,41 @@ def upper(n, entries):
 
 def test_exp_nilpotent_square_zero():
     n = upper(2, {(0, 1): Z})
-    e = exp_nilpotent(n)
+    loop = exp_nilpotent(LoopMat.exact([n]))
+    assert loop.lo == loop.hi == 0
+    e = loop.coeff(0)
     assert e[0][1] == Z and e[0][0] == ONE and e[1][0] == ZERO
 
 
 def test_exp_nilpotent_zero():
-    assert exp_nilpotent(exactmat.zeros(3)) == exactmat.eye(3)
+    assert exp_nilpotent(LoopMat.exact([exactmat.zeros(3)])) == LoopMat.identity(3)
 
 
 def test_exp_nilpotent_two_term_series():
     n = upper(3, {(0, 1): Z, (1, 2): ONE})
-    e = exp_nilpotent(n)
+    e = exp_nilpotent(LoopMat.exact([n])).coeff(0)
     assert e[0][2] == Z / RatFun.const(2)  # corner of N^2 / 2
 
 
 def test_exp_nilpotent_rejects_invertible():
     with pytest.raises(NotNilpotent):
-        exp_nilpotent(exactmat.eye(2))
+        exp_nilpotent(LoopMat.identity(2))
 
 
 def test_left_log_derivative_commuting_case():
     c = upper(2, {(0, 1): Z * Z})
-    out = left_log_derivative(c)
-    assert out[0][0][1] == differentiate(Z * Z)
+    out = left_log_derivative(LoopMat.exact([c]))
+    assert out.coeff(0)[0][1] == differentiate(Z * Z)
 
 
 def test_left_log_derivative_zero():
-    assert left_log_derivative(exactmat.zeros(2)) == {}
+    assert left_log_derivative(LoopMat.exact([exactmat.zeros(2)])).is_zero()
 
 
 def test_left_log_derivative_conjugation_term():
     # C = [[0, z, 0], [0, 0, 1], [0, 0, 0]] has [C, C_z] != 0
     c = upper(3, {(0, 1): Z, (1, 2): ONE})
-    out = left_log_derivative(c)[0]
+    out = left_log_derivative(LoopMat.exact([c])).coeff(0)
     # C_z - (1/2)[C, C_z]: corner picks up -1/2 * (z*0 - 1*1) = 1/2
     assert out[0][2] == RatFun.const(GaussianRational(1)) / RatFun.const(2)
     assert out[0][1] == ONE and out[1][2] == ZERO
@@ -126,15 +128,16 @@ def test_u4_forced_ode_for_corner_of_C1():
 
 def test_u4_zero_free_functions_give_homomorphism():
     spec = u4_build(ZERO, ZERO, ZERO, ZERO, ZERO, ZERO)
-    assert spec.c_lambda() == {}
+    assert spec.c_lambda().is_zero()
     assert assemble_loop(spec) == LoopMat.diag_powers((3, 2, 1, 0))
 
 
 def test_u4_extended_conditions_hold_exactly():
     spec = u4_build(poly(0, 1), poly(1), poly(0, 0, 1), poly(0, 1), poly(2), ZERO)
-    ell = left_log_derivative(spec.c_lambda(), 4)
+    ell = left_log_derivative(spec.c_lambda())
     k = spec.exponents
-    for i, mat in ell.items():
+    for i in range(ell.lo, ell.hi + 1):
+        mat = ell.coeff(i)
         for a in range(4):
             for b in range(4):
                 if k[a] - k[b] >= i + 2:
@@ -177,9 +180,9 @@ def test_builder_closed_form_consistency_u3():
     alpha, beta = poly(0, 0, 1), poly(0, 1)
     p = differentiate(alpha) / differentiate(beta)
     spec = build_from_free_functions(3, (2, 1, 0), [p, beta, poly(7)])
-    e = exp_nilpotent(spec.c_lambda()[0])
+    e = exp_nilpotent(LoopMat.exact([spec.c_lambda().coeff(0)]))
     u = closed_form_full_flag_C0(3, [alpha, beta, ONE])
-    assert e == u
+    assert e == LoopMat.exact([u])
 
 
 # -- assembly ------------------------------------------------------------------
@@ -214,17 +217,17 @@ def test_veronese_solution_is_shift_matrix_data():
     for n in (2, 3, 4, 5):
         spec = veronese_solution(n)
         c = spec.c_lambda()
-        assert list(c) == [0]
+        assert c.lo == c.hi == 0
         expected = upper(n, {(a, a + 1): Z for a in range(n - 1)})
-        assert c[0] == expected
+        assert c.coeff(0) == expected
 
 
 def test_veronese_frame_matches_closed_form():
     for n in (2, 3, 4):
         comps = veronese_frame(n)
         u = closed_form_full_flag_C0(n, comps)
-        e = exp_nilpotent(veronese_solution(n).c_lambda()[0])
-        assert u == e
+        e = exp_nilpotent(LoopMat.exact([veronese_solution(n).c_lambda().coeff(0)]))
+        assert LoopMat.exact([u]) == e
 
 
 def test_veronese_assembled_width():
