@@ -53,6 +53,12 @@ from .weierstrass import (
 # ---------------------------------------------------------------------------
 # small input helpers
 
+# input range: each --z, and each --grid point out to its stencil's +-2h, lies in
+# |RE|, |IM| <= MAX_COORD; each flow time in |t| <= MAX_TIME, past which
+# exp(-|t|) < 2e-22 adds nothing (exp(700) overflows a degree-one loop's norms)
+MAX_COORD = 1e6
+MAX_TIME = 50.0
+
 
 def _parse_floats(text, expected="comma-separated numbers"):
     try:
@@ -64,10 +70,16 @@ def _parse_floats(text, expected="comma-separated numbers"):
     return values
 
 
+def _check_coords(reach, where):
+    if not all(abs(c) <= MAX_COORD for c in reach):
+        raise SchemaError(f"{where} is outside the input range |RE|, |IM| <= {MAX_COORD:g}")
+
+
 def _parse_point(text):
     parts = _parse_floats(text, "a point 'RE,IM'")
     if len(parts) != 2 or text.count(",") != 1:
         raise SchemaError(f"expected a point 'RE,IM', got {text!r}")
+    _check_coords(parts, f"point {text!r}")
     return complex(*parts)
 
 
@@ -196,6 +208,9 @@ def cmd_verify(args):
     grid = [complex(*p) for p in DEFAULT_GRID] if args.grid is None else _parse_grid(args.grid)
     if not grid:
         raise SchemaError(f"--grid must name at least one point, got {args.grid!r}")
+    for w in grid:
+        reach = (abs(w.real) + 2 * args.h, abs(w.imag) + 2 * args.h)
+        _check_coords(reach, f"grid point {_complex_pair(w)} +- 2h (h = {args.h!r})")
     spec = _load_spec(args.solution)
     reports = [check_extended(spec)]
 
@@ -256,6 +271,8 @@ def cmd_flow(args):
     times = _parse_floats(args.t)
     if not times:
         raise SchemaError(f"--t must name at least one time, got {args.t!r}")
+    if not all(abs(t) <= MAX_TIME for t in times):
+        raise SchemaError(f"--t {args.t!r} is outside the input range |t| <= {MAX_TIME:g}")
     steps = []
     for t in times:
         loop = cstar_flow(spec, t, z)

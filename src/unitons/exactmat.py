@@ -24,15 +24,14 @@ __all__ = [
 ]
 
 
-def zeros(n: int, m: int | None = None, zero=None):
+def zeros(n: int, m: int | None = None):
     m = n if m is None else m
-    zero = RatFun.zero() if zero is None else zero
+    zero = RatFun.zero()
     return [[zero for _ in range(m)] for _ in range(n)]
 
 
-def eye(n: int, one=None, zero=None):
-    one = RatFun.one() if one is None else one
-    zero = RatFun.zero() if zero is None else zero
+def eye(n: int):
+    one, zero = RatFun.one(), RatFun.zero()
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
@@ -81,25 +80,12 @@ def mat_eq(a, b) -> bool:
 
 
 def mat_inv(a):
-    """Gauss-Jordan inverse over the coefficient field.
+    """Gauss-Jordan inverse of a matrix of RatFun entries.
 
     Raises ZeroDivisionError when the matrix is singular.
     """
     n = len(a)
-    one = a[0][0] / a[0][0] if not a[0][0].is_zero() else None
-    # find any nonzero entry to manufacture 1 and 0 of the field
-    if one is None:
-        for row in a:
-            for x in row:
-                if not x.is_zero():
-                    one = x / x
-                    break
-            if one is not None:
-                break
-    if one is None:
-        raise ZeroDivisionError("singular matrix (identically zero)")
-    zero = one - one
-    m = [row[:] + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
+    m = [row[:] + unit for row, unit in zip(a, eye(n))]
     for col in range(n):
         pivot_row = None
         for r in range(col, n):

@@ -4,13 +4,13 @@ Four pieces live here.  `unitarize` splits an invertible numeric loop into a
 based unitary factor and a disc-holomorphic factor through spectral
 factorization of the symbol F = Psi~ Psi: one dense Cholesky of its
 block-Toeplitz matrix with n*d + 1 block rows, exact for algebraic loops
-(det Psi = c lambda^m); the factor's residual is always checked and a loop
-that misses it raises NoConvergence.  `bruhat_cell` recovers the diagonal
-lambda-exponents of an exact loop by Smith reduction over the
-rational-function field.  `cstar_flow` and `flow_limit` implement the
-lambda -> u*lambda deformation and its u -> 0 limit.  `uniton_factorize`
-splits a built solution into affine projector factors by unitarizing along
-a chain of partial exponent subsets.
+(det Psi = c lambda^m); the factor's residual is always checked against the
+fixed relative bound 1e-9, and a loop that exceeds it raises NoConvergence.
+`bruhat_cell` recovers the diagonal lambda-exponents of an exact loop by
+Smith reduction over the rational-function field.  `cstar_flow` and
+`flow_limit` implement the lambda -> u*lambda deformation and its u -> 0
+limit.  `uniton_factorize` splits a built solution into affine projector
+factors by unitarizing along a chain of partial exponent subsets.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from . import exactmat
 from .errors import (
     ExactKindUnsupported,
     NoConvergence,
+    NonMonomialDeterminant,
     NotCanonical,
     NotInBigCellForm,
     NotInvertibleLoop,
@@ -32,7 +33,6 @@ from .errors import (
 )
 from .loops import LoopMat
 from .roots import marks_from_exponents
-from .scalars import Poly
 from .weierstrass import (
     ExtendedSolutionSpec,
     WeierstrassData,
@@ -110,7 +110,7 @@ def _factor_residual(fblocks, g, d: int) -> float:
     return float(np.max(norms))
 
 
-def _spectral_factor(psi: LoopMat, tol: float):
+def _spectral_factor(psi: LoopMat):
     """Polynomial G with G~G = Psi~Psi, invertible on the closed disc.
 
     G is read off one dense Cholesky factorization T = L L^* of the Hermitian
@@ -129,7 +129,8 @@ def _spectral_factor(psi: LoopMat, tol: float):
     which gives L[rows-1][rows-1-j] = G_j^* once rows-1-d >= e, that is
     rows >= n*d + 1.
 
-    The residual of G~G against F is always checked: a loop that is not
+    The residual of G~G against F is always checked against the relative
+    bound DEFAULT_TOL (1e-9 times max(1, ||F_0||)): a loop that is not
     algebraic, or too ill-conditioned for the factorization, raises
     NoConvergence with its residual and row count.
     """
@@ -166,10 +167,10 @@ def _spectral_factor(psi: LoopMat, tol: float):
     ]
     res = _factor_residual(fblocks, g, d)
     scale = max(1.0, np.linalg.norm(fblocks[0]))
-    if not res <= tol * scale:
+    if not res <= DEFAULT_TOL * scale:
         raise NoConvergence(
             f"spectral factorization residual {res:.3e} exceeds "
-            f"{tol * scale:.3e} at {rows} block rows (n = {n}, d = {d}); "
+            f"{DEFAULT_TOL * scale:.3e} at {rows} block rows (n = {n}, d = {d}); "
             "the loop is not algebraic (det Psi = c lambda^m) or is too "
             "ill-conditioned"
         )
@@ -185,7 +186,7 @@ def _fourier_coeffs(values, lo: int, hi: int) -> LoopMat:
     return LoopMat.numeric(coeffs, lo)
 
 
-def unitarize(psi, z=None, tol: float = DEFAULT_TOL) -> IwasawaFactors:
+def unitarize(psi, z=None) -> IwasawaFactors:
     """Split an invertible loop into (based unitary) times (powers >= 0).
 
     The symbol F = Psi~Psi is factored as G~G with G polynomial and
@@ -193,15 +194,15 @@ def unitarize(psi, z=None, tol: float = DEFAULT_TOL) -> IwasawaFactors:
     block-Toeplitz matrix of F with n*d + 1 block rows (d the degree of F).
     That row count is exact for algebraic loops, det Psi = c lambda^m, which
     is every loop this package builds; numeric loops passed in must be
-    algebraic too.  The factor's residual is checked against tol, and a
-    loop that misses it (not algebraic, or too ill-conditioned) raises
-    NoConvergence.  Then Phi = Psi G^-1 is unitary on the circle and the
-    returned parts are Phi(lambda) Phi(1)^-1 and Phi(1) G.
+    algebraic too.  A factor residual above the relative bound 1e-9 (the
+    loop is not algebraic, or too ill-conditioned) raises NoConvergence.
+    Then Phi = Psi G^-1 is unitary on the circle and the returned parts
+    are Phi(lambda) Phi(1)^-1 and Phi(1) G.
     """
     psi = _as_numeric_loop(psi, z)
     shift = min(psi.lo, 0)
     work = psi.shift(-shift) if shift else psi
-    g, _ = _spectral_factor(work, tol)
+    g, _ = _spectral_factor(work)
     gloop = LoopMat.numeric(g, 0)
     d = work.hi
     msamp = 8
@@ -220,19 +221,19 @@ def unitarize(psi, z=None, tol: float = DEFAULT_TOL) -> IwasawaFactors:
     return IwasawaFactors(unitary, plus, resid_u, resid_s)
 
 
-def harmonic_map_at(obj, z, tol: float = DEFAULT_TOL):
+def harmonic_map_at(obj, z):
     """Value at lambda = -1 of the based unitary factor of the loop at z.
 
     Works pointwise from the spectral factor: with Phi = Psi G^-1 the result
     is Phi(-1) Phi(1)^-1, no Fourier extraction involved.  G comes from the
     same finite block-Toeplitz Cholesky as in `unitarize` (n*d + 1 block
     rows, the exact count for algebraic loops), so the value is a smooth
-    function of z; a loop whose factor misses tol raises NoConvergence.
+    function of z; a factor residual above the 1e-9 bound raises NoConvergence.
     """
     psi = _as_numeric_loop(obj, z)
     shift = min(psi.lo, 0)
     work = psi.shift(-shift) if shift else psi
-    g, _ = _spectral_factor(work, tol)
+    g, _ = _spectral_factor(work)
     gloop = LoopMat.numeric(g, 0)
     pm = work.evaluate(-1.0) @ np.linalg.inv(gloop.evaluate(-1.0))
     pp = work.evaluate(1.0) @ np.linalg.inv(gloop.evaluate(1.0))
@@ -255,7 +256,7 @@ def energy(obj, z=None) -> float:
     )
 
 
-def cstar_flow(obj, t: float, z=None, tol: float = DEFAULT_TOL) -> LoopMat:
+def cstar_flow(obj, t: float, z=None) -> LoopMat:
     """Unitary factor of the loop with lambda replaced by exp(-t)*lambda.
 
     Columns decay like exp(-t*k_j) under the substitution, so before
@@ -277,7 +278,7 @@ def cstar_flow(obj, t: float, z=None, tol: float = DEFAULT_TOL) -> LoopMat:
             scale[j] = 1.0 / top
     d = np.diag(scale)
     scaled = LoopMat.numeric([b @ d for b in blocks], loop.lo)
-    return unitarize(scaled, tol=tol).unitary_part
+    return unitarize(scaled).unitary_part
 
 
 def flow_limit(spec: ExtendedSolutionSpec) -> ExtendedSolutionSpec:
@@ -296,15 +297,8 @@ def flow_limit(spec: ExtendedSolutionSpec) -> ExtendedSolutionSpec:
     )
 
 
-def _poly_valuation(p: Poly) -> int:
-    for k in range(p.degree + 1):
-        if not p[k].is_zero():
-            return k
-    raise ValueError("zero polynomial has no valuation")
-
-
 def _smith_diagonal(m, n: int):
-    """Diagonalize a matrix over F[lambda] by row/column operations."""
+    """Diagonalize over F[lambda] by swaps and row/column additions: prod = +-det."""
     m = [row[:] for row in m]
     diag = []
     for k in range(n):
@@ -318,7 +312,7 @@ def _smith_diagonal(m, n: int):
                     if pivot is None or m[i][j].degree < best:
                         pivot, best = (i, j), m[i][j].degree
             if pivot is None:
-                raise NotInvertibleLoop("matrix is singular over the field")
+                raise NotInvertibleLoop("loop determinant is identically zero")
             pi, pj = pivot
             if pi != k:
                 m[pi], m[k] = m[k], m[pi]
@@ -353,7 +347,9 @@ def bruhat_cell(obj) -> BruhatCell:
 
     Reduction happens over the univariate polynomial ring in lambda with
     rational-function coefficients, so the answer is the generic-z cell.
-    Numeric loops are refused: rank decisions over floats are ill-posed.
+    The determinant, read off the reduced diagonal, must be a nonzero lambda
+    monomial (NotInvertibleLoop, NonMonomialDeterminant otherwise).  Numeric
+    loops are refused: rank decisions over floats are ill-posed.
     """
     if isinstance(obj, ExtendedSolutionSpec):
         obj = assemble_loop(obj)
@@ -361,13 +357,21 @@ def bruhat_cell(obj) -> BruhatCell:
         raise TypeError("expected a LoopMat or an ExtendedSolutionSpec")
     if obj.kind != "exact":
         raise ExactKindUnsupported("cell recovery needs an exact loop")
-    obj.det_lambda()  # raises unless det is a nonzero lambda monomial
     diag = _smith_diagonal(obj._entry_polys(), obj.n)
-    exps = sorted((_poly_valuation(p) + obj.lo for p in diag), reverse=True)
+    det = diag[0]
+    for p in diag[1:]:
+        det = det * p
+    support = [k for k in range(det.degree + 1) if not det[k].is_zero()]
+    if len(support) != 1:
+        raise NonMonomialDeterminant(
+            f"determinant has lambda powers {support}; expected a monomial"
+        )
+    # every factor of a monomial is a monomial, so its degree is its power
+    exps = sorted((p.degree + obj.lo for p in diag), reverse=True)
     return BruhatCell(tuple(exps))
 
 
-def uniton_factorize(spec: ExtendedSolutionSpec, z, tol: float = DEFAULT_TOL):
+def uniton_factorize(spec: ExtendedSolutionSpec, z):
     """Affine projector factors of the built solution at a point z.
 
     Walks the chain of exponent subsets J_1 subset J_2 subset ... obtained by
@@ -389,7 +393,7 @@ def uniton_factorize(spec: ExtendedSolutionSpec, z, tol: float = DEFAULT_TOL):
     for count in range(1, len(support) + 1):
         subset = sorted(support, reverse=True)[:count]
         partial = transform_subset(spec, subset)
-        u = unitarize(assemble_loop(partial), z=z, tol=tol).unitary_part
+        u = unitarize(assemble_loop(partial), z=z).unitary_part
         q = u if prev is None else prev.circle_adjoint() @ u
         factors.append(q)
         prev = u

@@ -9,8 +9,6 @@ complex conjugation of z-dependent entries refuse instead of rounding.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from . import exactmat
@@ -30,18 +28,8 @@ __all__ = ["LoopMat", "NUMERIC_TRIM"]
 NUMERIC_TRIM = 1e-12
 
 
-def _as_entry(x) -> RatFun:
-    if isinstance(x, RatFun):
-        return x
-    if isinstance(x, (int, Fraction, GaussianRational, Poly, str)):
-        if isinstance(x, str):
-            return RatFun.const(GaussianRational.from_string(x))
-        return RatFun(x) if isinstance(x, Poly) else RatFun.const(x)
-    raise TypeError(f"cannot coerce {x!r} into a rational-function entry")
-
-
 def _exact_matrix(m, n: int):
-    rows = [[_as_entry(x) for x in row] for row in m]
+    rows = [[RatFun(x) for x in row] for row in m]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise SizeMismatch(f"expected a {n} x {n} matrix")
     return rows
@@ -140,17 +128,6 @@ class LoopMat:
     def is_zero(self) -> bool:
         return all(self._is_zero_block(m) for m in self.coeffs)
 
-    def width(self) -> int:
-        """Largest |power| carrying a nonzero coefficient."""
-        powers = [
-            k
-            for k, m in zip(range(self.lo, self.hi + 1), self.coeffs)
-            if not self._is_zero_block(m)
-        ]
-        if not powers:
-            return 0
-        return max(abs(powers[0]), abs(powers[-1]))
-
     # -- algebra -------------------------------------------------------------
 
     def _check_compatible(self, other: "LoopMat"):
@@ -217,7 +194,6 @@ class LoopMat:
 
     def scale(self, c) -> "LoopMat":
         if self.kind == "exact":
-            c = _as_entry(c)
             coeffs = [exactmat.mat_scale(m, c) for m in self.coeffs]
         else:
             coeffs = [m * complex(c) for m in self.coeffs]
@@ -254,16 +230,15 @@ class LoopMat:
 
     def negate_lambda(self) -> "LoopMat":
         """The loop lambda -> L(-lambda)."""
-        if self.kind == "exact":
-            coeffs = [
-                m if k % 2 == 0 else exactmat.mat_scale(m, _as_entry(-1))
-                for k, m in zip(range(self.lo, self.hi + 1), self.coeffs)
-            ]
-        else:
-            coeffs = [
-                m if k % 2 == 0 else -m
-                for k, m in zip(range(self.lo, self.hi + 1), self.coeffs)
-            ]
+        def neg(m):
+            if self.kind == "numeric":
+                return -m
+            return [[-x for x in row] for row in m]
+
+        coeffs = [
+            m if k % 2 == 0 else neg(m)
+            for k, m in zip(range(self.lo, self.hi + 1), self.coeffs)
+        ]
         return LoopMat(self.kind, self.n, self.lo, coeffs)
 
     def twist_T(self) -> "LoopMat":
@@ -424,49 +399,15 @@ class LoopMat:
     def ad_width(self) -> int:
         """Width of the conjugation action X -> L X L^(-1) in lambda powers.
 
-        The coefficient of lambda^k in Ad(L) vanishes iff the tensor
-        sum_(p+q=k) L_p (x) (L^(-1)_q)^T vanishes, which is tested exactly.
+        Entry (i,j,r,s) of the lambda^k coefficient of Ad L is the lambda^k
+        coefficient of the scalar product L_ij (L^-1)_rs.  Over the field
+        Q(i)(z) a product of nonzero Laurent polynomials keeps the extreme
+        powers of its factors, so the top power of Ad L is hi(L) + hi(L^-1)
+        and the bottom one lo(L) + lo(L^-1); L L^-1 = I keeps them on either
+        side of zero.
         """
         inv = self.inverse()
-        lo, hi = self.lo + inv.lo, self.hi + inv.hi
-
-        def tensor_nonzero(k: int) -> bool:
-            n = self.n
-            acc = [[RatFun.zero()] * (n * n) for _ in range(n * n)]
-            seen = False
-            for p in range(self.lo, self.hi + 1):
-                q = k - p
-                if not (inv.lo <= q <= inv.hi):
-                    continue
-                a = self.coeff(p)
-                b = inv.coeff(q)
-                for i in range(n):
-                    for j in range(n):
-                        if a[i][j].is_zero():
-                            continue
-                        for r in range(n):
-                            for s in range(n):
-                                if b[r][s].is_zero():
-                                    continue
-                                acc[i * n + j][r * n + s] = (
-                                    acc[i * n + j][r * n + s] + a[i][j] * b[r][s]
-                                )
-                                seen = True
-            if not seen:
-                return False
-            return any(not x.is_zero() for row in acc for x in row)
-
-        top = 0
-        for k in range(hi, -1, -1):
-            if tensor_nonzero(k):
-                top = k
-                break
-        bottom = 0
-        for k in range(lo, 1):
-            if tensor_nonzero(k):
-                bottom = k
-                break
-        return max(top, -bottom)
+        return max(self.hi + inv.hi, -(self.lo + inv.lo))
 
     # -- numeric diagnostics -----------------------------------------------------
 

@@ -258,15 +258,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        return self * c
-
-    def shift(self, k: int):
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return self._wrap((self.field.zero(),) * k + self.coeffs)
-
     def divmod(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")

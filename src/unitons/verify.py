@@ -184,14 +184,14 @@ def uniton_number_report(obj) -> UnitonNumbers:
     )
 
 
-def map_sampler(spec_or_loop, tol: float = 1e-9):
+def map_sampler(spec_or_loop):
     """Map z to the harmonic-map value, assembling the loop once.
 
     Each sample factors with the finite rule of `harmonic_map_at` (n*d + 1
     block rows, exact for algebraic loops), so the row count never changes
     with z and the sampled map is smooth down to rounding, as finite
-    differencing needs.  A sample whose spectral factor misses tol raises
-    NoConvergence.
+    differencing needs.  A sample whose spectral factor residual exceeds the
+    relative bound 1e-9 raises NoConvergence.
     """
     loop = (
         assemble_loop(spec_or_loop)
@@ -200,7 +200,7 @@ def map_sampler(spec_or_loop, tol: float = 1e-9):
     )
 
     def sample(z: complex):
-        return harmonic_map_at(loop, z, tol=tol)
+        return harmonic_map_at(loop, z)
 
     return sample
 

@@ -34,7 +34,7 @@ from .errors import (
     NotNilpotent,
     OddSlotData,
 )
-from .loops import LoopMat, _as_entry
+from .loops import LoopMat
 from .roots import exponents_from_marks, marks_from_exponents
 from .scalars import GaussianRational, Poly, RatFun, integrate_rational
 
@@ -149,7 +149,7 @@ def build_from_free_functions(n, exponents, free, even_only=False):
         raise InvalidType(
             f"exponents {exponents} require {want} free functions, got {len(free)}"
         )
-    values = [_as_entry(v) for v in free]
+    values = [RatFun(v) for v in free]
     slots = {}
     at = 0
     for i, pos in layout:
@@ -206,7 +206,7 @@ def closed_form_full_flag_C0(n, f_components):
     matrix with U^{-1} * frame lower triangular, so that
     frame * gamma and U * gamma agree as lifts.
     """
-    f = [_as_entry(c) for c in f_components]
+    f = [RatFun(c) for c in f_components]
     if len(f) != n:
         raise InvalidType(f"expected {n} frame components")
     cols = [list(f)]

@@ -66,3 +66,22 @@ def flag_unitarize(psi: LoopMat):
         steps += 1
         assert steps <= budget, "projector peeling failed to terminate"
     return unitary, work
+
+
+def ad_width_by_conjugation(loop: LoopMat) -> int:
+    """Largest |k| over the nonzero lambda^k coefficients of L E_jr L^-1.
+
+    Entry (i,s) of L E_jr L^-1 is L_ij (L^-1)_rs, so running over every
+    elementary matrix E_jr reaches every entry of Ad L; the width is read
+    off n^2 exact loop products.
+    """
+    n = loop.n
+    inv = loop.inverse()
+    width = 0
+    for j in range(n):
+        for r in range(n):
+            e = exactmat.zeros(n)
+            e[j][r] = RatFun.one()
+            image = loop @ LoopMat("exact", n, 0, [e]) @ inv
+            width = max(width, abs(image.lo), abs(image.hi))
+    return width

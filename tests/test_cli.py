@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,17 @@ from unitons import jsonio
 from unitons.cli import main
 from unitons.loops import LoopMat
 from unitons.weierstrass import veronese_solution
+
+
+def _call(argv):
+    """Exit code, stdout and stderr of one CLI call, outside of capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the argument list
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def run(capsys, *argv, stdin_text=None, monkeypatch=None):
@@ -252,10 +265,20 @@ def test_nonfinite_input_is_one_line_input_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_point_is_typed_error(tmp_path, capsys):
-    code, _, err = run(capsys, "map", veronese_file(tmp_path, 3), "--z", "1e200,0")
-    assert code == 2 and "PoleAtZ" in err
+    path = veronese_file(tmp_path, 3)
+    for argv in [
+        ("map", "--z", "1e200,0"),
+        ("flow", "--z=0,-1e200", "--t", "0"),
+        ("factor", "--z", "1e200,0"),
+        ("verify", "--grid", "1e308,0"),
+        ("verify", "--h", "1e308"),
+        ("verify", "--grid", "999999.9995,0"),  # the point is in range, its stencil is not
+    ]:
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "outside the input range |RE|, |IM| <= 1e+06" in err, err
 
 
 @pytest.mark.parametrize(
@@ -269,6 +292,7 @@ def test_overflowing_point_is_typed_error(tmp_path, capsys):
         ("flow", "--z", "0.1,0", "--t", ""),
         ("flow", "--z", "0.1,0", "--t", ","),
         ("flow", "--z", "0.1,0", "--t=-1e308"),
+        ("flow", "--z", "0.1,0", "--t", "0,50.5"),
     ],
 )
 def test_empty_or_out_of_range_input_is_input_error(tmp_path, capsys, argv):
@@ -308,19 +332,123 @@ def _argv_for(command, draw):
     return [f"--{name}={flags[name]}" for name in given_flags]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60)
 @given(command=st.sampled_from(["verify", "map", "flow", "factor"]), data=st.data())
 def test_fuzzed_arguments_keep_exit_code_contract(veronese2_path, command, data):
     argv = [command, veronese2_path] + _argv_for(command, data.draw)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argument list
-            code = exc.code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be printed to stderr
+        code, out, err = _call(argv)
     assert code in (0, 1, 2), argv
-    if code != 2:
-        payload = json.loads(out.getvalue())
+    if err.startswith("usage: "):  # argparse rejected a value: usage, then one error line
+        lines = err.splitlines()
+        assert code == 2 and ": error: " in lines[-1], (argv, err)
+        assert not any("error" in line for line in lines[:-1]), (argv, err)
+    elif code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
+        payload = json.loads(out)
         assert code == 0 or payload["passed"] is False, argv
-    assert "Traceback" not in err.getvalue(), argv
+
+
+# -- pinned exact-lane bytes ------------------------------------------------------------------
+# sha256 of exact-lane outputs as recorded before the uniton number was read off
+# degrees and the Bruhat cell off the Smith diagonal.  The outputs hold only
+# strings and integers, so the digests hold on every platform and Python version.
+
+
+def _poly(*coeffs):
+    return {"num": [str(c) for c in coeffs], "den": ["1"]}
+
+
+_BUILDS = {
+    "u3": (("--n", "3", "--exponents", "2,1,0"),
+           {"c1_0[1,2]": _poly(0, 1), "c1_0[2,3]": _poly(1, 1), "c2_1[1,3]": _poly(0, 1)}),
+    "u4": (("--n", "4", "--exponents", "3,2,1,0"),
+           {"c1_0[1,2]": _poly(0, 1), "c1_0[2,3]": _poly(0, 0, 1), "c1_0[3,4]": _poly(1, 1),
+            "c2_1[1,3]": _poly(0, 2), "c2_1[2,4]": _poly(0, 0, 3), "c3_2[1,4]": "5"}),
+    "even": (("--n", "4", "--exponents", "3,2,1,0", "--even"),
+             {"c1_0[1,2]": _poly(0, 1), "c1_0[2,3]": _poly(0, 0, 1), "c1_0[3,4]": "2",
+              "c3_2[1,4]": _poly(0, 1)}),
+}
+_SYMMETRIC_RANKS = {"A": 3, "B": 3, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
+
+
+def _exact_lane_outputs(workdir):
+    """Output text of each pinned command: stdout, led by the exit code where
+    it can be 1; for verify, only its exact sections."""
+    texts = {}
+    specs = {}
+    for n in (2, 3, 4, 5):
+        _, texts[f"demo veronese {n}"], _ = _call(["demo", "veronese", "--n", str(n)])
+        specs[f"veronese{n}"] = texts[f"demo veronese {n}"]
+    for name, (flags, free) in _BUILDS.items():
+        free_path = workdir / f"free_{name}.json"
+        free_path.write_text(json.dumps(free))
+        _, texts[f"build {name}"], _ = _call(["build", *flags, "--free", str(free_path)])
+        specs[name] = texts[f"build {name}"]
+    for name, text in specs.items():
+        path = workdir / f"{name}.json"
+        path.write_text(text)
+        for command in ("cell", "big-cell"):
+            code, out, _ = _call([command, str(path)])
+            texts[f"{command} {name}"] = f"{code}\n{out}"
+        _, out, _ = _call(["verify", str(path)])
+        payload = json.loads(out)
+        texts[f"verify {name}"] = json.dumps(
+            {key: payload[key] for key in ("reports", "uniton_numbers")}, sort_keys=True
+        )
+    _, texts["tables groups"], _ = _call(["tables", "groups"])
+    for letter, rank in _SYMMETRIC_RANKS.items():
+        argv = ["tables", "symmetric", "--type", letter, "--rank", str(rank)]
+        _, texts[f"tables symmetric {letter}"], _ = _call(argv)
+    return texts
+
+
+_EXACT_DIGESTS = {
+    "demo veronese 2": "0d15a7768099ef32884a5803bb1adf8dcd9526eb659dddc135bf33bfbd5c75d3",
+    "demo veronese 3": "9515070bd1523570afde271eb11d5e0ac29b3a4f19e495f2a6d6e33d25132a89",
+    "demo veronese 4": "b20a2fe0b6835732f6dea76f8ba59f69be62a0ed83808e64dd43802dfb195054",
+    "demo veronese 5": "914a185feb91e4f509203c34a44e883a6c5a1b67dafe6b25b5ae0d0267cea20b",
+    "build u3": "16a1a337179f5f93899dc66995acd20c7178ac62158a92f973f2149edb088d45",
+    "build u4": "11a9bcb76ae5a34302d5efb5c58b9b4f4a160182d3518fba81b5a8462a6bf7f3",
+    "build even": "97082842406220cb0d90ae3d1ca04ab7664d2f6114dc5dd606621822fe582b41",
+    "cell veronese2": "6ff6bc4dbd028335daab6804b8139a2d634dfe7109bc4b15c10dd45a1df7df14",
+    "big-cell veronese2": "54d1d8e6878585e0854ab1af1d8302124b09a9990cf5e4a8c748c3939882372a",
+    "verify veronese2": "c00df8e21f733e2d5cf78fbb15c026883b6051338d2bff0378a383ffa0409531",
+    "cell veronese3": "a27737f13b00dca6b3d67034ebd6aef132216a47c924d062b0fba788ca32c445",
+    "big-cell veronese3": "5942e598c4f443f8357b35845cdcc3ccd2ec056a7b94c74dac2e4a6abc0e1079",
+    "verify veronese3": "466053a54cc61aa103b56559f159a54ee6d1f026a7cafa2e340246ef412f331a",
+    "cell veronese4": "cab1197c6a33b80be7958b48aed7064d8dd99b2e1353887f6debc66646821e32",
+    "big-cell veronese4": "313fbb0bc0fbea81ac5c2a77115498cb291ab75d66b53cd4fed93dc02f235664",
+    "verify veronese4": "2ccfd21452ec0821aa8cae390cb8f6e72391d294312a27c03f34215f3324c3f0",
+    "cell veronese5": "970a69d9ae0ef429938257fe3674fc32d02abb0c92593106d5e373c6c1e44cd1",
+    "big-cell veronese5": "2d96965d9e821c4b75b5038e9f86920406e17c30b8b17fe53f771d1c8300385f",
+    "verify veronese5": "776791f30e46e72ef51cb409105e451cf5bdac751f4a186d1ccd50eb2ff24089",
+    "cell u3": "a27737f13b00dca6b3d67034ebd6aef132216a47c924d062b0fba788ca32c445",
+    "big-cell u3": "da0ef51511302ca7cbec5e5509de688e1a4fdc9e2c72da5dd149d149dc9228cd",
+    "verify u3": "b28ec1a5a133f52fc8a7e4e094b5e60ce222e487a581d730ab4f101c9005afdf",
+    "cell u4": "cab1197c6a33b80be7958b48aed7064d8dd99b2e1353887f6debc66646821e32",
+    "big-cell u4": "68c1900deecc101da138a4a46687b229a175b46f23035910d8b51e5f86a031f4",
+    "verify u4": "d2a736feb9d431598546b28874cf73ce429e604e1749cfe249d7df0d8134387d",
+    "cell even": "cab1197c6a33b80be7958b48aed7064d8dd99b2e1353887f6debc66646821e32",
+    "big-cell even": "16845c0b0905fcb88f29f1da0b5da92ea7c874f67a2908d4a656db0cb53dafc1",
+    "verify even": "90012998296184fdfb7b4f5416ae398ee9427c99b56c64b35936f866a8637547",
+    "tables groups": "7154e4345c6a7a2b078d36dbb515a26f794d649c34e8aa17ef5632aafb5c0fa5",
+    "tables symmetric A": "16568377a31d84b60034946608b93c1fe4cb5c746ae8464f9cca4497c8cf7dcd",
+    "tables symmetric B": "5022e946b00c272e57ddde057cf180ad7dfabdbed2cd74dd932049a20372b219",
+    "tables symmetric C": "8869bd56150e7919ec38befb358a0a934502b1e2b5e00e9063d03a7aca81431f",
+    "tables symmetric D": "7615f74c4823191cec4b5599460f358cdd2c1f7cf58cda9a72452197db196a8b",
+    "tables symmetric E": "c67c25f75c4741944a908aa0fc729afcef474ad8c1025ddb51a4a8932728579b",
+    "tables symmetric F": "ce6ea30250ef1128e90ef7a130b43fafe3e4d93cf169a91171e7e4ef61001b66",
+    "tables symmetric G": "85ab4e786c1f04f4cd04731faa741b49c397061fa8ec4e2bee811618f9c34460",
+}
+
+
+def test_exact_lane_outputs_match_pinned_digests(tmp_path):
+    digests = {
+        key: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for key, text in _exact_lane_outputs(tmp_path).items()
+    }
+    assert digests == _EXACT_DIGESTS

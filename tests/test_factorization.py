@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import flag_unitarize
+from oracles import ad_width_by_conjugation, flag_unitarize
 from unitons import exactmat
 from unitons.errors import (
     ExactKindUnsupported,
@@ -15,6 +15,7 @@ from unitons.errors import (
     NonMonomialDeterminant,
     NotCanonical,
     NotInBigCellForm,
+    NotInvertibleLoop,
     PoleAtZ,
     SingularOnCircle,
 )
@@ -40,6 +41,7 @@ from unitons.weierstrass import (
     build_from_free_functions,
     full_flag_exponents,
     transform_subset,
+    two_projector_frame,
     veronese_solution,
 )
 
@@ -187,7 +189,7 @@ def _reference_factor(psi, rows):
 
 
 def _assert_factor_matches_reference(psi):
-    g, res = _spectral_factor(psi, 1e-9)
+    g, res = _spectral_factor(psi)
     d = len(g) - 1
     ref = _reference_factor(psi, 4 * (psi.n * d + 1))
     scale = max(1.0, psi.max_coeff_norm() ** 2)
@@ -342,6 +344,34 @@ def test_cell_invariant_under_unimodular_multiplication():
         left = _random_unimodular(rng, 3)
         right = _random_unimodular(rng, 3)
         assert bruhat_cell(left @ base @ right).exponents == (2, 1, 0)
+
+
+def test_cell_singular_loop_is_not_invertible():
+    loop = LoopMat.exact([[[ONE, ONE], [ONE, ONE]], [[Z, ZERO], [Z, ZERO]]])
+    with pytest.raises(NotInvertibleLoop, match="loop determinant is identically zero"):
+        bruhat_cell(loop)
+
+
+def test_cell_dressed_nonmonomial_determinant_names_its_powers():
+    rng = random.Random(7)
+    diag = LoopMat.exact([[[ONE, ZERO], [ZERO, ONE]], [[-ONE, ZERO], [ZERO, ONE]]])
+    dressed = _random_unimodular(rng, 2) @ diag @ _random_unimodular(rng, 2)
+    with pytest.raises(NonMonomialDeterminant, match=r"lambda powers \[0, 2\];"):
+        bruhat_cell(dressed)
+
+
+def test_ad_width_matches_conjugation_oracle():
+    rng = random.Random(19)
+    loops = [
+        _random_unimodular(rng, 3) @ LoopMat.diag_powers(ks) @ _random_unimodular(rng, 3)
+        for ks in ((2, 1, 0), (3, 1, 0), (1, 1, 0), (2, 0, 0), (1, -1, 0), (0, -2, -1))
+    ]
+    # lambda -> 1/lambda turns a width set by the top powers into one set by the bottom
+    loops += [LoopMat("exact", 3, -loop.hi, loop.coeffs[::-1]) for loop in loops[:2]]
+    loops += [assemble_loop(veronese_solution(n)) for n in range(2, 6)]
+    loops += [two_projector_frame(), LoopMat.diag_powers((2, 1, 0)).shift(-3)]
+    for loop in loops:
+        assert loop.ad_width() == ad_width_by_conjugation(loop), loop
 
 
 def test_cell_with_rational_function_entries():
