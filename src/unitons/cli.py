@@ -89,9 +89,12 @@ def _parse_grid(text):
 
 def _parse_exponents(text):
     try:
-        return tuple(int(p) for p in text.split(","))
+        ks = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise SchemaError(f"expected comma-separated integers, got {text!r}") from None
+    if max(ks) > jsonio.MAX_EXPONENT:
+        raise SchemaError(f"exponents must be at most {jsonio.MAX_EXPONENT}, got {text!r}")
+    return ks
 
 
 def _read_json(path):

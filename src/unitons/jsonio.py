@@ -4,6 +4,10 @@ Every writer emits keys in a fixed order and floats with 17 significant
 digits, so identical objects always produce byte-identical text.  Exact
 scalars travel as strings like "3/4" or "-1/2+2/3i"; rational functions
 as {"num": [...], "den": [...]} coefficient lists in increasing degree.
+
+Readers refuse, with SchemaError, text nested too deeply for the parser,
+duplicate object keys, spec exponents above MAX_EXPONENT and numeric loop
+entries outside |RE|, |IM| <= MAX_NUMERIC.
 """
 
 import json
@@ -12,6 +16,13 @@ from .errors import SchemaError
 from .scalars import GaussianRational, Poly, RatFun
 from .loops import LoopMat
 from .weierstrass import ExtendedSolutionSpec, free_slot_layout
+
+# input limits: a spec of height k assembles loops with k + 1 lambda powers and
+# symbols with 2k + 1 Toeplitz blocks, so the height is capped well above every
+# built solution (tests, demos and bench stay <= 4); numeric loop entries stay
+# in the range the CLI allows for points, far from float overflow
+MAX_EXPONENT = 64
+MAX_NUMERIC = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +80,22 @@ def dumps(obj):
     return "".join(out)
 
 
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"invalid JSON: duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def loads(text):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +186,11 @@ def _parse_numeric_entry(obj, where):
         where,
         "numeric entries are [re, im] pairs",
     )
+    _expect(
+        abs(re) <= MAX_NUMERIC and abs(im) <= MAX_NUMERIC,
+        where,
+        f"numeric entries must satisfy |RE|, |IM| <= {MAX_NUMERIC:g}",
+    )
     return complex(re, im)
 
 
@@ -250,6 +277,7 @@ def parse_spec(obj, where="spec"):
         where,
         "exponents must be non-increasing and end at 0",
     )
+    _expect(exponents[0] <= MAX_EXPONENT, where, f"exponents must be at most {MAX_EXPONENT}")
     even_only = _get(obj, "even_only", where, bool)
     strict = _get(obj, "strict_grading", where, bool)
     slots_obj = _get(obj, "slots", where, dict)

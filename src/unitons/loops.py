@@ -16,6 +16,7 @@ from .errors import (
     ExactKindUnsupported,
     NonMonomialDeterminant,
     NotInvertibleLoop,
+    PoleAtZ,
     SingularAtMinusOne,
     SizeMismatch,
     ZeroLambda,
@@ -26,6 +27,9 @@ __all__ = ["LoopMat", "NUMERIC_TRIM"]
 
 # relative Frobenius threshold below which numeric coefficients are dropped
 NUMERIC_TRIM = 1e-12
+# largest |RE|, |IM| of a coefficient from to_numeric: norms and the symbol
+# Psi~ Psi square magnitudes, so this keeps every product far from overflow
+MAX_COEFF = 1e100
 
 
 def _exact_matrix(m, n: int):
@@ -315,23 +319,29 @@ class LoopMat:
         return LoopMat("exact", self.n, self.lo, coeffs)
 
     def to_numeric(self, z: complex | None = None) -> "LoopMat":
+        """Complex coefficients (at z for z-dependent entries); PoleAtZ when
+        a real or imaginary part is not finite or exceeds MAX_COEFF."""
         if self.kind == "numeric":
             return self
-        out = []
-        for m in self.coeffs:
-            block = np.zeros((self.n, self.n), dtype=complex)
-            for i, row in enumerate(m):
-                for j, e in enumerate(row):
-                    if e.is_const():
-                        block[i, j] = complex(e.const_value())
-                    else:
-                        if z is None:
-                            raise ExactKindUnsupported(
-                                "entries depend on z; pass a z value"
-                            )
-                        block[i, j] = e.evaluate_complex(complex(z))
-            out.append(block)
-        return LoopMat("numeric", self.n, self.lo, out)
+        out = np.zeros((len(self.coeffs), self.n, self.n), dtype=complex)
+        try:
+            for k, m in enumerate(self.coeffs):
+                for i, row in enumerate(m):
+                    for j, e in enumerate(row):
+                        if e.is_const():
+                            out[k, i, j] = complex(e.const_value())
+                        else:
+                            if z is None:
+                                raise ExactKindUnsupported(
+                                    "entries depend on z; pass a z value"
+                                )
+                            out[k, i, j] = e.evaluate_complex(complex(z))
+            in_range = np.abs(out.view(float)).max() <= MAX_COEFF  # False for NaN
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise PoleAtZ(f"loop coefficients at z = {z} exceed {MAX_COEFF:g} or are not finite")
+        return LoopMat("numeric", self.n, self.lo, list(out))
 
     # -- exact inverse and adjoint width ---------------------------------------
 

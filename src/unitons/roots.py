@@ -2,9 +2,8 @@
 
 Positive roots are generated from the Cartan matrix by the standard
 closure algorithm and stored as coefficient vectors over the simple
-roots.  Gradings, height bounds, Morse indices, big-cell fiber
-dimensions and the inner-symmetric-space survey are all computed from
-that table.  Marks vectors are coefficients of an element of the
+roots.  Gradings, height bounds and the inner-symmetric-space survey
+are all computed from that table.  Marks vectors are coefficients of an element of the
 integer coweight lattice on the dual fundamental basis, so a root
 alpha = sum m_i alpha_i pairs with xi as sum m_i xi_i.
 """
@@ -204,34 +203,9 @@ def grading(rs, marks):
     return dims
 
 
-def morse_index(rs, marks):
-    marks = _check_marks(rs, marks)
-    return sum(
-        level(r, marks) - 1 for r in rs.positive_roots if level(r, marks) != 0
-    )
-
-
-def big_cell_fiber_dim(rs, marks):
-    """Dimension of the nilpotent coordinate patch: sum over 0 <= i < r of
-    the dimensions of the strictly-higher graded parts."""
-    marks = _check_marks(rs, marks)
-    r = height_of(rs, marks)
-    return sum(min(level(p, marks), r) for p in rs.positive_roots)
-
-
-def free_function_count(rs, marks):
-    marks = _check_marks(rs, marks)
-    return sum(1 for p in rs.positive_roots if level(p, marks) >= 1)
-
-
 def canonical_reduce(rs, marks):
     marks = _check_marks(rs, marks)
     return tuple(1 if m > 0 else 0 for m in marks)
-
-
-def odd_canonical_reduce(rs, marks):
-    marks = _check_marks(rs, marks)
-    return tuple(m % 2 for m in marks)
 
 
 # -- U_n bridge ---------------------------------------------------------------

@@ -339,6 +339,10 @@ class Poly:
         return f"Poly({self})"
 
 
+_POLY_ZERO = Poly.zero()
+_POLY_ONE = Poly.one()
+
+
 class RatFun:
     """Rational function over Q(i) in canonical form.
 
@@ -367,12 +371,20 @@ class RatFun:
         self.den = den
 
     @classmethod
+    def _canonical(cls, num, den):
+        """Wrap a pair already in canonical form, skipping the gcd."""
+        r = cls.__new__(cls)
+        r.num = num
+        r.den = den
+        return r
+
+    @classmethod
     def zero(cls):
-        return cls(Poly.zero())
+        return cls._canonical(_POLY_ZERO, _POLY_ONE)
 
     @classmethod
     def one(cls):
-        return cls(Poly.one())
+        return cls._canonical(_POLY_ONE, _POLY_ONE)
 
     @classmethod
     def x(cls):
@@ -400,15 +412,25 @@ class RatFun:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 == d2:
+            # a common denominator 1 needs no cancellation, any other only
+            # against itself
+            if d1.degree == 0:
+                return RatFun._canonical(n1 + n2, d1)
+            return RatFun(n1 + n2, d1)
+        # with one polynomial operand the sum is already coprime:
+        # gcd(n1 d2 + n2, d2) = gcd(n2, d2) = 1, and likewise with 1 <-> 2
+        if d1.degree == 0:
+            return RatFun._canonical(n1 * d2 + n2, d2)
+        if d2.degree == 0:
+            return RatFun._canonical(n1 + n2 * d1, d1)
+        return RatFun(n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = RatFun.__new__(RatFun)
-        r.num = -self.num
-        r.den = self.den
-        return r
+        return RatFun._canonical(-self.num, self.den)
 
     def __sub__(self, other):
         other = _as_ratfun(other)
@@ -428,7 +450,7 @@ class RatFun:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RatFun.zero()
-        return RatFun(self.num * other.num, self.den * other.den)
+        return _henrici(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -438,7 +460,11 @@ class RatFun:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        if self.is_zero():
+            return RatFun.zero()
+        # the reciprocal den/num, scaled to a monic denominator, is canonical
+        c = GaussianRational.one() / other.num.lead()
+        return _henrici(self.num, self.den, other.den * c, other.num * c)
 
     def __rtruediv__(self, other):
         other = _as_ratfun(other)
@@ -463,12 +489,11 @@ class RatFun:
 
     def conjugate_coefficients(self) -> "RatFun":
         """Entrywise coefficient conjugation: f(z) -> conj(f)(z)."""
-        r = RatFun.__new__(RatFun)
-        r.num = Poly([c.conjugate() for c in self.num.coeffs])
-        den = Poly([c.conjugate() for c in self.den.coeffs])
         # conjugating a monic polynomial keeps it monic
-        r.den = den
-        return r
+        return RatFun._canonical(
+            Poly([c.conjugate() for c in self.num.coeffs]),
+            Poly([c.conjugate() for c in self.den.coeffs]),
+        )
 
     def evaluate(self, z0):
         """Exact evaluation at a Gaussian rational point."""
@@ -512,9 +537,25 @@ def _as_ratfun(value):
     return NotImplemented
 
 
+def _henrici(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFun:
+    """(n1/d1)(n2/d2) for canonical, nonzero operands, without the gcd of
+    the full product (Henrici 1956): with g1 = gcd(n1, d2) and
+    g2 = gcd(n2, d1) divided out, (n1/g1)(n2/g2) is coprime to
+    (d1/g2)(d2/g1), and monic gcds keep the denominator monic."""
+    if d2.degree > 0 and n1.degree > 0:
+        g1 = n1.gcd(d2)
+        if g1.degree > 0:
+            n1, d2 = n1 // g1, d2 // g1
+    if d1.degree > 0 and n2.degree > 0:
+        g2 = n2.gcd(d1)
+        if g2.degree > 0:
+            n2, d1 = n2 // g2, d1 // g2
+    return RatFun._canonical(n1 * n2, d1 * d2)
+
+
 def _cancel(num: Poly, den: Poly):
     if num.is_zero():
-        return Poly.zero(), Poly.one()
+        return _POLY_ZERO, _POLY_ONE
     g = num.gcd(den)
     if g.degree > 0:
         num = num // g

@@ -26,7 +26,6 @@ from math import factorial
 
 from . import exactmat
 from .errors import (
-    DegenerateFrame,
     EmptySubset,
     InvalidType,
     NonRationalAntiderivative,
@@ -198,39 +197,6 @@ def assemble_loop(spec):
     return exp_nilpotent(spec.c_lambda()) @ LoopMat.diag_powers(spec.exponents)
 
 
-def closed_form_full_flag_C0(n, f_components):
-    """Unipotent factor of the full-flag solution attached to a frame.
-
-    Columns of the frame are the derivatives (f^(n-1), ..., f', f) of the
-    component vector f.  The result U is the unique unit upper-triangular
-    matrix with U^{-1} * frame lower triangular, so that
-    frame * gamma and U * gamma agree as lifts.
-    """
-    f = [RatFun(c) for c in f_components]
-    if len(f) != n:
-        raise InvalidType(f"expected {n} frame components")
-    cols = [list(f)]
-    for _ in range(n - 1):
-        cols.append([e.derivative() for e in cols[-1]])
-    cols.reverse()  # highest derivative first
-    a = [[cols[c][row] for c in range(n)] for row in range(n)]
-    # Reverse both index orders: unit-upper * lower becomes unit-lower * upper,
-    # which is plain LU without pivoting.
-    b = [[a[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-    lower = exactmat.eye(n)
-    upper = [row[:] for row in b]
-    for k in range(n):
-        pivot = upper[k][k]
-        if pivot.is_zero():
-            raise DegenerateFrame(f"frame minor {k + 1} vanishes identically")
-        for i in range(k + 1, n):
-            factor = upper[i][k] / pivot
-            lower[i][k] = factor
-            for j in range(k, n):
-                upper[i][j] = upper[i][j] - factor * upper[k][j]
-    return [[lower[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-
-
 def full_flag_exponents(n):
     return tuple(range(n - 1, -1, -1))
 
@@ -245,17 +211,6 @@ def veronese_solution(n):
         for _ in pos:
             free.append(RatFun.x() if i == 0 else RatFun.zero())
     return build_from_free_functions(n, exponents, free)
-
-
-def veronese_frame(n):
-    """Component vector (z^{n-1}/(n-1)!, ..., z, 1) of the rational normal curve."""
-    comps = []
-    for k in range(n - 1, -1, -1):
-        coeffs = [GaussianRational.zero()] * k + [
-            GaussianRational(Fraction(1, factorial(k)))
-        ]
-        comps.append(RatFun(Poly(coeffs)))
-    return comps
 
 
 def two_projector_frame():

@@ -1,6 +1,8 @@
-"""Independent exact-arithmetic references used only by the tests.
+"""Independent references used only by the tests.
 
-The flag unitarizer below splits an invertible exact loop into its based
+`ratfun_reference` is canonical form the long way: one gcd of the whole
+numerator and denominator.  The frame and root-system formulas are closed
+forms that the builders and tables must agree with.  The flag unitarizer splits an invertible exact loop into its based
 unitary factor and a disc-holomorphic factor by peeling one affine projector
 per step: the image of the lowest lambda coefficient determines the next
 projector, and the peel lowers the determinant winding, so the process stops.
@@ -8,10 +10,99 @@ It shares no code path with the production Toeplitz routine, which is the
 point: the two routes must agree on their overlap.
 """
 
+from fractions import Fraction
+from math import factorial
+
 from unitons import exactmat
-from unitons.errors import ExactKindUnsupported
+from unitons.errors import DegenerateFrame, ExactKindUnsupported, InvalidType
 from unitons.loops import LoopMat
-from unitons.scalars import RatFun
+from unitons.roots import height_of, level
+from unitons.scalars import GaussianRational, Poly, RatFun
+
+
+def ratfun_reference(num, den):
+    """(num, den) of num/den in canonical form: divide by the gcd of the
+    full pair, then make the denominator monic; zero is 0/1."""
+    if num.is_zero():
+        return Poly.zero(), Poly.one()
+    g = num.gcd(den)
+    num, den = num // g, den // g
+    scale = GaussianRational.one() / den.lead()
+    return num * scale, den * scale
+
+
+# -- closed forms for the full-flag builder -------------------------------------
+
+
+def closed_form_full_flag_C0(n, f_components):
+    """Unipotent factor of the full-flag solution attached to a frame.
+
+    Columns of the frame are the derivatives (f^(n-1), ..., f', f) of the
+    component vector f.  The result U is the unique unit upper-triangular
+    matrix with U^{-1} * frame lower triangular, so that
+    frame * gamma and U * gamma agree as lifts.
+    """
+    f = [RatFun(c) for c in f_components]
+    if len(f) != n:
+        raise InvalidType(f"expected {n} frame components")
+    cols = [list(f)]
+    for _ in range(n - 1):
+        cols.append([e.derivative() for e in cols[-1]])
+    cols.reverse()  # highest derivative first
+    a = [[cols[c][row] for c in range(n)] for row in range(n)]
+    # Reverse both index orders: unit-upper * lower becomes unit-lower * upper,
+    # which is plain LU without pivoting.
+    b = [[a[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+    lower = exactmat.eye(n)
+    upper = [row[:] for row in b]
+    for k in range(n):
+        pivot = upper[k][k]
+        if pivot.is_zero():
+            raise DegenerateFrame(f"frame minor {k + 1} vanishes identically")
+        for i in range(k + 1, n):
+            factor = upper[i][k] / pivot
+            lower[i][k] = factor
+            for j in range(k, n):
+                upper[i][j] = upper[i][j] - factor * upper[k][j]
+    return [[lower[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
+
+
+def veronese_frame(n):
+    """Component vector (z^{n-1}/(n-1)!, ..., z, 1) of the rational normal curve."""
+    comps = []
+    for k in range(n - 1, -1, -1):
+        coeffs = [GaussianRational.zero()] * k + [
+            GaussianRational(Fraction(1, factorial(k)))
+        ]
+        comps.append(RatFun(Poly(coeffs)))
+    return comps
+
+
+# -- index formulas over a root system (marks are non-negative integers) ------------
+
+
+def morse_index(rs, marks):
+    return sum(
+        level(r, marks) - 1 for r in rs.positive_roots if level(r, marks) != 0
+    )
+
+
+def big_cell_fiber_dim(rs, marks):
+    """Dimension of the nilpotent coordinate patch: sum over 0 <= i < r of
+    the dimensions of the strictly-higher graded parts."""
+    r = height_of(rs, marks)
+    return sum(min(level(p, marks), r) for p in rs.positive_roots)
+
+
+def free_function_count(rs, marks):
+    return sum(1 for p in rs.positive_roots if level(p, marks) >= 1)
+
+
+def odd_canonical_reduce(rs, marks):
+    return tuple(int(m) % 2 for m in marks)
+
+
+# -- exact Iwasawa split by projector peeling -------------------------------------
 
 
 def column_space_basis(m):

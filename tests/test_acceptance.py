@@ -316,16 +316,27 @@ def test_07_cell_recovery():
 
 
 def test_08_scaling_flow():
+    # Veronese 3 is a fixed point of the flow: its energy must not move
     spec = veronese_solution(3)
     z = complex(0.5, 0.0)
     energies = [energy(cstar_flow(spec, 0.5 * k, z)) for k in range(13)]
-    monotone = all(energies[k + 1] <= energies[k] + 1e-9 for k in range(12))
+    fixed = max(energies) - min(energies) <= 1e-9
     limit = flow_limit(spec)
     distance = (cstar_flow(spec, 8.0, z) - cstar_flow(limit, 0.0, z)).max_coeff_norm()
     horizontal = check_superhorizontal(limit).passed
-    ok = monotone and distance <= 1e-5 and horizontal
-    verdict(8, "flow: energy monotone, limit reached, limit super-horizontal", ok,
-            f"energy span [{min(energies):.9f}, {max(energies):.9f}], "
+    # a lambda-dependent U_3 (2,1,0) build lies in the cell of its critical
+    # homomorphism, so the flow runs its energy up to sum k_i^2 = 5
+    climber = build_from_free_functions(3, (2, 1, 0), [Z, Z, Z * Z])
+    w = complex(0.7, 0.3)
+    climb = [energy(cstar_flow(climber, 0.5 * k, w)) for k in range(13)]
+    rising = all(climb[k + 1] >= climb[k] - 1e-9 for k in range(12))
+    top = abs(energy(cstar_flow(climber, 10.0, w)) - 5.0)
+    ok = fixed and distance <= 1e-5 and horizontal and rising and top <= 1e-6
+    verdict(8, "flow: fixed point holds, energy climbs to its critical value, "
+               "limit reached, limit super-horizontal", ok,
+            f"Veronese energy span [{min(energies):.9f}, {max(energies):.9f}] <= 1e-9, "
+            f"U_3 energy {climb[0]:.6f} -> {climb[-1]:.6f} non-decreasing={rising}, "
+            f"|E(t=10) - 5| {top:.1e} <= 1e-6, "
             f"|t=8 - limit| {distance:.1e} <= 1e-5, horizontal={horizontal}")
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -332,6 +333,18 @@ def _argv_for(command, draw):
     return [f"--{name}={flags[name]}" for name in given_flags]
 
 
+def _assert_contract(argv, code, out, err):
+    """0: JSON out, 1: JSON with a failed verdict, 2: one `error:` line; no
+    other stderr."""
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
+        payload = json.loads(out)
+        assert code == 0 or payload["passed"] is False, argv
+
+
 @settings(max_examples=60)
 @given(command=st.sampled_from(["verify", "map", "flow", "factor"]), data=st.data())
 def test_fuzzed_arguments_keep_exit_code_contract(veronese2_path, command, data):
@@ -339,17 +352,137 @@ def test_fuzzed_arguments_keep_exit_code_contract(veronese2_path, command, data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would be printed to stderr
         code, out, err = _call(argv)
-    assert code in (0, 1, 2), argv
     if err.startswith("usage: "):  # argparse rejected a value: usage, then one error line
         lines = err.splitlines()
         assert code == 2 and ": error: " in lines[-1], (argv, err)
         assert not any("error" in line for line in lines[:-1]), (argv, err)
-    elif code == 2:
-        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     else:
-        assert err == "", (argv, err)
-        payload = json.loads(out)
-        assert code == 0 or payload["passed"] is False, argv
+        _assert_contract(argv, code, out, err)
+
+
+# -- exit-code contract under fuzzed JSON files ----------------------------------------------
+
+_ZB = {"num": [], "den": ["1"]}  # the zero entry
+_Z = {"num": ["0", "1"], "den": ["1"]}  # the entry z
+_BASE_DOCS = {
+    "spec": {"n": 2, "exponents": [1, 0], "even_only": False, "strict_grading": True,
+             "slots": {"c1_0": [[_ZB, _Z], [_ZB, _ZB]]}},
+    "free": {"c1_0[1,2]": _Z},
+    "exact-loop": {"kind": "exact", "n": 2, "lo": 0,
+                   "coeffs": [[["1", _Z], ["0", "0"]], [["0", "0"], ["0", "1"]]]},
+    "numeric-loop": {"kind": "numeric", "n": 2, "lo": 0,
+                     "coeffs": [[[[1, 0], [0.3, 0.1]], [[0, 0], [0, 0]]],
+                                [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+}
+_COMMANDS = {
+    "spec": [["cell"], ["big-cell"], ["map", "--z=0.3,0.1"], ["factor", "--z=0.3,0.1"],
+             ["flow", "--z=0.3,0.1", "--t=1"], ["verify", "--grid=0.3,0.1"]],
+    "free": [["build", "--n", "2", "--exponents", "1,0", "--free"]],
+    "exact-loop": [["cell"]],
+    "numeric-loop": [["cell"]],
+}
+_HUGE = "1" + "0" * 400  # an exact rational far past the float range
+_JSON_VALUES = st.sampled_from([
+    None, True, 0, -1, 2**70, 1e308, -1e308, float("nan"), float("inf"),
+    "", "x", "1/0", "1e308", _HUGE, "1/" + _HUGE, "9" * 5000, "0+1i", "-3/4",
+    [], {}, [[]], [1e308, 1e308], [float("nan"), 0], [2000, 0], [10**9, 0], [65, 0], [1, 1],
+    {"num": [], "den": []}, {"num": ["1"], "den": ["0"]}, {"num": ["1"]},
+    {"num": ["0", _HUGE], "den": ["1"]}, {"num": ["1"], "den": [_HUGE, "1"]},
+])
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    obj = copy.deepcopy(obj)
+    _at(obj, path[:-1])[path[-1]] = value
+    return obj
+
+
+# leaves: exact scalars and numeric parts, many of them valid, so that the
+# fuzzed file often parses and reaches the exact and numeric lanes
+_LEAF_VALUES = st.sampled_from([
+    "0", "1", "-3/4", "0+1i", "2-1/2i", "1/" + _HUGE, _HUGE, "-" + _HUGE + "i",
+    "9" * 5000, "1/0", "1e308", "x", "", 0, 0.5, -2, 1e6, 1e7, 1e308, float("nan"),
+])
+
+
+def _fuzzed_text(kind, draw):
+    base = _BASE_DOCS[kind]
+    how = draw(st.sampled_from(["leaf", "leaf", "replace", "replace", "duplicate", "nest",
+                                "truncate"]))
+    if how == "leaf":
+        doc = base
+        leaves = [p for p in _paths(base) if not isinstance(_at(base, p), (dict, list))]
+        for _ in range(draw(st.integers(1, 3))):
+            doc = _replaced(doc, draw(st.sampled_from(leaves)), draw(_LEAF_VALUES))
+        return json.dumps(doc)
+    if how == "replace":
+        doc = base
+        for _ in range(draw(st.integers(1, 2))):
+            path = draw(st.sampled_from(list(_paths(doc))))
+            doc = _replaced(doc, path, draw(_JSON_VALUES))
+        return json.dumps(doc)
+    text = json.dumps(base)
+    if how == "duplicate":  # repeat the first key of the top-level object
+        key = next(iter(base))
+        return "{" + json.dumps(key) + ":" + json.dumps(base[key]) + "," + text[1:]
+    if how == "nest":
+        depth = draw(st.sampled_from([1, 50, 100_000]))
+        return "[" * depth + text + "]" * depth
+    return text[: draw(st.integers(0, len(text) - 1))]
+
+
+@settings(max_examples=80)
+@given(kind=st.sampled_from(sorted(_BASE_DOCS)), data=st.data())
+def test_fuzzed_json_files_keep_exit_code_contract(tmp_path_factory, kind, data):
+    path = tmp_path_factory.mktemp("json") / f"{kind}.json"
+    path.write_text(_fuzzed_text(kind, data.draw))
+    argv = data.draw(st.sampled_from(_COMMANDS[kind])) + [str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be printed to stderr
+        code, out, err = _call(argv)
+    _assert_contract(argv, code, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["verify"], "[" * 100_000 + "]" * 100_000),
+        (["verify"], '{"n":2,"n":2,"exponents":[1,0],"even_only":false,'
+                     '"strict_grading":true,"slots":{}}'),
+        (["verify"], '{"n":2,"exponents":[2000,0],"even_only":false,'
+                     '"strict_grading":true,"slots":{}}'),
+        (["cell"], '{"n":2,"exponents":[1000000000,0],"even_only":false,'
+                   '"strict_grading":true,"slots":{}}'),
+        (["cell"], '{"kind":"numeric","n":1,"lo":0,"coeffs":[[[[1e308,1e308]]]]}'),
+        (["map", "--z=0.3,0.1"], json.dumps(_replaced(
+            _BASE_DOCS["spec"], ("slots", "c1_0", 0, 1, "num", 1), _HUGE))),
+    ],
+    ids=["deep-nesting", "duplicate-key", "exponent-2000", "exponent-1e9",
+         "numeric-1e308", "rational-1e400"],
+)
+def test_hostile_json_file_is_input_error(tmp_path, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _call(argv + [str(path)])
+    assert code == 2 and out == "", err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # -- pinned exact-lane bytes ------------------------------------------------------------------

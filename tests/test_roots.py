@@ -5,19 +5,16 @@ from hypothesis import given, strategies as st
 
 from unitons.errors import InvalidType, UnrecognizedSubsystem
 from unitons import roots
+from oracles import big_cell_fiber_dim, free_function_count, morse_index, odd_canonical_reduce
 from unitons.roots import (
-    big_cell_fiber_dim,
     build_root_system,
     canonical_reduce,
     exponents_from_marks,
-    free_function_count,
     grading,
     group_max_uniton,
     height_of,
     marks_from_exponents,
     max_uniton_for_space,
-    morse_index,
-    odd_canonical_reduce,
     symmetric_space_survey,
 )
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ratfun_reference
 from unitons.errors import NonRationalAntiderivative, PoleAtZ
 from unitons.scalars import (
     GaussianRational,
@@ -116,6 +117,94 @@ def test_ratfun_canonical_invariants(f):
     assert not f.den.is_zero()
     assert f.den.lead() == G(1)
     assert f.is_zero() or f.num.gcd(f.den).degree == 0
+
+
+# operands built from a few shared linear factors, so that the Henrici gcds
+# g1 = gcd(n1, d2) and g2 = gcd(n2, d1) are often non-trivial
+_ROOTS = [G(0), G(1), G(-1), G(0, 1), G(Fraction(1, 2), -1)]
+
+
+def _from_roots(roots):
+    p = Poly.one()
+    for r in roots:
+        p = p * Poly([-r, G(1)])
+    return p
+
+
+_root_lists = st.lists(st.sampled_from(_ROOTS), max_size=3)
+factored_polys = st.builds(lambda c, rs: _from_roots(rs) * c, gauss, _root_lists)
+factored = st.builds(
+    lambda n, rs: RatFun(n, _from_roots(rs)), factored_polys, _root_lists
+)
+polynomials = factored_polys.map(RatFun)
+# every shape the fast paths single out: general pairs, a polynomial operand
+# on either side, equal denominators, and sums that cancel to zero
+operand_pairs = st.one_of(
+    st.tuples(factored, factored),
+    st.tuples(polynomials, factored),
+    st.tuples(factored, polynomials),
+    st.tuples(polynomials, polynomials),
+    st.tuples(factored, factored_polys).map(
+        lambda fp: (fp[0], RatFun(fp[0].num + fp[1] * fp[0].den, fp[0].den))
+    ),
+    factored.map(lambda f: (f, -f)),
+)
+
+
+def _assert_canonical(f):
+    assert f.den.lead() == G(1)
+    assert f.is_zero() or f.num.gcd(f.den).degree == 0
+    assert (f.num, f.den) == ratfun_reference(f.num, f.den)
+
+
+@given(operand_pairs)
+@settings(max_examples=150)
+def test_ratfun_ops_match_full_gcd_reference(pair):
+    f, g = pair
+    n1, d1, n2, d2 = f.num, f.den, g.num, g.den
+    expected = {
+        "+": ratfun_reference(n1 * d2 + n2 * d1, d1 * d2),
+        "-": ratfun_reference(n1 * d2 - n2 * d1, d1 * d2),
+        "*": ratfun_reference(n1 * n2, d1 * d2),
+    }
+    got = {"+": f + g, "-": f - g, "*": f * g}
+    if not g.is_zero():
+        expected["/"] = ratfun_reference(n1 * d2, d1 * n2)
+        got["/"] = f / g
+    for op, h in got.items():
+        _assert_canonical(h)
+        assert (h.num, h.den) == expected[op], op
+
+
+@given(st.lists(factored, max_size=3), st.lists(factored, min_size=1, max_size=3))
+@settings(max_examples=40)
+def test_poly_over_ratfun_stays_canonical(ps, qs):
+    # the field of the Smith reduction: polynomials in lambda over Q(i)(z)
+    p, q = Poly(ps, field=RatFun), Poly(qs, field=RatFun)
+    if q.is_zero():
+        return
+    quot, rem = p.divmod(q)
+    assert quot * q + rem == p
+    assert rem.degree < q.degree
+    for c in quot.coeffs + rem.coeffs + (p * q).coeffs:
+        _assert_canonical(c)
+
+
+def test_polynomial_fast_paths_skip_gcd(monkeypatch):
+    p, q = RatFun(poly(1, 2, 3)), RatFun(poly(0, 1, 0, 1))
+    f = RatFun(poly(1, 1), poly(2, 0, 1))
+    total, product = RatFun(poly(1, 3, 3, 1)), RatFun(poly(0, 1, 2, 4, 2, 3))
+    p_plus_f = RatFun(poly(1, 2, 3) * poly(2, 0, 1) + poly(1, 1), poly(2, 0, 1))
+    zero, one = RatFun(Poly.zero()), RatFun(Poly.one())
+
+    def no_gcd(self, other):
+        raise AssertionError("Poly.gcd called")
+
+    monkeypatch.setattr(Poly, "gcd", no_gcd)
+    assert p + q == total and p * q == product
+    assert p + f == p_plus_f and f + p == p_plus_f
+    assert (p - p).is_zero() and (p * RatFun.zero()).is_zero()
+    assert RatFun.zero() == zero and RatFun.one() == one
 
 
 @given(ratfuns, ratfuns)

@@ -12,12 +12,12 @@ from unitons.errors import (
     OddSlotData,
 )
 from unitons.loops import LoopMat
+from oracles import closed_form_full_flag_C0, veronese_frame
 from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
     assemble_loop,
     build_from_free_functions,
-    closed_form_full_flag_C0,
     even_grassmannian_build,
     exp_nilpotent,
     free_slot_layout,
@@ -25,7 +25,6 @@ from unitons.weierstrass import (
     graded_positions,
     left_log_derivative,
     transform_subset,
-    veronese_frame,
     veronese_solution,
 )
 
