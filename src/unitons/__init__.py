@@ -71,6 +71,7 @@ from .factorization import (
     energy,
     flow_limit,
     harmonic_map_at,
+    harmonic_map_values,
     unitarize,
     uniton_factorize,
 )

@@ -31,7 +31,7 @@ from .errors import (
     PoleAtZ,
     SingularOnCircle,
 )
-from .loops import LoopMat
+from .loops import CompiledLoop, LoopMat, trim_blocks
 from .roots import marks_from_exponents
 from .weierstrass import (
     ExtendedSolutionSpec,
@@ -46,6 +46,7 @@ __all__ = [
     "BruhatCell",
     "unitarize",
     "harmonic_map_at",
+    "harmonic_map_values",
     "bruhat_cell",
     "cstar_flow",
     "flow_limit",
@@ -72,48 +73,105 @@ class BruhatCell:
     exponents: tuple
 
 
-def _as_numeric_loop(obj, z=None) -> LoopMat:
+def _as_loop(obj) -> LoopMat:
     if isinstance(obj, ExtendedSolutionSpec):
         obj = assemble_loop(obj)
     if not isinstance(obj, LoopMat):
         raise TypeError("expected a LoopMat or an ExtendedSolutionSpec")
-    try:
-        return obj.to_numeric(z)
-    except ZeroDivisionError:
-        raise PoleAtZ(f"loop entries have a pole at z = {z}") from None
+    return obj
 
 
-def _symbol_blocks(psi: LoopMat):
-    """Fourier blocks F_0..F_d of F = Psi~ Psi (F_{-k} = F_k^*)."""
-    sym = psi.circle_adjoint() @ psi
-    d = sym.hi
-    return [np.array(sym.coeff(k)) for k in range(d + 1)], d
+def _as_numeric_loop(obj, z=None) -> LoopMat:
+    return _as_loop(obj).to_numeric(z)
 
 
-def _circle_min_singular(psi: LoopMat, samples: int = 64):
-    """Smallest and largest singular value of Psi over sampled |lambda| = 1."""
-    vals = psi.circle_values(samples)
-    if not np.isfinite(vals).all():
-        raise PoleAtZ("loop values on |lambda| = 1 are not finite")
+def _at(z) -> str:
+    return "" if z is None else f" at z = {z}"
+
+
+def _circle_min_singular(blocks, zs):
+    """Smallest and largest singular value over 64 samples of |lambda| = 1
+    for each loop of the (Z, K, n, n) coefficient stack; PoleAtZ names the
+    first z whose values there are not finite."""
+    lams = np.exp(2j * np.pi * np.arange(64) / 64)
+    vals = np.einsum("sk,zkab->zsab", lams[:, None] ** np.arange(blocks.shape[1]), blocks)
+    finite = np.isfinite(vals).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise PoleAtZ(
+            f"loop values on |lambda| = 1 are not finite{_at(zs[np.argmin(finite)])}"
+        )
     sing = np.linalg.svd(vals, compute_uv=False)
-    return float(sing[:, -1].min()), float(sing[:, 0].max())
+    return sing[..., -1].min(axis=1), sing[..., 0].max(axis=1)
 
 
-def _factor_residual(fblocks, g, d: int) -> float:
-    """max_k ||F_k - sum_l G_l^* G_(l+k)||_F; NaN if any term is NaN."""
+def _symbol_blocks(blocks):
+    """Fourier blocks F_0..F_(K-1) of F = Psi~ Psi (F_-k = F_k^*) for each
+    stacked loop, trimmed like a numeric LoopMat, and each symbol's degree.
+
+    F_k sums A_a^* A_(a+k) over decreasing a, the order of the numeric
+    LoopMat product Psi~ @ Psi.
+    """
+    k_count = blocks.shape[1]
+    adj = blocks.conj().swapaxes(-1, -2)
+    f = np.zeros_like(blocks)
+    for k in range(k_count):
+        for a in range(k_count - 1 - k, -1, -1):
+            f[:, k] += adj[:, a] @ blocks[:, a + k]
+    f = trim_blocks(f)
+    nonzero = f.any(axis=(2, 3))
+    degrees = [int(np.flatnonzero(row)[-1]) if row.any() else 0 for row in nonzero]
+    return f, degrees
+
+
+def _factor_residual(fblocks, g, d: int):
+    """max_k ||F_k - sum_l G_l^* G_(l+k)||_F over blocks 0..d of (..., d+1, n, n)
+    stacks, one value per stack; NaN if any term is NaN."""
+    fblocks, g = np.asarray(fblocks), np.asarray(g)
+    gh = g.conj().swapaxes(-1, -2)
     norms = [
         np.linalg.norm(
-            fblocks[k] - sum(g[l].conj().T @ g[l + k] for l in range(d + 1 - k))
+            fblocks[..., k, :, :]
+            - sum(gh[..., l, :, :] @ g[..., l + k, :, :] for l in range(d + 1 - k)),
+            axis=(-2, -1),
         )
         for k in range(d + 1)
     ]
-    return float(np.max(norms))
+    return np.max(norms, axis=0)
 
 
-def _spectral_factor(psi: LoopMat):
-    """Polynomial G with G~G = Psi~Psi, invertible on the closed disc.
+def _toeplitz_factor(fblocks, z):
+    """G_0..G_d from one dense Cholesky factorization of the block-Toeplitz
+    matrix of F_0..F_d with n*d + 1 block rows (see `_spectral_factors`)."""
+    d = len(fblocks) - 1
+    n = fblocks.shape[-1]
+    rows = n * d + 1
+    # band[rows - 1 + k] = F_k for |k| <= d, zero blocks outside the band
+    band = np.zeros((2 * rows - 1, n, n), dtype=complex)
+    for k in range(d + 1):
+        band[rows - 1 + k] = fblocks[k]
+        band[rows - 1 - k] = fblocks[k].conj().T
+    idx = np.arange(rows)
+    toeplitz = band[rows - 1 + idx[None, :] - idx[:, None]]
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(rows * n, rows * n)
+    try:
+        chol = np.linalg.cholesky(toeplitz)
+    except np.linalg.LinAlgError:
+        raise SingularOnCircle(
+            f"block-Toeplitz matrix of the symbol is not positive definite{_at(z)}"
+        ) from None
+    last = chol[-n:]
+    return np.array([
+        last[:, (rows - 1 - j) * n : (rows - j) * n].conj().T for j in range(d + 1)
+    ])
 
-    G is read off one dense Cholesky factorization T = L L^* of the Hermitian
+
+def _spectral_factors(blocks, zs):
+    """Polynomial G with G~G = Psi~Psi, invertible on the closed disc, for
+    each loop of the (Z, K, n, n) coefficient stack (loop i taken at zs[i]).
+
+    Returns the (Z, D+1, n, n) stack of G_0..G_D, zero-padded above each
+    loop's own degree, and each factor's residual.  Each G is read off its
+    own dense Cholesky factorization T = L L^* of the Hermitian
     block-Toeplitz matrix T[i][j] = F_(j-i) with rows = n*d + 1 block rows,
     where F = Psi~Psi has Fourier blocks F_-d..F_d.  The last block row of
     L, read backwards, is G: G_j = L[rows-1][rows-1-j]^*.
@@ -129,51 +187,38 @@ def _spectral_factor(psi: LoopMat):
     which gives L[rows-1][rows-1-j] = G_j^* once rows-1-d >= e, that is
     rows >= n*d + 1.
 
-    The residual of G~G against F is always checked against the relative
-    bound DEFAULT_TOL (1e-9 times max(1, ||F_0||)): a loop that is not
-    algebraic, or too ill-conditioned for the factorization, raises
-    NoConvergence with its residual and row count.
+    Every guard works per z and names the first z it fails at: a loop
+    singular on the circle or a Toeplitz matrix that is not positive
+    definite raises SingularOnCircle, a non-finite symbol PoleAtZ.  The
+    residual of G~G against F is checked against the relative bound
+    DEFAULT_TOL (1e-9 times max(1, ||F_0||)): a loop that is not algebraic,
+    or too ill-conditioned for the factorization, raises NoConvergence with
+    its residual and row count.
     """
-    if psi.lo < 0:
-        raise ValueError("spectral factor expects nonnegative powers")
-    smin, smax = _circle_min_singular(psi)
-    if not smin > 1e-10 * max(1.0, smax):
-        raise SingularOnCircle(
-            f"loop is numerically singular on |lambda| = 1 (sigma_min = {smin:.3e})"
-        )
-    fblocks, d = _symbol_blocks(psi)
-    if not np.isfinite(fblocks).all():
-        raise PoleAtZ("symbol blocks of the loop are not finite")
-    n = psi.n
-    rows = n * d + 1
-    # band[rows - 1 + k] = F_k for |k| <= d, zero blocks outside the band
-    band = np.zeros((2 * rows - 1, n, n), dtype=complex)
-    for k in range(d + 1):
-        band[rows - 1 + k] = fblocks[k]
-        band[rows - 1 - k] = fblocks[k].conj().T
-    idx = np.arange(rows)
-    toeplitz = band[rows - 1 + idx[None, :] - idx[:, None]]
-    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(rows * n, rows * n)
-    try:
-        chol = np.linalg.cholesky(toeplitz)
-    except np.linalg.LinAlgError:
-        raise SingularOnCircle(
-            "block-Toeplitz matrix of the symbol is not positive definite"
-        ) from None
-    last = chol[-n:]
-    g = [
-        last[:, (rows - 1 - j) * n : (rows - j) * n].conj().T
-        for j in range(d + 1)
-    ]
-    res = _factor_residual(fblocks, g, d)
-    scale = max(1.0, np.linalg.norm(fblocks[0]))
-    if not res <= DEFAULT_TOL * scale:
-        raise NoConvergence(
-            f"spectral factorization residual {res:.3e} exceeds "
-            f"{DEFAULT_TOL * scale:.3e} at {rows} block rows (n = {n}, d = {d}); "
-            "the loop is not algebraic (det Psi = c lambda^m) or is too "
-            "ill-conditioned"
-        )
+    for z, smin, smax in zip(zs, *_circle_min_singular(blocks, zs)):
+        if not smin > 1e-10 * max(1.0, smax):
+            raise SingularOnCircle(
+                f"loop is numerically singular on |lambda| = 1{_at(z)} (sigma_min = {smin:.3e})"
+            )
+    fblocks, degrees = _symbol_blocks(blocks)
+    finite = np.isfinite(fblocks).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise PoleAtZ(f"symbol blocks of the loop are not finite{_at(zs[np.argmin(finite)])}")
+    top = max(degrees)
+    g = np.zeros((len(zs), top + 1) + blocks.shape[2:], dtype=complex)
+    for i, (z, d) in enumerate(zip(zs, degrees)):
+        g[i, : d + 1] = _toeplitz_factor(fblocks[i, : d + 1], z)
+    res = _factor_residual(fblocks[:, : top + 1], g, top)
+    scale = np.maximum(1.0, np.linalg.norm(fblocks[:, 0], axis=(1, 2)))
+    n = blocks.shape[-1]
+    for z, d, r, s in zip(zs, degrees, res, scale):
+        if not r <= DEFAULT_TOL * s:
+            raise NoConvergence(
+                f"spectral factorization residual {r:.3e} exceeds "
+                f"{DEFAULT_TOL * s:.3e}{_at(z)} at {n * d + 1} block rows (n = {n}, d = {d}); "
+                "the loop is not algebraic (det Psi = c lambda^m) or is too "
+                "ill-conditioned"
+            )
     return g, res
 
 
@@ -202,8 +247,8 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     psi = _as_numeric_loop(psi, z)
     shift = min(psi.lo, 0)
     work = psi.shift(-shift) if shift else psi
-    g, _ = _spectral_factor(work)
-    gloop = LoopMat.numeric(g, 0)
+    g, _ = _spectral_factors(np.array(work.coeffs)[None], [z])
+    gloop = LoopMat.numeric(g[0], 0)
     d = work.hi
     msamp = 8
     while msamp < 4 * (d + 2):
@@ -221,24 +266,45 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     return IwasawaFactors(unitary, plus, resid_u, resid_s)
 
 
-def harmonic_map_at(obj, z):
-    """Value at lambda = -1 of the based unitary factor of the loop at z.
+def _at_plus_minus_one(blocks, lo: int):
+    """Values at lambda = -1 and 1 of the stacked loops with powers lo.. ."""
+    at_minus = np.zeros_like(blocks[:, 0])
+    at_plus = np.zeros_like(blocks[:, 0])
+    for k in range(blocks.shape[1]):
+        at_minus += blocks[:, k] * (-1.0) ** (lo + k)
+        at_plus += blocks[:, k]
+    return at_minus, at_plus
 
-    Works pointwise from the spectral factor: with Phi = Psi G^-1 the result
-    is Phi(-1) Phi(1)^-1, no Fourier extraction involved.  G comes from the
-    same finite block-Toeplitz Cholesky as in `unitarize` (n*d + 1 block
+
+def harmonic_map_values(obj, zs) -> np.ndarray:
+    """Values at lambda = -1 of the based unitary factor of the loop at each
+    z of the sequence zs, as a (Z, n, n) stack.
+
+    obj is a LoopMat, an ExtendedSolutionSpec or a CompiledLoop; an exact
+    loop is compiled once and evaluated at every z with one array pass.
+    Works pointwise from the spectral factor: with Phi = Psi G^-1 the value
+    is Phi(-1) Phi(1)^-1, no Fourier extraction involved.  Each G comes from
+    its own finite block-Toeplitz Cholesky as in `unitarize` (n*d + 1 block
     rows, the exact count for algebraic loops), so the value is a smooth
-    function of z; a factor residual above the 1e-9 bound raises NoConvergence.
+    function of z.  The guards work per z: a pole raises PoleAtZ, a loop
+    singular on the circle SingularOnCircle, and a factor residual above the
+    1e-9 bound NoConvergence, each naming the first z that fails.
     """
-    psi = _as_numeric_loop(obj, z)
-    shift = min(psi.lo, 0)
-    work = psi.shift(-shift) if shift else psi
-    g, _ = _spectral_factor(work)
-    gloop = LoopMat.numeric(g, 0)
-    pm = work.evaluate(-1.0) @ np.linalg.inv(gloop.evaluate(-1.0))
-    pp = work.evaluate(1.0) @ np.linalg.inv(gloop.evaluate(1.0))
-    # the lambda^shift prefactor contributes (-1)^shift at lambda = -1
-    return float((-1) ** shift) * (pm @ np.linalg.inv(pp))
+    loop = obj if isinstance(obj, CompiledLoop) else CompiledLoop(_as_loop(obj))
+    # trimmed as a numeric LoopMat is, so each point factors as in `unitarize`
+    blocks = trim_blocks(loop.values(zs))
+    g = trim_blocks(_spectral_factors(blocks, zs)[0])
+    psi_m, psi_p = _at_plus_minus_one(blocks, loop.lo)
+    g_m, g_p = _at_plus_minus_one(g, 0)
+    pm = psi_m @ np.linalg.inv(g_m)
+    pp = psi_p @ np.linalg.inv(g_p)
+    return pm @ np.linalg.inv(pp)
+
+
+def harmonic_map_at(obj, z):
+    """Value at lambda = -1 of the based unitary factor of the loop at z: the
+    one-point case of `harmonic_map_values`."""
+    return harmonic_map_values(obj, [z])[0]
 
 
 def energy(obj, z=None) -> float:

@@ -131,7 +131,9 @@ def parse_scalar(text, where="scalar"):
     _expect(isinstance(text, str), where, f"expected a string, got {type(text).__name__}")
     try:
         return GaussianRational.from_string(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise SchemaError(f"{where}: zero denominator in {text!r}") from None
+    except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
 

@@ -23,13 +23,28 @@ from .errors import (
 )
 from .scalars import GaussianRational, Poly, RatFun
 
-__all__ = ["LoopMat", "NUMERIC_TRIM"]
+__all__ = ["LoopMat", "CompiledLoop", "NUMERIC_TRIM", "trim_blocks"]
 
 # relative Frobenius threshold below which numeric coefficients are dropped
 NUMERIC_TRIM = 1e-12
 # largest |RE|, |IM| of a coefficient from to_numeric: norms and the symbol
 # Psi~ Psi square magnitudes, so this keeps every product far from overflow
 MAX_COEFF = 1e100
+
+
+def trim_blocks(blocks) -> np.ndarray:
+    """Zero the blocks of a (..., K, n, n) stack whose Frobenius norm is below
+    NUMERIC_TRIM times the largest norm in their stack: the trim of a
+    numeric LoopMat, applied to many loops at once.
+
+    A stack with a non-finite block is left as it is, so NaN and inf reach
+    the checks.  (LoopMat keeps its per-block loop: for its one to five
+    blocks the stacked form costs about 3 us more per loop.)
+    """
+    norms = np.linalg.norm(blocks, axis=(-2, -1))
+    top = norms.max(axis=-1, keepdims=True)
+    drop = (norms < NUMERIC_TRIM * top) & (top > 0) & (top < np.inf)
+    return np.where(drop[..., None, None], 0, blocks)
 
 
 def _exact_matrix(m, n: int):
@@ -319,29 +334,11 @@ class LoopMat:
         return LoopMat("exact", self.n, self.lo, coeffs)
 
     def to_numeric(self, z: complex | None = None) -> "LoopMat":
-        """Complex coefficients (at z for z-dependent entries); PoleAtZ when
-        a real or imaginary part is not finite or exceeds MAX_COEFF."""
+        """Complex coefficients (at z for z-dependent entries); the one-point
+        case of `CompiledLoop.values`, with its PoleAtZ guards."""
         if self.kind == "numeric":
             return self
-        out = np.zeros((len(self.coeffs), self.n, self.n), dtype=complex)
-        try:
-            for k, m in enumerate(self.coeffs):
-                for i, row in enumerate(m):
-                    for j, e in enumerate(row):
-                        if e.is_const():
-                            out[k, i, j] = complex(e.const_value())
-                        else:
-                            if z is None:
-                                raise ExactKindUnsupported(
-                                    "entries depend on z; pass a z value"
-                                )
-                            out[k, i, j] = e.evaluate_complex(complex(z))
-            in_range = np.abs(out.view(float)).max() <= MAX_COEFF  # False for NaN
-        except OverflowError:
-            in_range = False
-        if not in_range:
-            raise PoleAtZ(f"loop coefficients at z = {z} exceed {MAX_COEFF:g} or are not finite")
-        return LoopMat("numeric", self.n, self.lo, list(out))
+        return LoopMat("numeric", self.n, self.lo, list(CompiledLoop(self).values([z])[0]))
 
     # -- exact inverse and adjoint width ---------------------------------------
 
@@ -447,6 +444,118 @@ class LoopMat:
 
     def __repr__(self):
         return f"LoopMat(kind={self.kind!r}, n={self.n}, powers {self.lo}..{self.hi})"
+
+
+def _float_pair(c) -> tuple:
+    """(re, im) of a Gaussian rational as floats; NaN past the float range."""
+    try:
+        return float(c.re), float(c.im)
+    except OverflowError:
+        return np.nan, np.nan
+
+
+def _coeff_rows(polys):
+    """Real and imaginary coefficient rows, highest power first, zero-padded
+    on the high side to a common length (Horner from a zero accumulator
+    passes through leading zeros unchanged)."""
+    width = max(len(p.coeffs) for p in polys)
+    rows = np.array([
+        [(0.0, 0.0)] * (width - len(p.coeffs)) + [_float_pair(c) for c in reversed(p.coeffs)]
+        for p in polys
+    ])
+    return rows[..., 0], rows[..., 1]
+
+
+def _horner(re, im, xr, xi):
+    """Real and imaginary parts of polynomials (rows) at points (column xr,
+    xi), rounded as CPython rounds `acc = acc * x + c` on complex numbers:
+    each product and sum separately, no fused multiply-add."""
+    acc_r = np.zeros((xr.shape[0], re.shape[0]))
+    acc_i = np.zeros_like(acc_r)
+    for cr, ci in zip(re.T, im.T):
+        acc_r, acc_i = acc_r * xr - acc_i * xi + cr, acc_r * xi + acc_i * xr + ci
+    return acc_r, acc_i
+
+
+def _quotient(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) by Smith's algorithm as CPython divides
+    complex numbers; the caller excludes zero divisors."""
+    big = np.abs(br) >= np.abs(bi)
+    ratio = np.where(big, bi / br, br / bi)
+    denom = np.where(big, br + bi * ratio, br * ratio + bi)
+    re = np.where(big, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(big, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im
+
+
+class CompiledLoop:
+    """A loop read once into float arrays for evaluation at many z.
+
+    Constant entries are kept as complex values.  Each z-dependent entry of
+    an exact loop keeps the real and imaginary coefficients of its numerator
+    and, unless it is a polynomial, of its monic denominator, so `values`
+    evaluates every entry at every z with one Horner loop over arrays.  A
+    value equals the one Python complex arithmetic gives for the same
+    rational function, bit for bit: Horner never ends on -0.0, so dividing
+    a polynomial by 1 + 0j, the step skipped here, would return it as is.
+    """
+
+    __slots__ = ("n", "lo", "_const", "_where", "_rational", "_rows")
+
+    def __init__(self, loop: LoopMat):
+        self.n, self.lo = loop.n, loop.lo
+        if loop.kind == "numeric":
+            self._const = np.array(loop.coeffs)
+            self._where = np.zeros(0, dtype=int)
+            return
+        const, where, nums, rational, dens = [], [], [], [], []
+        for e in (e for m in loop.coeffs for row in m for e in row):
+            if e.is_zero():
+                const.append(0j)
+            elif e.is_const():
+                const.append(complex(*_float_pair(e.const_value())))
+            else:
+                if not e.is_polynomial():
+                    rational.append(len(nums))
+                    dens.append(e.den)
+                where.append(len(const))
+                const.append(0j)
+                nums.append(e.num)
+        self._const = np.array(const).reshape(len(loop.coeffs), loop.n, loop.n)
+        self._where = np.array(where, dtype=int)
+        self._rational = np.array(rational, dtype=int)
+        if where:
+            self._rows = _coeff_rows(nums + dens)  # one Horner pass for both
+
+    def values(self, zs) -> np.ndarray:
+        """Coefficients at each z of the sequence zs, a (Z, K, n, n) stack.
+
+        Raises PoleAtZ naming the first z at which a denominator vanishes or
+        a real or imaginary part is not finite or exceeds MAX_COEFF.
+        """
+        out = np.repeat(self._const[None], len(zs), axis=0)
+        flat = out.reshape(len(zs), -1)
+        pole = np.zeros(len(zs), dtype=bool)
+        if self._where.size:
+            if any(z is None for z in zs):
+                raise ExactKindUnsupported("entries depend on z; pass a z value")
+            x = np.asarray(zs, dtype=complex)[:, None]
+            e, q = self._where.size, self._rational
+            with np.errstate(all="ignore"):
+                vr, vi = _horner(*self._rows, x.real, x.imag)
+                re, im, dr, di = vr[:, :e], vi[:, :e], vr[:, e:], vi[:, e:]
+                if q.size:
+                    pole = ((dr == 0) & (di == 0)).any(axis=1)
+                    re[:, q], im[:, q] = _quotient(re[:, q], im[:, q], dr, di)
+            flat.real[:, self._where], flat.imag[:, self._where] = re, im
+        in_range = np.abs(flat.view(float)).max(axis=1) <= MAX_COEFF  # False for NaN
+        bad = np.flatnonzero(pole | ~in_range)
+        if bad.size:
+            z = zs[bad[0]]
+            if pole[bad[0]]:
+                raise PoleAtZ(f"pole at z = {z}")
+            raise PoleAtZ(f"loop coefficients at z = {z} exceed {MAX_COEFF:g} or are not finite")
+        return out
 
 
 def _poly_det(entries) -> Poly:

@@ -502,12 +502,6 @@ class RatFun:
             raise PoleAtZ(f"pole at z = {z0}")
         return self.num.evaluate(z0) / d
 
-    def evaluate_complex(self, z0: complex) -> complex:
-        d = self.den.evaluate_complex(z0)
-        if d == 0:
-            raise PoleAtZ(f"pole at z = {z0}")
-        return self.num.evaluate_complex(z0) / d
-
     def __str__(self):
         if self.is_polynomial():
             return str(self.num)

@@ -1,7 +1,8 @@
 """Independent references used only by the tests.
 
 `ratfun_reference` is canonical form the long way: one gcd of the whole
-numerator and denominator.  The frame and root-system formulas are closed
+numerator and denominator; `ratfun_complex_value` evaluates one rational
+function at one point with Python complex numbers.  The frame and root-system formulas are closed
 forms that the builders and tables must agree with.  The flag unitarizer splits an invertible exact loop into its based
 unitary factor and a disc-holomorphic factor by peeling one affine projector
 per step: the image of the lowest lambda coefficient determines the next
@@ -29,6 +30,18 @@ def ratfun_reference(num, den):
     num, den = num // g, den // g
     scale = GaussianRational.one() / den.lead()
     return num * scale, den * scale
+
+
+def ratfun_complex_value(f, z):
+    """f(z) in Python complex arithmetic: Horner on numerator and
+    denominator, then one complex division."""
+    def horner(p):
+        acc = 0j
+        for c in reversed(p.coeffs):
+            acc = acc * z + complex(c)
+        return acc
+
+    return horner(f.num) / horner(f.den)
 
 
 # -- closed forms for the full-flag builder -------------------------------------

@@ -121,6 +121,17 @@ def test_verify_veronese_passes(tmp_path, capsys):
     assert payload["uniton_numbers"]["ad_width"] == 1
 
 
+def test_verify_passes_the_lambda_dependent_u3_build(tmp_path):
+    flags, free = _BUILDS["u3"]
+    free_path, spec_path = tmp_path / "free.json", tmp_path / "u3.json"
+    free_path.write_text(json.dumps(free))
+    assert _call(["build", *flags, "--free", str(free_path), "--out", str(spec_path)])[0] == 0
+    code, out, err = _call(["verify", str(spec_path)])
+    assert code == 0, err
+    harmonicity = json.loads(out)["harmonicity"]
+    assert harmonicity["passed"] is True and harmonicity["residual"] <= 1e-8
+
+
 def test_verify_reads_stdin_pipeline(tmp_path, capsys, monkeypatch):
     _, demo_out, _ = run(capsys, "demo", "veronese", "--n", "4")
     code, out, _ = run(capsys, "verify", stdin_text=demo_out, monkeypatch=monkeypatch)

@@ -22,19 +22,20 @@ from unitons.errors import (
 from unitons.factorization import (
     _circle_min_singular,
     _factor_residual,
-    _spectral_factor,
+    _spectral_factors,
     big_cell_check,
     bruhat_cell,
     cstar_flow,
     energy,
     flow_limit,
     harmonic_map_at,
+    harmonic_map_values,
     unitarize,
     uniton_factorize,
 )
 from unitons.loops import LoopMat
 from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
-from unitons.verify import map_sampler
+from unitons.verify import harmonicity_residual, map_sampler
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
     assemble_loop,
@@ -189,7 +190,8 @@ def _reference_factor(psi, rows):
 
 
 def _assert_factor_matches_reference(psi):
-    g, res = _spectral_factor(psi)
+    g, res = _spectral_factors(np.array(psi.coeffs)[None], [None])
+    g, res = g[0], res[0]
     d = len(g) - 1
     ref = _reference_factor(psi, 4 * (psi.n * d + 1))
     scale = max(1.0, psi.max_coeff_norm() ** 2)
@@ -221,7 +223,7 @@ def test_circle_min_singular_matches_per_sample_svd():
     psi = frame_loop().to_numeric(complex(0.4, -0.8))
     lams = np.exp(2j * np.pi * np.arange(64) / 64)
     sing = [np.linalg.svd(psi.evaluate(lam), compute_uv=False) for lam in lams]
-    smin, smax = _circle_min_singular(psi)
+    (smin,), (smax,) = _circle_min_singular(np.array(psi.coeffs)[None], [None])
     assert smin == pytest.approx(min(s[-1] for s in sing), rel=1e-12)
     assert smax == pytest.approx(max(s[0] for s in sing), rel=1e-12)
 
@@ -247,7 +249,8 @@ def test_factor_residual_propagates_nan():
 
 
 @pytest.mark.parametrize(
-    "func", [unitarize, harmonic_map_at, cstar_flow, uniton_factorize, map_sampler]
+    "func",
+    [unitarize, harmonic_map_at, harmonic_map_values, cstar_flow, uniton_factorize, map_sampler],
 )
 def test_no_truncation_order_argument(func):
     params = inspect.signature(func).parameters
@@ -280,6 +283,58 @@ def test_harmonic_map_pole_is_reported():
     spec = build_from_free_functions(2, (1, 0), [inv])
     with pytest.raises(PoleAtZ):
         harmonic_map_at(spec, 0.0)
+
+
+# -- batched harmonic-map values ------------------------------------------------
+
+def _harmonic_specs():
+    specs = [veronese_solution(n) for n in range(2, 6)]
+    specs.append(build_from_free_functions(3, (2, 1, 0), [Z, ONE + Z, Z]))
+    specs.append(build_from_free_functions(
+        4, (3, 2, 1, 0), [Z, Z * Z, ONE + Z, 2 * Z, 3 * Z * Z, RatFun.const(gr(5))]))
+    specs.append(build_from_free_functions(3, (2, 1, 0), [Z, ONE / ((ONE + Z) * (ONE + Z)), Z]))
+    return specs
+
+
+def _per_point_reference(loop, z):
+    """Phi(-1) Phi(1)^-1 with Phi = Psi G^-1, G from `_reference_factor`."""
+    psi = loop.to_numeric(z)
+    g = LoopMat.numeric(_reference_factor(psi, psi.n * (psi.hi - psi.lo) + 1), 0)
+    pm = psi.evaluate(-1.0) @ np.linalg.inv(g.evaluate(-1.0))
+    pp = psi.evaluate(1.0) @ np.linalg.inv(g.evaluate(1.0))
+    return pm @ np.linalg.inv(pp)
+
+
+def test_batched_values_match_per_point_values():
+    # a cluster like one stencil plus distant points; the first is the float
+    # of 3/10 + i/5, where the flag oracle works exactly
+    zs = np.array([0.3 + 0.2j, 0.3005 + 0.2j, 0.3 + 0.1995j, -0.45 + 0.6j, 0.7 - 0.1j, 1.5j])
+    for spec in _harmonic_specs():
+        loop = assemble_loop(spec)
+        batch = harmonic_map_values(spec, zs)
+        assert batch.shape == (len(zs), spec.n, spec.n)
+        for z, value in zip(zs, batch):
+            assert np.array_equal(value, harmonic_map_at(loop, z))
+            assert np.abs(value - _per_point_reference(loop, z)).max() <= 1e-12
+        u_ref, _ = flag_unitarize(loop.at_z(gr(Fraction(3, 10), Fraction(1, 5))))
+        assert np.abs(batch[0] - u_ref.to_numeric().evaluate(-1.0)).max() <= 1e-12
+
+
+def test_batched_values_name_the_pole():
+    spec = build_from_free_functions(3, (2, 1, 0), [Z, ONE / ((ONE + Z) * (ONE + Z)), Z])
+    with pytest.raises(PoleAtZ, match=r"pole at z = \(-1\+0j\)"):
+        harmonic_map_values(spec, np.array([-0.5, -1.0 + 0.001j, -1.0, -1.5]))
+    # the same point inside a harmonicity stencil: node -1 + 0.5i, step 0.5
+    with pytest.raises(PoleAtZ, match=r"pole at z = \(-1\+0j\)"):
+        harmonicity_residual(map_sampler(spec), [-1.0 + 0.5j], h=0.5)
+
+
+def test_batched_values_name_the_singular_point():
+    # det = z - 1: algebraic for z != 1, singular everywhere on the circle at z = 1
+    loop = LoopMat.exact([[[Z - ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ZERO, ZERO]]])
+    assert np.isfinite(harmonic_map_values(loop, np.array([0.25, 0.5]))).all()
+    with pytest.raises(SingularOnCircle, match=r"at z = 1\.0 "):
+        harmonic_map_values(loop, np.array([0.25, 1.0, 0.5]))
 
 
 # -- bruhat_cell --------------------------------------------------------------

@@ -78,6 +78,12 @@ def test_ratfun_rejects_zero_denominator():
         jsonio.parse_ratfun({"num": ["1"], "den": []})
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "1+1/0i", "3/0i"])
+def test_scalar_with_zero_denominator_names_the_problem(text):
+    with pytest.raises(SchemaError, match=r"^f\.den\[0\]: zero denominator in '.*'$"):
+        jsonio.parse_scalar(text, "f.den[0]")
+
+
 def test_ratfun_rejects_unknown_keys():
     with pytest.raises(SchemaError):
         jsonio.parse_ratfun({"num": ["1"], "den": ["1"], "extra": 3})

@@ -9,10 +9,14 @@ from unitons.errors import (
     ExactKindUnsupported,
     NonMonomialDeterminant,
     NotInvertibleLoop,
+    PoleAtZ,
     ZeroLambda,
 )
-from unitons.loops import LoopMat
-from unitons.scalars import GaussianRational, RatFun
+from unitons.loops import CompiledLoop, LoopMat
+from unitons.scalars import GaussianRational, Poly, RatFun
+from unitons.weierstrass import assemble_loop, build_from_free_functions, veronese_solution
+
+from oracles import ratfun_complex_value
 
 Z = RatFun.x()
 
@@ -77,6 +81,39 @@ def test_circle_values_match_pointwise_evaluation():
     for m in range(16):
         lam = np.exp(2j * np.pi * (m + 0.5) / 16)
         assert np.linalg.norm(vals[m] - loop.evaluate(lam)) <= 1e-13
+
+
+def _compiled_test_loops():
+    one = RatFun.one()
+    loops = [assemble_loop(veronese_solution(n)) for n in (2, 3, 4, 5)]
+    for free in ([Z, one + Z, Z], [Z, one / ((one + Z) * (one + Z)), Z]):
+        loops.append(assemble_loop(build_from_free_functions(3, (2, 1, 0), free)))
+    loops.append(assemble_loop(build_from_free_functions(
+        4, (3, 2, 1, 0), [Z, Z * Z, one + Z, 2 * Z, 3 * Z * Z, RatFun.const(5)])))
+    rational = RatFun(Poly([GaussianRational(1, 2), 1]), Poly([3, GaussianRational(0, -1), 1]))
+    loops.append(LoopMat.exact([[[rational, 1], [0, 1]]]))
+    return loops
+
+
+def test_compiled_values_equal_python_complex_arithmetic():
+    rng = np.random.default_rng(3)
+    zs = list(rng.uniform(-2, 2, 30) + 1j * rng.uniform(-2, 2, 30)) + [0.0, 1.0, -0.5j]
+    for loop in _compiled_test_loops():
+        got = CompiledLoop(loop).values(zs)
+        ref = np.array([[[[ratfun_complex_value(e, complex(z)) for e in row] for row in m]
+                         for m in loop.coeffs] for z in zs])
+        assert np.array_equal(got.view(float), ref.view(float))
+        for z, vals in zip(zs, got):
+            assert np.array_equal(np.array(loop.to_numeric(z).coeffs), vals)
+
+
+def test_compiled_values_name_the_pole():
+    one = RatFun.one()
+    loop = LoopMat.exact([[[one / (one + Z), 0], [0, 1]]])
+    with pytest.raises(PoleAtZ, match=r"pole at z = -1\.0$"):
+        CompiledLoop(loop).values([0.5, -1.0, 2.0])
+    with pytest.raises(ExactKindUnsupported):
+        CompiledLoop(loop).values([None])
 
 
 # -- circle adjoint ----------------------------------------------------------

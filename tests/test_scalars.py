@@ -223,8 +223,6 @@ def test_ratfun_evaluate_exact_and_pole():
     assert f.evaluate(G(3)) == G(Fraction(1, 2))
     with pytest.raises(PoleAtZ):
         f.evaluate(G(1))
-    with pytest.raises(PoleAtZ):
-        f.evaluate_complex(1.0 + 0j)
 
 
 # -- differentiation -------------------------------------------------------

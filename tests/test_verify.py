@@ -1,5 +1,7 @@
 """Checker behavior on passing builds and on shipped negative controls."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,13 +152,18 @@ def test_uniton_numbers_su2_example():
 # -- harmonicity by finite differences ----------------------------------------
 
 def test_harmonicity_constant_map():
-    res = harmonicity_residual(lambda z: np.eye(2), [0.0, 0.5 + 0.5j], h=1e-3)
+    def sampler(zs):
+        return np.broadcast_to(np.eye(2), (len(zs), 2, 2))
+
+    res = harmonicity_residual(sampler, [0.0, 0.5 + 0.5j], h=1e-3)
     assert res <= 1e-12
 
 
 def test_harmonicity_nan_node_is_not_a_pass():
-    def sampler(z):
-        return np.full((2, 2), np.nan) if z.real > 0.25 else np.eye(2)
+    def sampler(zs):
+        out = np.broadcast_to(np.eye(2), (len(zs), 2, 2)).copy()
+        out[np.real(zs) > 0.25] = np.nan
+        return out
 
     assert np.isnan(harmonicity_residual(sampler, [0.0, 0.5], h=1e-3))
 
@@ -176,12 +183,72 @@ def test_harmonicity_flags_control_map():
     assert res > 1e-2
 
 
+def _phase_sampler(eps):
+    """diag(e^{i eps |z|^2}, 1): its harmonicity residual is exactly 2 eps."""
+    def sample(zs):
+        out = np.zeros((len(zs), 2, 2), dtype=complex)
+        out[:, 0, 0] = np.exp(1j * eps * np.abs(zs) ** 2)
+        out[:, 1, 1] = 1.0
+        return out
+
+    return sample
+
+
+def test_harmonicity_detects_a_small_defect():
+    res = harmonicity_residual(_phase_sampler(1e-4), [0.3 + 0.2j, -0.4 + 0.5j], h=1e-3)
+    assert abs(res - 2e-4) <= 1e-11
+    assert res > 1e-5  # flagged at the verify tolerance
+
+
+def test_control_sampler_takes_an_array():
+    zs = np.array([0.0, 0.5 + 0.5j, -1.0])
+    got = non_harmonic_control()(zs)
+    assert np.array_equal(got, _phase_sampler(1.0)(zs))
+    res = harmonicity_residual(non_harmonic_control(), [0.3 + 0.2j])
+    assert res == pytest.approx(2.0, rel=1e-9)
+
+
+def test_harmonicity_rejects_a_scalar_sampler():
+    with pytest.raises(ValueError, match="expected a \\(Z, n, n\\) stack"):
+        harmonicity_residual(lambda z: np.eye(2), [0.0], h=1e-3)
+
+
+def test_harmonicity_residual_repeats_bit_for_bit():
+    sampler = map_sampler(build_from_free_functions(3, (2, 1, 0), [Z, ONE + Z, Z]))
+    first = repr(harmonicity_residual(sampler, [0.3 + 0.2j, -0.4 + 0.5j]))
+    for size in (1, 1000, 100_000):
+        clutter = [np.ones(size, dtype=complex) for _ in range(20)]
+        assert repr(harmonicity_residual(sampler, [0.3 + 0.2j, -0.4 + 0.5j])) == first
+        del clutter
+
+
+def test_u3_build_is_harmonic_at_the_verify_defaults():
+    spec = build_from_free_functions(3, (2, 1, 0), [Z, ONE + Z, Z])
+    grid = [0.3 + 0.2j, -0.4 + 0.5j, 0.1 - 0.6j, -0.2 - 0.3j]
+    assert harmonicity_residual(map_sampler(spec), grid, h=1e-3) <= 1e-8
+
+
+def test_harmonicity_working_set_does_not_grow_with_the_grid():
+    sampler = map_sampler(veronese_solution(5))
+    grid = [complex(x, y) for x in np.linspace(-0.7, 0.7, 5) for y in np.linspace(-0.7, 0.7, 5)]
+    for nodes in (grid[:1], grid):
+        tracemalloc.start()
+        try:
+            harmonicity_residual(sampler, nodes, h=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, (len(nodes), peak)
+
+
 def test_harmonicity_order_of_accuracy():
+    # fourth order above the rounding floor (about 1e-9 at h = 1e-3): each
+    # halving of h divides the extrapolated residual by about 16
     sampler = map_sampler(veronese_solution(3))
     pts = [0.4 + 0.2j, -0.3 + 0.6j]
-    big = harmonicity_residual(sampler, pts, h=1e-2)
-    small = harmonicity_residual(sampler, pts, h=1e-3)
-    assert small <= big / 20.0
+    res = [harmonicity_residual(sampler, pts, h=h) for h in (4e-2, 2e-2, 1e-2)]
+    assert res[1] <= res[0] / 12.0
+    assert res[2] <= res[1] / 12.0
 
 
 # -- twist invariance ---------------------------------------------------------
