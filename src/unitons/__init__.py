@@ -71,7 +71,6 @@ from .factorization import (
     energy,
     flow_limit,
     harmonic_map_at,
-    harmonic_map_values,
     unitarize,
     uniton_factorize,
 )

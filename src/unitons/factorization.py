@@ -46,7 +46,6 @@ __all__ = [
     "BruhatCell",
     "unitarize",
     "harmonic_map_at",
-    "harmonic_map_values",
     "bruhat_cell",
     "cstar_flow",
     "flow_limit",
@@ -276,9 +275,9 @@ def _at_plus_minus_one(blocks, lo: int):
     return at_minus, at_plus
 
 
-def harmonic_map_values(obj, zs) -> np.ndarray:
-    """Values at lambda = -1 of the based unitary factor of the loop at each
-    z of the sequence zs, as a (Z, n, n) stack.
+def harmonic_map_at(obj, z) -> np.ndarray:
+    """Value at lambda = -1 of the based unitary factor of the loop at z; for
+    a 1-D array of z, the (Z, n, n) stack of the values.
 
     obj is a LoopMat, an ExtendedSolutionSpec or a CompiledLoop; an exact
     loop is compiled once and evaluated at every z with one array pass.
@@ -290,6 +289,8 @@ def harmonic_map_values(obj, zs) -> np.ndarray:
     singular on the circle SingularOnCircle, and a factor residual above the
     1e-9 bound NoConvergence, each naming the first z that fails.
     """
+    one_point = np.ndim(z) == 0
+    zs = [z] if one_point else z
     loop = obj if isinstance(obj, CompiledLoop) else CompiledLoop(_as_loop(obj))
     # trimmed as a numeric LoopMat is, so each point factors as in `unitarize`
     blocks = trim_blocks(loop.values(zs))
@@ -298,13 +299,8 @@ def harmonic_map_values(obj, zs) -> np.ndarray:
     g_m, g_p = _at_plus_minus_one(g, 0)
     pm = psi_m @ np.linalg.inv(g_m)
     pp = psi_p @ np.linalg.inv(g_p)
-    return pm @ np.linalg.inv(pp)
-
-
-def harmonic_map_at(obj, z):
-    """Value at lambda = -1 of the based unitary factor of the loop at z: the
-    one-point case of `harmonic_map_values`."""
-    return harmonic_map_values(obj, [z])[0]
+    values = pm @ np.linalg.inv(pp)
+    return values[0] if one_point else values
 
 
 def energy(obj, z=None) -> float:

@@ -35,11 +35,11 @@ MAX_COEFF = 1e100
 def trim_blocks(blocks) -> np.ndarray:
     """Zero the blocks of a (..., K, n, n) stack whose Frobenius norm is below
     NUMERIC_TRIM times the largest norm in their stack: the trim of a
-    numeric LoopMat, applied to many loops at once.
+    numeric LoopMat, which trims its own blocks with it, applied to many
+    loops at once.
 
     A stack with a non-finite block is left as it is, so NaN and inf reach
-    the checks.  (LoopMat keeps its per-block loop: for its one to five
-    blocks the stacked form costs about 3 us more per loop.)
+    the checks.
     """
     norms = np.linalg.norm(blocks, axis=(-2, -1))
     top = norms.max(axis=-1, keepdims=True)
@@ -126,16 +126,8 @@ class LoopMat:
         return not np.any(m)
 
     def _trim(self):
-        if self.kind == "numeric":
-            norms = [np.linalg.norm(m) for m in self.coeffs]
-            top = float(np.max(norms)) if norms else 0.0
-            # a non-finite block is kept, so NaN and inf reach the checks
-            if 0 < top < np.inf:
-                cut = NUMERIC_TRIM * top
-                self.coeffs = [
-                    m if nm >= cut else np.zeros_like(m)
-                    for m, nm in zip(self.coeffs, norms)
-                ]
+        if self.kind == "numeric" and self.coeffs:
+            self.coeffs = list(trim_blocks(np.array(self.coeffs)))
         while len(self.coeffs) > 1 and self._is_zero_block(self.coeffs[-1]):
             self.coeffs.pop()
         while len(self.coeffs) > 1 and self._is_zero_block(self.coeffs[0]):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import exactmat
 from .errors import NotS1Invariant
-from .factorization import harmonic_map_values
+from .factorization import harmonic_map_at
 from .loops import CompiledLoop, LoopMat
 from .roots import build_root_system, canonical_reduce, height_of, marks_from_exponents
 from .weierstrass import ExtendedSolutionSpec, assemble_loop, left_log_derivative
@@ -188,12 +188,11 @@ def map_sampler(spec_or_loop):
     """Map an array of z to the stacked harmonic-map values, (Z, n, n).
 
     The loop is assembled and compiled once; each call evaluates every z in
-    one pass of `harmonic_map_values`.  Each value factors with the finite
-    rule of `harmonic_map_at` (n*d + 1 block rows, exact for algebraic
-    loops), so the row count never changes with z and the sampled map is
-    smooth down to rounding, as finite differencing needs.  A sample whose
-    spectral factor residual exceeds the relative bound 1e-9 raises
-    NoConvergence naming its z.
+    one batched `harmonic_map_at`.  Each value factors with its finite rule
+    (n*d + 1 block rows, exact for algebraic loops), so the row count never
+    changes with z and the sampled map is smooth down to rounding, as
+    finite differencing needs.  A sample whose spectral factor residual
+    exceeds the relative bound 1e-9 raises NoConvergence naming its z.
     """
     loop = (
         assemble_loop(spec_or_loop)
@@ -203,7 +202,7 @@ def map_sampler(spec_or_loop):
     compiled = CompiledLoop(loop)
 
     def sample(zs):
-        return harmonic_map_values(compiled, zs)
+        return harmonic_map_at(compiled, zs)
 
     return sample
 
@@ -225,31 +224,26 @@ def non_harmonic_control():
     return sample
 
 
-def _fd_residual(phi, z0, h: float):
-    """d_zbar(phi^-1 phi_z) + d_z(phi^-1 phi_zbar) at z0 by central
-    differences with step h; phi maps a stencil point to its value."""
-
-    def d_z(f, w):
-        return ((f(w + h) - f(w - h)) - 1j * (f(w + 1j * h) - f(w - 1j * h))) / (4 * h)
-
-    def d_zbar(f, w):
-        return ((f(w + h) - f(w - h)) + 1j * (f(w + 1j * h) - f(w - 1j * h))) / (4 * h)
-
-    def a_field(w):
-        return np.linalg.inv(phi(w)) @ d_z(phi, w)
-
-    def b_field(w):
-        return np.linalg.inv(phi(w)) @ d_zbar(phi, w)
-
-    return d_zbar(a_field, z0) + d_z(b_field, z0)
-
-
 def _stencil(z0, h: float):
-    """The 13 points `_fd_residual(phi, z0, h)` reads, as it computes them."""
+    """The 20 points `_fd_residual` reads at step h, in its order: for each
+    ring point w = z0 + h, z0 - h, z0 + ih, z0 - ih, the points w, w + h,
+    w - h, w + ih, w - ih, as that arithmetic rounds them."""
     ring = (z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h)
-    return (z0,) + ring + tuple(
-        p for w in ring for p in (w + h, w - h, w + 1j * h, w - 1j * h)
-    )
+    return [p for w in ring for p in (w, w + h, w - h, w + 1j * h, w - 1j * h)]
+
+
+def _fd_residual(values, h: float):
+    """d_zbar(phi^-1 phi_z) + d_z(phi^-1 phi_zbar) at z0 by central
+    differences with step h, from phi at `_stencil(z0, h)`, (20, n, n)."""
+    v = values.reshape((4, 5) + values.shape[1:])
+    dx = v[:, 1] - v[:, 2]
+    dy = v[:, 3] - v[:, 4]
+    inv = np.linalg.inv(v[:, 0])
+    a = inv @ ((dx - 1j * dy) / (4 * h))  # phi^-1 phi_z at the ring
+    b = inv @ ((dx + 1j * dy) / (4 * h))  # phi^-1 phi_zbar at the ring
+    d_zbar_a = ((a[0] - a[1]) + 1j * (a[2] - a[3])) / (4 * h)
+    d_z_b = ((b[0] - b[1]) - 1j * (b[2] - b[3])) / (4 * h)
+    return d_zbar_a + d_z_b
 
 
 def harmonicity_residual(sampler, grid, h: float = 1e-3) -> float:
@@ -258,28 +252,24 @@ def harmonicity_residual(sampler, grid, h: float = 1e-3) -> float:
     Central differences give the residual matrix R(s) at step s with an
     s^2 step error; the node residual is the norm of the
     Richardson-extrapolated matrix (4 R(h/2) - R(h)) / 3, which is fourth
-    order in h.  The stencils of both steps, typically 21 to 25 distinct
-    points (shared points coincide up to rounding), go to the sampler in one
-    call per node: it maps a 1-D array of z to a (Z, n, n) array.  A
-    non-finite node residual makes the result non-finite.
+    order in h.  The stencils of both steps, typically 21 to 27 distinct
+    points (points that round to the same z are sampled once), go to the
+    sampler in one call per node: it maps a 1-D array of z to a (Z, n, n)
+    array.  A non-finite node residual makes the result non-finite.
     """
     node_residuals = []
     for z0 in grid:
-        index = {}
-        for s in (h, h / 2):
-            for w in _stencil(z0, s):
-                index.setdefault(w, len(index))
-        values = np.asarray(sampler(np.array(list(index), dtype=complex)))
-        if values.ndim != 3 or values.shape[0] != len(index):
+        points = _stencil(z0, h) + _stencil(z0, h / 2)
+        distinct = {}
+        where = [distinct.setdefault(w, len(distinct)) for w in points]
+        values = np.asarray(sampler(np.array(list(distinct), dtype=complex)))
+        if values.ndim != 3 or values.shape[0] != len(distinct):
             raise ValueError(
-                f"sampler returned shape {values.shape} for {len(index)} points; "
+                f"sampler returned shape {values.shape} for {len(distinct)} points; "
                 "expected a (Z, n, n) stack"
             )
-
-        def phi(w):
-            return values[index[w]]
-
-        resid = (4 * _fd_residual(phi, z0, h / 2) - _fd_residual(phi, z0, h)) / 3
+        values = values[where]
+        resid = (4 * _fd_residual(values[20:], h / 2) - _fd_residual(values[:20], h)) / 3
         node_residuals.append(float(np.linalg.norm(resid)))
     return float(np.max(node_residuals, initial=0.0))
 

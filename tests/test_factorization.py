@@ -29,7 +29,6 @@ from unitons.factorization import (
     energy,
     flow_limit,
     harmonic_map_at,
-    harmonic_map_values,
     unitarize,
     uniton_factorize,
 )
@@ -250,7 +249,7 @@ def test_factor_residual_propagates_nan():
 
 @pytest.mark.parametrize(
     "func",
-    [unitarize, harmonic_map_at, harmonic_map_values, cstar_flow, uniton_factorize, map_sampler],
+    [unitarize, harmonic_map_at, cstar_flow, uniton_factorize, map_sampler],
 )
 def test_no_truncation_order_argument(func):
     params = inspect.signature(func).parameters
@@ -311,7 +310,7 @@ def test_batched_values_match_per_point_values():
     zs = np.array([0.3 + 0.2j, 0.3005 + 0.2j, 0.3 + 0.1995j, -0.45 + 0.6j, 0.7 - 0.1j, 1.5j])
     for spec in _harmonic_specs():
         loop = assemble_loop(spec)
-        batch = harmonic_map_values(spec, zs)
+        batch = harmonic_map_at(spec, zs)
         assert batch.shape == (len(zs), spec.n, spec.n)
         for z, value in zip(zs, batch):
             assert np.array_equal(value, harmonic_map_at(loop, z))
@@ -323,7 +322,7 @@ def test_batched_values_match_per_point_values():
 def test_batched_values_name_the_pole():
     spec = build_from_free_functions(3, (2, 1, 0), [Z, ONE / ((ONE + Z) * (ONE + Z)), Z])
     with pytest.raises(PoleAtZ, match=r"pole at z = \(-1\+0j\)"):
-        harmonic_map_values(spec, np.array([-0.5, -1.0 + 0.001j, -1.0, -1.5]))
+        harmonic_map_at(spec, np.array([-0.5, -1.0 + 0.001j, -1.0, -1.5]))
     # the same point inside a harmonicity stencil: node -1 + 0.5i, step 0.5
     with pytest.raises(PoleAtZ, match=r"pole at z = \(-1\+0j\)"):
         harmonicity_residual(map_sampler(spec), [-1.0 + 0.5j], h=0.5)
@@ -332,9 +331,9 @@ def test_batched_values_name_the_pole():
 def test_batched_values_name_the_singular_point():
     # det = z - 1: algebraic for z != 1, singular everywhere on the circle at z = 1
     loop = LoopMat.exact([[[Z - ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ZERO, ZERO]]])
-    assert np.isfinite(harmonic_map_values(loop, np.array([0.25, 0.5]))).all()
+    assert np.isfinite(harmonic_map_at(loop, np.array([0.25, 0.5]))).all()
     with pytest.raises(SingularOnCircle, match=r"at z = 1\.0 "):
-        harmonic_map_values(loop, np.array([0.25, 1.0, 0.5]))
+        harmonic_map_at(loop, np.array([0.25, 1.0, 0.5]))
 
 
 # -- bruhat_cell --------------------------------------------------------------

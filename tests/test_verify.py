@@ -1,12 +1,14 @@
 """Checker behavior on passing builds and on shipped negative controls."""
 
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from unitons import exactmat
-from unitons.errors import NotS1Invariant
+from unitons.errors import NotS1Invariant, PoleAtZ
 from unitons.factorization import flow_limit, unitarize
 from unitons.loops import LoopMat
 from unitons.scalars import GaussianRational, Poly, RatFun
@@ -173,6 +175,15 @@ def grid5():
     return [complex(x, y) for x in pts for y in pts]
 
 
+def test_harmonicity_nan_node_reaches_the_sampler():
+    # stencil values are matched to points by position, so a NaN node is
+    # sampled like any other: its values carry the NaN into the residual,
+    # or the sampler's own guard names it
+    assert np.isnan(harmonicity_residual(non_harmonic_control(), [complex("nan")], h=1e-3))
+    with pytest.raises(PoleAtZ, match="nan"):
+        harmonicity_residual(map_sampler(veronese_solution(2)), [complex("nan")], h=1e-3)
+
+
 def test_harmonicity_veronese2_grid():
     res = harmonicity_residual(map_sampler(veronese_solution(2)), grid5(), h=1e-3)
     assert res <= 1e-5
@@ -226,6 +237,32 @@ def test_u3_build_is_harmonic_at_the_verify_defaults():
     spec = build_from_free_functions(3, (2, 1, 0), [Z, ONE + Z, Z])
     grid = [0.3 + 0.2j, -0.4 + 0.5j, 0.1 - 0.6j, -0.2 - 0.3j]
     assert harmonicity_residual(map_sampler(spec), grid, h=1e-3) <= 1e-8
+
+
+def _seeded_free_poly(rng, deg):
+    """Polynomial of degree deg, Gaussian-rational coefficients with parts
+    a/b, |a| <= 3, b in {1, 2}, and a nonzero leading coefficient."""
+    def coeff():
+        return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                                Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+    coeffs = [coeff() for _ in range(deg)]
+    lead = coeff()
+    while lead == GaussianRational(0):
+        lead = coeff()
+    return RatFun(Poly(coeffs + [lead]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 31, 9001])
+def test_lambda_dependent_builds_pass_at_the_verify_tolerance(seed):
+    # the h^2 step error of plain central differences read up to 2.9e-2 on
+    # such builds; the extrapolated residual stays below the tolerance
+    rng = random.Random(seed)
+    for n, exps, count in ((4, (3, 2, 1, 0), 6), (3, (2, 1, 0), 3)):
+        spec = build_from_free_functions(
+            n, exps, [_seeded_free_poly(rng, 1 + k % 3) for k in range(count)])
+        nodes = [complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)) for _ in range(3)]
+        assert harmonicity_residual(map_sampler(spec), nodes, h=1e-3) <= 1e-5, (n, nodes)
 
 
 def test_harmonicity_working_set_does_not_grow_with_the_grid():
