@@ -192,6 +192,9 @@ def cmd_build(args):
 
 
 def cmd_demo_veronese(args):
+    # the exponents are n-1, ..., 0, and a spec must read back
+    if args.n > jsonio.MAX_EXPONENT + 1:
+        raise SchemaError(f"--n must be at most {jsonio.MAX_EXPONENT + 1}, got {args.n}")
     _emit(jsonio.spec_record(veronese_solution(args.n)), args.out)
     return 0
 

@@ -4,8 +4,11 @@ Four pieces live here.  `unitarize` splits an invertible numeric loop into a
 based unitary factor and a disc-holomorphic factor through spectral
 factorization of the symbol F = Psi~ Psi: one dense Cholesky of its
 block-Toeplitz matrix with n*d + 1 block rows, exact for algebraic loops
-(det Psi = c lambda^m); the factor's residual is always checked against the
-fixed relative bound 1e-9, and a loop that exceeds it raises NoConvergence.
+(det Psi = c lambda^m).  Phi = Psi G^-1 is then formed from the polynomial
+G^-1 (degree <= (n-1)*d) without sampling.  The factor's residual and the
+split's unitarity and reassembly residuals are always checked against the
+fixed bound 1e-9 (relative where it has a scale), and a loop that exceeds
+one raises NoConvergence.
 `bruhat_cell` recovers the diagonal lambda-exponents of an exact loop by
 Smith reduction over the rational-function field.  `cstar_flow` and
 `flow_limit` implement the lambda -> u*lambda deformation and its u -> 0
@@ -221,15 +224,6 @@ def _spectral_factors(blocks, zs):
     return g, res
 
 
-def _fourier_coeffs(values, lo: int, hi: int) -> LoopMat:
-    """LoopMat with powers lo..hi from equispaced circle samples."""
-    arr = np.array(values)
-    m = arr.shape[0]
-    hat = np.fft.fft(arr, axis=0) / m
-    coeffs = [hat[k % m] for k in range(lo, hi + 1)]
-    return LoopMat.numeric(coeffs, lo)
-
-
 def unitarize(psi, z=None) -> IwasawaFactors:
     """Split an invertible loop into (based unitary) times (powers >= 0).
 
@@ -241,27 +235,40 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     algebraic too.  A factor residual above the relative bound 1e-9 (the
     loop is not algebraic, or too ill-conditioned) raises NoConvergence.
     Then Phi = Psi G^-1 is unitary on the circle and the returned parts
-    are Phi(lambda) Phi(1)^-1 and Phi(1) G.
+    are Phi(lambda) Phi(1)^-1 and Phi(1) G.  G^-1 is a polynomial of degree
+    <= (n-1)*d (see `_spectral_factors`), so its blocks come from the power
+    series recursion H_0 = G_0^-1, H_k = -H_0 sum_(j=1..min(k,d)) G_j H_(k-j),
+    and Phi = Psi H is an exact product: no circle samples, no truncation.
+    A unitarity residual above 1e-9, or a split residual above 1e-9 times
+    max(1, max_k ||Psi_k||), raises NoConvergence naming both, the bound
+    and z.
     """
     psi = _as_numeric_loop(psi, z)
     shift = min(psi.lo, 0)
     work = psi.shift(-shift) if shift else psi
-    g, _ = _spectral_factors(np.array(work.coeffs)[None], [z])
-    gloop = LoopMat.numeric(g[0], 0)
-    d = work.hi
-    msamp = 8
-    while msamp < 4 * (d + 2):
-        msamp *= 2
-    phi_vals = work.circle_values(msamp) @ np.linalg.inv(gloop.circle_values(msamp))
-    phi = _fourier_coeffs(phi_vals, 0, d)
+    g = trim_blocks(_spectral_factors(np.array(work.coeffs)[None], [z])[0])[0]
+    d = len(g) - 1
+    h = np.zeros(((psi.n - 1) * d + 1, psi.n, psi.n), dtype=complex)
+    h[0] = np.linalg.inv(g[0])
+    for k in range(1, len(h)):
+        j = np.arange(1, min(k, d) + 1)
+        h[k] = -h[0] @ (g[j] @ h[k - j]).sum(axis=0)
+    phi = work @ LoopMat.numeric(h)
     phi_one = phi.evaluate(1.0)
     unitary = (phi @ LoopMat.numeric([np.linalg.inv(phi_one)])).shift(shift)
-    plus = LoopMat.numeric([phi_one]) @ gloop
+    plus = LoopMat.numeric([phi_one]) @ LoopMat.numeric(g)
     resid_u = unitary.unitarity_residual(samples=64)
     psi_v, unitary_v, plus_v = (
         loop.circle_values(64, 0.5) for loop in (psi, unitary, plus)
     )
     resid_s = float(np.linalg.norm(psi_v - unitary_v @ plus_v, axis=(1, 2)).max())
+    bound = DEFAULT_TOL * max(1.0, psi.max_coeff_norm())
+    if not (resid_u <= DEFAULT_TOL and resid_s <= bound):
+        raise NoConvergence(
+            f"Iwasawa split residuals exceed their bounds{_at(z)}: unitarity "
+            f"{resid_u:.3e} (bound {DEFAULT_TOL:.0e}), split {resid_s:.3e} "
+            f"(bound {bound:.3e})"
+        )
     return IwasawaFactors(unitary, plus, resid_u, resid_s)
 
 
@@ -340,7 +347,7 @@ def cstar_flow(obj, t: float, z=None) -> LoopMat:
             scale[j] = 1.0 / top
     d = np.diag(scale)
     scaled = LoopMat.numeric([b @ d for b in blocks], loop.lo)
-    return unitarize(scaled).unitary_part
+    return unitarize(scaled, z).unitary_part
 
 
 def flow_limit(spec: ExtendedSolutionSpec) -> ExtendedSolutionSpec:

@@ -432,7 +432,7 @@ class LoopMat:
 
     def max_coeff_norm(self) -> float:
         loop = self if self.kind == "numeric" else self.to_numeric()
-        return max(float(np.linalg.norm(m)) for m in loop.coeffs)
+        return float(np.max([np.linalg.norm(m) for m in loop.coeffs]))
 
     def __repr__(self):
         return f"LoopMat(kind={self.kind!r}, n={self.n}, powers {self.lo}..{self.hi})"

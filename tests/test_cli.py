@@ -190,6 +190,18 @@ def test_flow_veronese3_energy_is_constant(tmp_path, capsys):
     assert abs(payload["limit"]["energy"] - 5.0) <= 1e-6
 
 
+def test_flow_past_the_split_bound_is_one_line_error(tmp_path):
+    # the column rebalancing cannot follow the U_3 build to t = -10; the split
+    # there is 4.5e-5 from unitary, so flow refuses it instead of printing it
+    flags, free = _BUILDS["u3"]
+    free_path, spec_path = tmp_path / "free.json", tmp_path / "u3.json"
+    free_path.write_text(json.dumps(free))
+    assert _call(["build", *flags, "--free", str(free_path), "--out", str(spec_path)])[0] == 0
+    code, out, err = _call(["flow", str(spec_path), "--z=0.3,0.1", "--t=-10"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: NoConvergence: ") and err.count("\n") == 1, err
+
+
 def test_factor_veronese4_three_factors(tmp_path, capsys):
     code, out, _ = run(capsys, "factor", veronese_file(tmp_path, 4), "--z", "0.4,-0.3")
     assert code == 0
@@ -305,10 +317,13 @@ def test_overflowing_point_is_typed_error(tmp_path, capsys):
         ("flow", "--z", "0.1,0", "--t", ","),
         ("flow", "--z", "0.1,0", "--t=-1e308"),
         ("flow", "--z", "0.1,0", "--t", "0,50.5"),
+        ("demo", "veronese", "--n", "66"),  # exponents past the JSON input limit
     ],
 )
 def test_empty_or_out_of_range_input_is_input_error(tmp_path, capsys, argv):
-    code, out, err = run(capsys, argv[0], veronese_file(tmp_path, 2), *argv[1:])
+    if argv[0] != "demo":
+        argv = (argv[0], veronese_file(tmp_path, 2), *argv[1:])
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

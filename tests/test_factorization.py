@@ -139,6 +139,36 @@ def test_unitarize_singular_on_circle():
         unitarize(bad)
 
 
+def _u3_build():
+    return build_from_free_functions(3, (2, 1, 0), [Z, ONE + Z, Z])
+
+
+def test_unitarize_keeps_powers_above_the_loop():
+    # W = I - c lambda E_31 has det 1, so it lies in Lambda+ and leaves the
+    # based unitary part alone, but Psi W has top power 1 below deg Phi = 2
+    z = complex(0.3, 0.1)
+    psi = assemble_loop(_u3_build()).to_numeric(z)
+    w = np.zeros((3, 3), dtype=complex)
+    w[2, 0] = -1 / psi.coeff(1)[0, 2]
+    dressed = psi @ LoopMat.numeric([np.eye(3), w])
+    assert dressed.hi == 1
+    fac = unitarize(dressed)
+    assert fac.residual_unitarity <= 1e-12 and fac.residual_split <= 1e-12
+    assert fac.unitary_part.hi == 2
+    assert loops_close(fac.unitary_part, unitarize(psi).unitary_part, 1e-12)
+
+
+def test_split_residual_past_the_bound_raises_no_convergence():
+    # the column rebalancing cannot follow the U_3 build to t = -10: the
+    # split's unitarity residual reads 4.5e-5 there
+    z = complex(0.3, 0.1)
+    with pytest.raises(NoConvergence) as info:
+        cstar_flow(_u3_build(), -10.0, z)
+    message = str(info.value)
+    assert f"z = {z}" in message
+    assert "unitarity " in message and "split " in message and "bound" in message
+
+
 def _random_exact_loop(rng, n):
     """Invertible exact loop: projector factors interleaved with Lambda+."""
     def rat():

@@ -73,6 +73,7 @@ def test_numeric_trim_keeps_nonfinite_blocks():
     loop = LoopMat.numeric([np.eye(2), np.full((2, 2), np.nan)])
     assert loop.hi == 1
     assert np.isnan(loop.unitarity_residual())
+    assert np.isnan(loop.max_coeff_norm())
 
 
 def test_circle_values_match_pointwise_evaluation():
