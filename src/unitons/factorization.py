@@ -34,7 +34,7 @@ from .errors import (
     PoleAtZ,
     SingularOnCircle,
 )
-from .loops import CompiledLoop, LoopMat, trim_blocks
+from .loops import CompiledLoop, LoopMat, convolve, trim_blocks, values_at
 from .roots import marks_from_exponents
 from .weierstrass import (
     ExtendedSolutionSpec,
@@ -95,8 +95,7 @@ def _circle_min_singular(blocks, zs):
     """Smallest and largest singular value over 64 samples of |lambda| = 1
     for each loop of the (Z, K, n, n) coefficient stack; PoleAtZ names the
     first z whose values there are not finite."""
-    lams = np.exp(2j * np.pi * np.arange(64) / 64)
-    vals = np.einsum("sk,zkab->zsab", lams[:, None] ** np.arange(blocks.shape[1]), blocks)
+    vals = values_at(blocks, 0, np.exp(2j * np.pi * np.arange(64) / 64))
     finite = np.isfinite(vals).all(axis=(1, 2, 3))
     if not finite.all():
         raise PoleAtZ(
@@ -106,39 +105,28 @@ def _circle_min_singular(blocks, zs):
     return sing[..., -1].min(axis=1), sing[..., 0].max(axis=1)
 
 
+def _symbol(blocks):
+    """Blocks 0..K-1 of Psi~ Psi for a (..., K, n, n) stack of Psi's blocks:
+    the upper half of the product of Psi~, whose blocks are those of Psi
+    adjoined and reversed, with Psi."""
+    adj = np.asarray(blocks)[..., ::-1, :, :].conj().swapaxes(-1, -2)
+    return convolve(adj, blocks)[..., adj.shape[-3] - 1 :, :, :]
+
+
 def _symbol_blocks(blocks):
     """Fourier blocks F_0..F_(K-1) of F = Psi~ Psi (F_-k = F_k^*) for each
-    stacked loop, trimmed like a numeric LoopMat, and each symbol's degree.
-
-    F_k sums A_a^* A_(a+k) over decreasing a, the order of the numeric
-    LoopMat product Psi~ @ Psi.
-    """
-    k_count = blocks.shape[1]
-    adj = blocks.conj().swapaxes(-1, -2)
-    f = np.zeros_like(blocks)
-    for k in range(k_count):
-        for a in range(k_count - 1 - k, -1, -1):
-            f[:, k] += adj[:, a] @ blocks[:, a + k]
-    f = trim_blocks(f)
+    stacked loop, trimmed like a numeric LoopMat, and each symbol's degree."""
+    f = trim_blocks(_symbol(blocks))
     nonzero = f.any(axis=(2, 3))
     degrees = [int(np.flatnonzero(row)[-1]) if row.any() else 0 for row in nonzero]
     return f, degrees
 
 
-def _factor_residual(fblocks, g, d: int):
-    """max_k ||F_k - sum_l G_l^* G_(l+k)||_F over blocks 0..d of (..., d+1, n, n)
-    stacks, one value per stack; NaN if any term is NaN."""
-    fblocks, g = np.asarray(fblocks), np.asarray(g)
-    gh = g.conj().swapaxes(-1, -2)
-    norms = [
-        np.linalg.norm(
-            fblocks[..., k, :, :]
-            - sum(gh[..., l, :, :] @ g[..., l + k, :, :] for l in range(d + 1 - k)),
-            axis=(-2, -1),
-        )
-        for k in range(d + 1)
-    ]
-    return np.max(norms, axis=0)
+def _factor_residual(fblocks, g):
+    """max_k ||F_k - (G~G)_k||_F over blocks 0..d of (..., d+1, n, n) stacks,
+    one value per stack; NaN if any term is NaN."""
+    diff = np.asarray(fblocks) - _symbol(g)
+    return np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=-1)
 
 
 def _toeplitz_factor(fblocks, z):
@@ -210,7 +198,7 @@ def _spectral_factors(blocks, zs):
     g = np.zeros((len(zs), top + 1) + blocks.shape[2:], dtype=complex)
     for i, (z, d) in enumerate(zip(zs, degrees)):
         g[i, : d + 1] = _toeplitz_factor(fblocks[i, : d + 1], z)
-    res = _factor_residual(fblocks[:, : top + 1], g, top)
+    res = _factor_residual(fblocks[:, : top + 1], g)
     scale = np.maximum(1.0, np.linalg.norm(fblocks[:, 0], axis=(1, 2)))
     n = blocks.shape[-1]
     for z, d, r, s in zip(zs, degrees, res, scale):
@@ -272,16 +260,6 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     return IwasawaFactors(unitary, plus, resid_u, resid_s)
 
 
-def _at_plus_minus_one(blocks, lo: int):
-    """Values at lambda = -1 and 1 of the stacked loops with powers lo.. ."""
-    at_minus = np.zeros_like(blocks[:, 0])
-    at_plus = np.zeros_like(blocks[:, 0])
-    for k in range(blocks.shape[1]):
-        at_minus += blocks[:, k] * (-1.0) ** (lo + k)
-        at_plus += blocks[:, k]
-    return at_minus, at_plus
-
-
 def harmonic_map_at(obj, z) -> np.ndarray:
     """Value at lambda = -1 of the based unitary factor of the loop at z; for
     a 1-D array of z, the (Z, n, n) stack of the values.
@@ -302,11 +280,9 @@ def harmonic_map_at(obj, z) -> np.ndarray:
     # trimmed as a numeric LoopMat is, so each point factors as in `unitarize`
     blocks = trim_blocks(loop.values(zs))
     g = trim_blocks(_spectral_factors(blocks, zs)[0])
-    psi_m, psi_p = _at_plus_minus_one(blocks, loop.lo)
-    g_m, g_p = _at_plus_minus_one(g, 0)
-    pm = psi_m @ np.linalg.inv(g_m)
-    pp = psi_p @ np.linalg.inv(g_p)
-    values = pm @ np.linalg.inv(pp)
+    # Phi(-1) and Phi(1) for each z, Phi = Psi G^-1
+    phi = values_at(blocks, loop.lo, [-1, 1]) @ np.linalg.inv(values_at(g, 0, [-1, 1]))
+    values = phi[:, 0] @ np.linalg.inv(phi[:, 1])
     return values[0] if one_point else values
 
 

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .scalars import GaussianRational, Poly, RatFun
 
-__all__ = ["LoopMat", "CompiledLoop", "NUMERIC_TRIM", "trim_blocks"]
+__all__ = ["LoopMat", "CompiledLoop", "NUMERIC_TRIM", "trim_blocks", "convolve", "values_at"]
 
 # relative Frobenius threshold below which numeric coefficients are dropped
 NUMERIC_TRIM = 1e-12
@@ -45,6 +45,30 @@ def trim_blocks(blocks) -> np.ndarray:
     top = norms.max(axis=-1, keepdims=True)
     drop = (norms < NUMERIC_TRIM * top) & (top > 0) & (top < np.inf)
     return np.where(drop[..., None, None], 0, blocks)
+
+
+def convolve(a, b) -> np.ndarray:
+    """Coefficient stack of the product of the loops with (..., K, n, n)
+    coefficient stacks a and b: block k sums a_i @ b_(k-i) over increasing
+    i, with one matmul per block of a broadcast over b and the leading axes.
+    The product's lowest power is the sum of the factors' lowest powers.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    ka, kb = a.shape[-3], b.shape[-3]
+    lead = np.broadcast_shapes(a.shape[:-3], b.shape[:-3])
+    out = np.zeros(lead + (ka + kb - 1,) + a.shape[-2:], dtype=np.result_type(a, b))
+    for i in range(ka):
+        out[..., i : i + kb, :, :] += a[..., i : i + 1, :, :] @ b
+    return out
+
+
+def values_at(blocks, lo: int, lams) -> np.ndarray:
+    """Values at each lambda of the sequence lams of the loops with
+    (..., K, n, n) coefficient stack blocks for the powers lo .. lo+K-1:
+    a (..., L, n, n) stack, one contraction over the blocks."""
+    blocks = np.asarray(blocks)
+    powers = np.asarray(lams, dtype=complex)[:, None] ** np.arange(lo, lo + blocks.shape[-3])
+    return np.einsum("lk,...kab->...lab", powers, blocks)
 
 
 def _exact_matrix(m, n: int):
@@ -171,11 +195,7 @@ class LoopMat:
                     out[i + j] = prod if acc is None else exactmat.mat_add(acc, prod)
             out = [exactmat.zeros(self.n) if m is None else m for m in out]
             return LoopMat("exact", self.n, lo, out)
-        out = [np.zeros((self.n, self.n), dtype=complex) for _ in range(length)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a @ b
-        return LoopMat("numeric", self.n, lo, out)
+        return LoopMat("numeric", self.n, lo, list(convolve(self.coeffs, other.coeffs)))
 
     def __add__(self, other: "LoopMat") -> "LoopMat":
         self._check_compatible(other)
@@ -254,30 +274,26 @@ class LoopMat:
 
     def twist_T(self) -> "LoopMat":
         """T(L)(lambda) = L(-lambda) L(-1)^(-1)."""
-        neg = self.negate_lambda()
-        if self.kind == "exact":
-            at_m1 = self.evaluate_exact(GaussianRational(-1))
-            try:
-                inv = exactmat.mat_inv(at_m1)
-            except ZeroDivisionError as exc:
-                raise SingularAtMinusOne(str(exc)) from None
-            return neg @ LoopMat("exact", self.n, 0, [inv])
-        at_m1 = self.evaluate(-1.0 + 0j)
-        if np.linalg.cond(at_m1) > 1e12:
-            raise SingularAtMinusOne("loop value at lambda = -1 is singular")
-        return neg @ LoopMat("numeric", self.n, 0, [np.linalg.inv(at_m1)])
+        return self.negate_lambda() @ self._inverse_at(-1, SingularAtMinusOne)
 
     def based(self) -> "LoopMat":
         """Right-normalize to the based loop L(lambda) L(1)^(-1)."""
+        return self @ self._inverse_at(1, NotInvertibleLoop)
+
+    def _inverse_at(self, lam: int, error) -> "LoopMat":
+        """The constant loop L(lam)^-1; raises error when L(lam) is singular:
+        exactly for exact loops, past condition number 1e12 for numeric ones."""
+        message = f"loop value at lambda = {lam} is singular"
         if self.kind == "exact":
-            at_one = self.evaluate_exact(GaussianRational(1))
             try:
-                inv = exactmat.mat_inv(at_one)
+                inv = exactmat.mat_inv(self.evaluate_exact(GaussianRational(lam)))
             except ZeroDivisionError:
-                raise NotInvertibleLoop("loop value at lambda = 1 is singular")
-            return self @ LoopMat("exact", self.n, 0, [inv])
-        at_one = self.evaluate(1.0 + 0j)
-        return self @ LoopMat("numeric", self.n, 0, [np.linalg.inv(at_one)])
+                raise error(message) from None
+            return LoopMat("exact", self.n, 0, [inv])
+        value = self.evaluate(lam)
+        if np.linalg.cond(value) > 1e12:
+            raise error(message)
+        return LoopMat("numeric", self.n, 0, [np.linalg.inv(value)])
 
     # -- evaluation ------------------------------------------------------------
 
@@ -287,10 +303,7 @@ class LoopMat:
         if lam == 0 and self.lo < 0:
             raise ZeroLambda("loop has negative powers; lambda = 0 not allowed")
         if self.kind == "numeric":
-            out = np.zeros((self.n, self.n), dtype=complex)
-            for k, m in zip(range(self.lo, self.hi + 1), self.coeffs):
-                out += m * lam**k
-            return out
+            return values_at(self.coeffs, self.lo, [lam])[0]
         return self.to_numeric(z).evaluate(lam)
 
     def evaluate_exact(self, lam, z=None):
@@ -413,13 +426,11 @@ class LoopMat:
     def circle_values(self, samples: int, offset: float = 0.0) -> np.ndarray:
         """Values at lambda = exp(2 pi i (m + offset) / samples), stacked.
 
-        Returns a (samples, n, n) array computed with one contraction over
-        the coefficient stack.
+        Returns a (samples, n, n) array from `values_at`.
         """
         loop = self.to_numeric()
         lams = np.exp(2j * np.pi * (np.arange(samples) + offset) / samples)
-        powers = lams[:, None] ** np.arange(loop.lo, loop.hi + 1)
-        return np.einsum("sk,kab->sab", powers, np.array(loop.coeffs))
+        return values_at(loop.coeffs, loop.lo, lams)
 
     def unitarity_residual(self, samples: int = 32) -> float:
         """max over sampled |lambda| = 1 of || L(lam)* L(lam) - I ||_F.

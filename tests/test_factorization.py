@@ -1,5 +1,6 @@
 """Unitarization, cell recovery, flow, uniton splitting, normalized form."""
 
+import cmath
 import inspect
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from unitons.factorization import (
     _circle_min_singular,
     _factor_residual,
     _spectral_factors,
+    _symbol_blocks,
     big_cell_check,
     bruhat_cell,
     cstar_flow,
@@ -274,7 +276,22 @@ def test_nonfinite_loop_is_typed_error(top, match):
 def test_factor_residual_propagates_nan():
     f = [np.eye(2), np.zeros((2, 2))]
     g = [np.eye(2), np.full((2, 2), np.nan)]
-    assert np.isnan(_factor_residual(f, g, 1))
+    assert np.isnan(_factor_residual(f, g))
+
+
+def test_symbol_blocks_match_pointwise_gram():
+    # F(lambda) = Psi(lambda)^* Psi(lambda) on the circle, both sides summed
+    # here term by term from the blocks
+    free = [Z, ONE + Z, Z]
+    for spec in (build_from_free_functions(3, (2, 1, 0), free), veronese_solution(4)):
+        psi = assemble_loop(spec).to_numeric(complex(0.3, 0.1))
+        (f,), (d,) = _symbol_blocks(np.array(psi.coeffs)[None])
+        for m in range(16):
+            lam = cmath.exp(2j * cmath.pi * (m + 0.5) / 16)
+            value = sum(c * lam**k for k, c in zip(range(psi.lo, psi.hi + 1), psi.coeffs))
+            symbol = f[0] + sum(f[k] * lam**k + f[k].conj().T * lam**-k for k in range(1, d + 1))
+            gram = value.conj().T @ value
+            assert np.linalg.norm(symbol - gram) <= 1e-12 * np.linalg.norm(gram)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """Laurent loop matrices: algebra, involutions, exact inverse, ad width."""
 
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +13,10 @@ from unitons.errors import (
     NonMonomialDeterminant,
     NotInvertibleLoop,
     PoleAtZ,
+    SingularAtMinusOne,
     ZeroLambda,
 )
-from unitons.loops import CompiledLoop, LoopMat
+from unitons.loops import CompiledLoop, LoopMat, values_at
 from unitons.scalars import GaussianRational, Poly, RatFun
 from unitons.weierstrass import assemble_loop, build_from_free_functions, veronese_solution
 
@@ -77,11 +81,54 @@ def test_numeric_trim_keeps_nonfinite_blocks():
 
 
 def test_circle_values_match_pointwise_evaluation():
-    loop = frame_loop().to_numeric(complex(0.3, 0.1)).shift(-1)
-    vals = loop.circle_values(16, 0.5)
-    for m in range(16):
-        lam = np.exp(2j * np.pi * (m + 0.5) / 16)
-        assert np.linalg.norm(vals[m] - loop.evaluate(lam)) <= 1e-13
+    # samples = 4 puts every lambda at a Gaussian rational: i^(m + offset)
+    z = GaussianRational(Fraction(3, 10), Fraction(1, 10))
+    exact = frame_loop().shift(-1)
+    loop = exact.to_numeric(complex(z))
+    powers_of_i = [GaussianRational(*p) for p in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+    for offset in (0, 1):
+        vals = loop.circle_values(4, offset)
+        for m in range(4):
+            lam = powers_of_i[(m + offset) % 4]
+            ref = [[complex(e.const_value()) for e in row] for row in exact.evaluate_exact(lam, z)]
+            assert np.linalg.norm(vals[m] - np.array(ref)) <= 1e-13
+
+
+def _seeded_exact_loop(rng, n):
+    """Exact loop of 1 to 3 blocks from a power in -2..1, entries polynomials
+    in z of degree <= 2 with Gaussian-integer coefficients in -3..3."""
+    def entry():
+        coeffs = [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
+        return RatFun(Poly(coeffs[: rng.randint(1, 3)]))
+
+    blocks = [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    return LoopMat.exact(blocks, lo=rng.randint(-2, 1))
+
+
+def test_numeric_product_matches_exact_product():
+    rng = random.Random(11)
+    z = complex(0.3, -0.7)
+    for trial in range(12):
+        n = 2 + trial % 3
+        a, b = _seeded_exact_loop(rng, n), _seeded_exact_loop(rng, n)
+        got = a.to_numeric(z) @ b.to_numeric(z)
+        ref = (a @ b).to_numeric(z)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi)
+        for x, y in zip(got.coeffs, ref.coeffs):
+            assert np.linalg.norm(x - y) <= 1e-12 * max(1.0, np.linalg.norm(y))
+
+
+def test_values_at_matches_exact_evaluation():
+    lams = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+            GaussianRational(Fraction(3, 5), Fraction(4, 5))]
+    rng = random.Random(5)
+    z = GaussianRational(Fraction(3, 10), Fraction(1, 10))
+    for trial in range(6):
+        loop = _seeded_exact_loop(rng, 2 + trial % 3).at_z(z)
+        got = values_at(loop.to_numeric().coeffs, loop.lo, [complex(lam) for lam in lams])
+        for lam, value in zip(lams, got):
+            ref = [[complex(e.const_value()) for e in row] for row in loop.evaluate_exact(lam)]
+            assert np.linalg.norm(value - np.array(ref)) <= 1e-12 * max(1.0, np.linalg.norm(ref))
 
 
 def _compiled_test_loops():
@@ -173,6 +220,16 @@ def test_twist_involutive_on_based_loops():
     based = loop @ LoopMat.exact([exactmat.mat_inv(loop.evaluate_exact(1))])
     for L in (gamma, based):
         assert L.twist_T().twist_T() == L
+
+
+@pytest.mark.parametrize("kind", ["exact", "numeric"])
+@pytest.mark.parametrize("lam, error", [(-1, SingularAtMinusOne), (1, NotInvertibleLoop)])
+def test_singular_value_at_plus_minus_one_is_typed_error(kind, lam, error):
+    # I - lam diag(1, 0) lambda is singular at lambda = lam
+    blocks = [[[1, 0], [0, 1]], [[-lam, 0], [0, 0]]]
+    loop = LoopMat.exact(blocks) if kind == "exact" else LoopMat.numeric(blocks)
+    with pytest.raises(error, match=f"^loop value at lambda = {lam} is singular$"):
+        loop.twist_T() if lam == -1 else loop.based()
 
 
 # -- exact inverse and determinant --------------------------------------------
