@@ -83,10 +83,6 @@ def _as_loop(obj) -> LoopMat:
     return obj
 
 
-def _as_numeric_loop(obj, z=None) -> LoopMat:
-    return _as_loop(obj).to_numeric(z)
-
-
 def _at(z) -> str:
     return "" if z is None else f" at z = {z}"
 
@@ -113,15 +109,6 @@ def _symbol(blocks):
     return convolve(adj, blocks)[..., adj.shape[-3] - 1 :, :, :]
 
 
-def _symbol_blocks(blocks):
-    """Fourier blocks F_0..F_(K-1) of F = Psi~ Psi (F_-k = F_k^*) for each
-    stacked loop, trimmed like a numeric LoopMat, and each symbol's degree."""
-    f = trim_blocks(_symbol(blocks))
-    nonzero = f.any(axis=(2, 3))
-    degrees = [int(np.flatnonzero(row)[-1]) if row.any() else 0 for row in nonzero]
-    return f, degrees
-
-
 def _factor_residual(fblocks, g):
     """max_k ||F_k - (G~G)_k||_F over blocks 0..d of (..., d+1, n, n) stacks,
     one value per stack; NaN if any term is NaN."""
@@ -135,11 +122,11 @@ def _toeplitz_factor(fblocks, z):
     d = len(fblocks) - 1
     n = fblocks.shape[-1]
     rows = n * d + 1
-    # band[rows - 1 + k] = F_k for |k| <= d, zero blocks outside the band
+    # band[rows - 1 + k] = F_k and band[rows - 1 - k] = F_k^* for k <= d (the
+    # centre F_0^*), zero blocks outside the band
     band = np.zeros((2 * rows - 1, n, n), dtype=complex)
-    for k in range(d + 1):
-        band[rows - 1 + k] = fblocks[k]
-        band[rows - 1 - k] = fblocks[k].conj().T
+    band[rows - 1 : rows + d] = fblocks
+    band[rows - 1 - d : rows] = fblocks[::-1].conj().swapaxes(1, 2)
     idx = np.arange(rows)
     toeplitz = band[rows - 1 + idx[None, :] - idx[:, None]]
     toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(rows * n, rows * n)
@@ -149,22 +136,22 @@ def _toeplitz_factor(fblocks, z):
         raise SingularOnCircle(
             f"block-Toeplitz matrix of the symbol is not positive definite{_at(z)}"
         ) from None
-    last = chol[-n:]
-    return np.array([
-        last[:, (rows - 1 - j) * n : (rows - j) * n].conj().T for j in range(d + 1)
-    ])
+    # G_j = L[rows-1][rows-1-j]^*: the last d+1 blocks of L's last block row
+    last = chol[-n:, (rows - 1 - d) * n :].reshape(n, d + 1, n)
+    return last.transpose(1, 2, 0)[::-1].conj()
 
 
 def _spectral_factors(blocks, zs):
     """Polynomial G with G~G = Psi~Psi, invertible on the closed disc, for
     each loop of the (Z, K, n, n) coefficient stack (loop i taken at zs[i]).
 
-    Returns the (Z, D+1, n, n) stack of G_0..G_D, zero-padded above each
-    loop's own degree, and each factor's residual.  Each G is read off its
-    own dense Cholesky factorization T = L L^* of the Hermitian
-    block-Toeplitz matrix T[i][j] = F_(j-i) with rows = n*d + 1 block rows,
-    where F = Psi~Psi has Fourier blocks F_-d..F_d.  The last block row of
-    L, read backwards, is G: G_j = L[rows-1][rows-1-j]^*.
+    Returns the (Z, d+1, n, n) stack of G_0..G_d, trimmed like a numeric
+    LoopMat, and each factor's residual.  The whole stack is factored at one
+    degree: d is the top degree of the trimmed symbols F = Psi~Psi, so each
+    F has Fourier blocks F_-d..F_d, zero above its own degree.  Each G is
+    read off its own dense Cholesky factorization T = L L^* of the Hermitian
+    block-Toeplitz matrix T[i][j] = F_(j-i) with rows = n*d + 1 block rows.
+    The last block row of L, read backwards, is G: G_j = L[rows-1][rows-1-j]^*.
 
     The row count is exact, not a truncation, for algebraic loops
     (det Psi = c lambda^m).  There det G is a polynomial without zeros in
@@ -175,7 +162,8 @@ def _spectral_factors(blocks, zs):
     G~^-1 lambda^k F = lambda^k G has no powers below k.  Then
     L = T L^-*, and the last row of L sees only rows k >= rows-1-d of L^-1,
     which gives L[rows-1][rows-1-j] = G_j^* once rows-1-d >= e, that is
-    rows >= n*d + 1.
+    rows >= n*d + 1.  Any larger row count is exact too, so a point whose
+    own symbol has a lower degree than d factors exactly at the stack's d.
 
     Every guard works per z and names the first z it fails at: a loop
     singular on the circle or a Toeplitz matrix that is not positive
@@ -190,18 +178,17 @@ def _spectral_factors(blocks, zs):
             raise SingularOnCircle(
                 f"loop is numerically singular on |lambda| = 1{_at(z)} (sigma_min = {smin:.3e})"
             )
-    fblocks, degrees = _symbol_blocks(blocks)
+    fblocks = trim_blocks(_symbol(blocks))
     finite = np.isfinite(fblocks).all(axis=(1, 2, 3))
     if not finite.all():
         raise PoleAtZ(f"symbol blocks of the loop are not finite{_at(zs[np.argmin(finite)])}")
-    top = max(degrees)
-    g = np.zeros((len(zs), top + 1) + blocks.shape[2:], dtype=complex)
-    for i, (z, d) in enumerate(zip(zs, degrees)):
-        g[i, : d + 1] = _toeplitz_factor(fblocks[i, : d + 1], z)
-    res = _factor_residual(fblocks[:, : top + 1], g)
+    d = int(np.flatnonzero(fblocks.any(axis=(0, 2, 3)))[-1])
+    fblocks = fblocks[:, : d + 1]
+    g = np.array([_toeplitz_factor(f, z) for f, z in zip(fblocks, zs)])
+    res = _factor_residual(fblocks, g)
     scale = np.maximum(1.0, np.linalg.norm(fblocks[:, 0], axis=(1, 2)))
     n = blocks.shape[-1]
-    for z, d, r, s in zip(zs, degrees, res, scale):
+    for z, r, s in zip(zs, res, scale):
         if not r <= DEFAULT_TOL * s:
             raise NoConvergence(
                 f"spectral factorization residual {r:.3e} exceeds "
@@ -209,7 +196,7 @@ def _spectral_factors(blocks, zs):
                 "the loop is not algebraic (det Psi = c lambda^m) or is too "
                 "ill-conditioned"
             )
-    return g, res
+    return trim_blocks(g), res
 
 
 def unitarize(psi, z=None) -> IwasawaFactors:
@@ -218,10 +205,11 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     The symbol F = Psi~Psi is factored as G~G with G polynomial and
     invertible on the disc, by one Cholesky factorization of the
     block-Toeplitz matrix of F with n*d + 1 block rows (d the degree of F).
-    That row count is exact for algebraic loops, det Psi = c lambda^m, which
-    is every loop this package builds; numeric loops passed in must be
-    algebraic too.  A factor residual above the relative bound 1e-9 (the
-    loop is not algebraic, or too ill-conditioned) raises NoConvergence.
+    Every row count >= n*d + 1 is exact for algebraic loops,
+    det Psi = c lambda^m, which is every loop this package builds; numeric
+    loops passed in must be algebraic too.  A factor residual above the
+    relative bound 1e-9 (the loop is not algebraic, or too ill-conditioned)
+    raises NoConvergence.
     Then Phi = Psi G^-1 is unitary on the circle and the returned parts
     are Phi(lambda) Phi(1)^-1 and Phi(1) G.  G^-1 is a polynomial of degree
     <= (n-1)*d (see `_spectral_factors`), so its blocks come from the power
@@ -231,19 +219,17 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     max(1, max_k ||Psi_k||), raises NoConvergence naming both, the bound
     and z.
     """
-    psi = _as_numeric_loop(psi, z)
-    shift = min(psi.lo, 0)
-    work = psi.shift(-shift) if shift else psi
-    g = trim_blocks(_spectral_factors(np.array(work.coeffs)[None], [z])[0])[0]
+    psi = _as_loop(psi).to_numeric(z)
+    g = _spectral_factors(np.array(psi.coeffs)[None], [z])[0][0]
     d = len(g) - 1
     h = np.zeros(((psi.n - 1) * d + 1, psi.n, psi.n), dtype=complex)
     h[0] = np.linalg.inv(g[0])
     for k in range(1, len(h)):
         j = np.arange(1, min(k, d) + 1)
         h[k] = -h[0] @ (g[j] @ h[k - j]).sum(axis=0)
-    phi = work @ LoopMat.numeric(h)
+    phi = psi @ LoopMat.numeric(h)
     phi_one = phi.evaluate(1.0)
-    unitary = (phi @ LoopMat.numeric([np.linalg.inv(phi_one)])).shift(shift)
+    unitary = phi @ LoopMat.numeric([np.linalg.inv(phi_one)])
     plus = LoopMat.numeric([phi_one]) @ LoopMat.numeric(g)
     resid_u = unitary.unitarity_residual(samples=64)
     psi_v, unitary_v, plus_v = (
@@ -268,18 +254,21 @@ def harmonic_map_at(obj, z) -> np.ndarray:
     loop is compiled once and evaluated at every z with one array pass.
     Works pointwise from the spectral factor: with Phi = Psi G^-1 the value
     is Phi(-1) Phi(1)^-1, no Fourier extraction involved.  Each G comes from
-    its own finite block-Toeplitz Cholesky as in `unitarize` (n*d + 1 block
-    rows, the exact count for algebraic loops), so the value is a smooth
-    function of z.  The guards work per z: a pole raises PoleAtZ, a loop
-    singular on the circle SingularOnCircle, and a factor residual above the
-    1e-9 bound NoConvergence, each naming the first z that fails.
+    its own finite block-Toeplitz Cholesky as in `unitarize`, at one degree
+    for the whole stack: d is the top symbol degree over all z and every
+    point gets n*d + 1 block rows.  Any count >= n*d + 1 is exact for
+    algebraic loops, so a point of lower degree (z = 0 of a Veronese loop)
+    factors exactly too, and the value is a smooth function of z.  The
+    guards work per z: a pole raises PoleAtZ, a loop singular on the circle
+    SingularOnCircle, and a factor residual above the 1e-9 bound
+    NoConvergence, each naming the first z that fails.
     """
     one_point = np.ndim(z) == 0
     zs = [z] if one_point else z
     loop = obj if isinstance(obj, CompiledLoop) else CompiledLoop(_as_loop(obj))
     # trimmed as a numeric LoopMat is, so each point factors as in `unitarize`
     blocks = trim_blocks(loop.values(zs))
-    g = trim_blocks(_spectral_factors(blocks, zs)[0])
+    g = _spectral_factors(blocks, zs)[0]
     # Phi(-1) and Phi(1) for each z, Phi = Psi G^-1
     phi = values_at(blocks, loop.lo, [-1, 1]) @ np.linalg.inv(values_at(g, 0, [-1, 1]))
     values = phi[:, 0] @ np.linalg.inv(phi[:, 1])
@@ -292,7 +281,7 @@ def energy(obj, z=None) -> float:
     Normalized so a diagonal power loop with exponents k_i has energy
     sum k_i^2.
     """
-    loop = _as_numeric_loop(obj, z)
+    loop = _as_loop(obj).to_numeric(z)
     return float(
         sum(
             k * k * np.linalg.norm(loop.coeff(k)) ** 2
@@ -308,7 +297,7 @@ def cstar_flow(obj, t: float, z=None) -> LoopMat:
     factorizing they are rebalanced by a constant diagonal; that is a right
     Lambda+ factor and leaves the based unitary part untouched.
     """
-    loop = _as_numeric_loop(obj, z)
+    loop = _as_loop(obj).to_numeric(z)
     try:
         u = math.exp(-t)
         blocks = [
@@ -396,10 +385,7 @@ def bruhat_cell(obj) -> BruhatCell:
     monomial (NotInvertibleLoop, NonMonomialDeterminant otherwise).  Numeric
     loops are refused: rank decisions over floats are ill-posed.
     """
-    if isinstance(obj, ExtendedSolutionSpec):
-        obj = assemble_loop(obj)
-    if not isinstance(obj, LoopMat):
-        raise TypeError("expected a LoopMat or an ExtendedSolutionSpec")
+    obj = _as_loop(obj)
     if obj.kind != "exact":
         raise ExactKindUnsupported("cell recovery needs an exact loop")
     diag = _smith_diagonal(obj._entry_polys(), obj.n)

@@ -39,9 +39,10 @@ def trim_blocks(blocks) -> np.ndarray:
     loops at once.
 
     A stack with a non-finite block is left as it is, so NaN and inf reach
-    the checks.
+    the checks; the norm of an inf block is NaN or inf, without a warning.
     """
-    norms = np.linalg.norm(blocks, axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        norms = np.linalg.norm(blocks, axis=(-2, -1))
     top = norms.max(axis=-1, keepdims=True)
     drop = (norms < NUMERIC_TRIM * top) & (top > 0) & (top < np.inf)
     return np.where(drop[..., None, None], 0, blocks)
@@ -282,7 +283,8 @@ class LoopMat:
 
     def _inverse_at(self, lam: int, error) -> "LoopMat":
         """The constant loop L(lam)^-1; raises error when L(lam) is singular:
-        exactly for exact loops, past condition number 1e12 for numeric ones."""
+        exactly for exact loops, past condition number 1e12 or at a NaN or
+        inf entry for numeric ones."""
         message = f"loop value at lambda = {lam} is singular"
         if self.kind == "exact":
             try:
@@ -291,7 +293,7 @@ class LoopMat:
                 raise error(message) from None
             return LoopMat("exact", self.n, 0, [inv])
         value = self.evaluate(lam)
-        if np.linalg.cond(value) > 1e12:
+        if not (np.isfinite(value).all() and np.linalg.cond(value) <= 1e12):
             raise error(message)
         return LoopMat("numeric", self.n, 0, [np.linalg.inv(value)])
 

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import exactmat
 from .errors import NotS1Invariant
-from .factorization import harmonic_map_at
+from .factorization import _as_loop, harmonic_map_at
 from .loops import CompiledLoop, LoopMat
 from .roots import build_root_system, canonical_reduce, height_of, marks_from_exponents
-from .weierstrass import ExtendedSolutionSpec, assemble_loop, left_log_derivative
+from .weierstrass import ExtendedSolutionSpec, left_log_derivative
 
 __all__ = [
     "CheckEntry",
@@ -155,9 +155,7 @@ def uniton_number_report(obj) -> UnitonNumbers:
     loop it is bounded by the width of the full-flag geodesic, n - 1.
     """
     spec = obj if isinstance(obj, ExtendedSolutionSpec) else None
-    loop = assemble_loop(spec) if spec is not None else obj
-    if not isinstance(loop, LoopMat):
-        raise TypeError("expected a LoopMat or an ExtendedSolutionSpec")
+    loop = _as_loop(obj)
     w = loop.ad_width()
     n = loop.n
     if n >= 2:
@@ -194,12 +192,7 @@ def map_sampler(spec_or_loop):
     finite differencing needs.  A sample whose spectral factor residual
     exceeds the relative bound 1e-9 raises NoConvergence naming its z.
     """
-    loop = (
-        assemble_loop(spec_or_loop)
-        if isinstance(spec_or_loop, ExtendedSolutionSpec)
-        else spec_or_loop
-    )
-    compiled = CompiledLoop(loop)
+    compiled = CompiledLoop(_as_loop(spec_or_loop))
 
     def sample(zs):
         return harmonic_map_at(compiled, zs)

@@ -24,7 +24,7 @@ from unitons.factorization import (
     _circle_min_singular,
     _factor_residual,
     _spectral_factors,
-    _symbol_blocks,
+    _symbol,
     big_cell_check,
     bruhat_cell,
     cstar_flow,
@@ -285,7 +285,8 @@ def test_symbol_blocks_match_pointwise_gram():
     free = [Z, ONE + Z, Z]
     for spec in (build_from_free_functions(3, (2, 1, 0), free), veronese_solution(4)):
         psi = assemble_loop(spec).to_numeric(complex(0.3, 0.1))
-        (f,), (d,) = _symbol_blocks(np.array(psi.coeffs)[None])
+        f = _symbol(np.array(psi.coeffs))
+        d = len(f) - 1
         for m in range(16):
             lam = cmath.exp(2j * cmath.pi * (m + 0.5) / 16)
             value = sum(c * lam**k for k, c in zip(range(psi.lo, psi.hi + 1), psi.coeffs))
@@ -364,6 +365,17 @@ def test_batched_values_match_per_point_values():
             assert np.abs(value - _per_point_reference(loop, z)).max() <= 1e-12
         u_ref, _ = flag_unitarize(loop.at_z(gr(Fraction(3, 10), Fraction(1, 5))))
         assert np.abs(batch[0] - u_ref.to_numeric().evaluate(-1.0)).max() <= 1e-12
+
+
+def test_mixed_degree_stack_matches_one_point_values():
+    # at z = 0 Psi is gamma, so the symbol has degree 0 there and 4 elsewhere;
+    # the stack factors every point at its top degree
+    spec = veronese_solution(3)
+    zs = np.array([0, 0.3 + 0.1j, -0.2j])
+    batch = harmonic_map_at(spec, zs)
+    for z, value in zip(zs, batch):
+        assert np.abs(value - harmonic_map_at(spec, z)).max() <= 1e-13
+    assert np.array_equal(batch[0], np.diag([1.0, -1.0, 1.0]))
 
 
 def test_batched_values_name_the_pole():

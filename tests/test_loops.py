@@ -1,6 +1,7 @@
 """Laurent loop matrices: algebra, involutions, exact inverse, ad width."""
 
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -230,6 +231,21 @@ def test_singular_value_at_plus_minus_one_is_typed_error(kind, lam, error):
     loop = LoopMat.exact(blocks) if kind == "exact" else LoopMat.numeric(blocks)
     with pytest.raises(error, match=f"^loop value at lambda = {lam} is singular$"):
         loop.twist_T() if lam == -1 else loop.based()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("lam, error", [(-1, SingularAtMinusOne), (1, NotInvertibleLoop)])
+def test_non_finite_value_at_plus_minus_one_is_typed_error(bad, lam, error):
+    loop = LoopMat.numeric([np.eye(2), np.full((2, 2), bad)])
+    with pytest.raises(error, match=f"^loop value at lambda = {lam} is singular$"):
+        loop.twist_T() if lam == -1 else loop.based()
+
+
+def test_inf_block_reaches_the_checks_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loop = LoopMat.numeric([np.eye(2), np.full((2, 2), np.inf)])
+    assert np.isinf(loop.coeffs[1]).all()
 
 
 # -- exact inverse and determinant --------------------------------------------

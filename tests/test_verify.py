@@ -9,7 +9,7 @@ import pytest
 
 from unitons import exactmat
 from unitons.errors import NotS1Invariant, PoleAtZ
-from unitons.factorization import flow_limit, unitarize
+from unitons.factorization import bruhat_cell, flow_limit, unitarize
 from unitons.loops import LoopMat
 from unitons.scalars import GaussianRational, Poly, RatFun
 from unitons.verify import (
@@ -139,6 +139,12 @@ def test_uniton_numbers_constant():
     spec = ExtendedSolutionSpec(n=3, exponents=(0, 0, 0), c_slots={})
     rep = uniton_number_report(spec)
     assert rep.ad_width == 0 and rep.height == 0
+
+
+@pytest.mark.parametrize("func", [uniton_number_report, map_sampler, bruhat_cell])
+def test_spec_or_loop_entry_points_reject_other_objects(func):
+    with pytest.raises(TypeError, match="expected a LoopMat or an ExtendedSolutionSpec"):
+        func(np.eye(2))
 
 
 def test_uniton_numbers_su2_example():
