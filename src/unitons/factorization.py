@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# a loop is singular on |lambda| = 1 where sigma_min <= SINGULAR_TOL * max(1, sigma_max)
+SINGULAR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -87,18 +89,56 @@ def _at(z) -> str:
     return "" if z is None else f" at z = {z}"
 
 
-def _circle_min_singular(blocks, zs):
-    """Smallest and largest singular value over 64 samples of |lambda| = 1
-    for each loop of the (Z, K, n, n) coefficient stack; PoleAtZ names the
-    first z whose values there are not finite."""
+def _circle_values(blocks, zs):
+    """Values at 64 samples of |lambda| = 1, a (Z, 64, n, n) stack, for each
+    loop of the (Z, K, n, n) coefficient stack; PoleAtZ names the first z
+    whose values there are not finite."""
     vals = values_at(blocks, 0, np.exp(2j * np.pi * np.arange(64) / 64))
     finite = np.isfinite(vals).all(axis=(1, 2, 3))
     if not finite.all():
         raise PoleAtZ(
             f"loop values on |lambda| = 1 are not finite{_at(zs[np.argmin(finite)])}"
         )
-    sing = np.linalg.svd(vals, compute_uv=False)
+    return vals
+
+
+def _circle_certified(vals):
+    """True for each loop of the (Z, S, n, n) stack of circle values that is
+    certainly regular: |det A| = prod sigma_i <= sigma_min sigma_max^(n-1)
+    and sigma_max <= ||A||_F give sigma_min >= |det A| / ||A||_F^(n-1) at
+    every sample, and the loop passes when the smallest of these bounds
+    exceeds 2 * SINGULAR_TOL * max(1, largest ||A||_F).  The 2 is room for
+    the rounding of the LU determinant.  An overflowing or underflowing
+    bound (NaN or 0) does not pass."""
+    n = vals.shape[-1]
+    with np.errstate(all="ignore"):
+        fro = np.linalg.norm(vals, axis=(-2, -1))
+        lower = np.abs(np.linalg.det(vals)) / fro ** (n - 1)
+        return lower.min(axis=1) > 2 * SINGULAR_TOL * np.maximum(1.0, fro.max(axis=1))
+
+
+def _circle_min_singular(blocks, zs):
+    """Smallest and largest singular value over 64 samples of |lambda| = 1
+    for each loop of the (Z, K, n, n) coefficient stack, from one stacked
+    SVD: the fallback guard for a stack that `_circle_certified` does not
+    pass."""
+    sing = np.linalg.svd(_circle_values(blocks, zs), compute_uv=False)
     return sing[..., -1].min(axis=1), sing[..., 0].max(axis=1)
+
+
+def _check_circle(blocks, zs):
+    """SingularOnCircle naming the first z whose loop has sigma_min <=
+    SINGULAR_TOL * max(1, sigma_max) over 64 samples of |lambda| = 1 (PoleAtZ
+    where its values are not finite).  A stack that `_circle_certified`
+    passes is regular without an SVD; any other stack is decided by the
+    SVD of `_circle_min_singular`, so the verdict is the SVD's."""
+    if _circle_certified(_circle_values(blocks, zs)).all():
+        return
+    for z, smin, smax in zip(zs, *_circle_min_singular(blocks, zs)):
+        if not smin > SINGULAR_TOL * max(1.0, smax):
+            raise SingularOnCircle(
+                f"loop is numerically singular on |lambda| = 1{_at(z)} (sigma_min = {smin:.3e})"
+            )
 
 
 def _symbol(blocks):
@@ -168,16 +208,13 @@ def _spectral_factors(blocks, zs):
     Every guard works per z and names the first z it fails at: a loop
     singular on the circle or a Toeplitz matrix that is not positive
     definite raises SingularOnCircle, a non-finite symbol PoleAtZ.  The
-    residual of G~G against F is checked against the relative bound
-    DEFAULT_TOL (1e-9 times max(1, ||F_0||)): a loop that is not algebraic,
-    or too ill-conditioned for the factorization, raises NoConvergence with
-    its residual and row count.
+    circle guard `_check_circle` is a det/Frobenius certificate with an SVD
+    fallback.  The residual of G~G against F is checked against the
+    relative bound DEFAULT_TOL (1e-9 times max(1, ||F_0||)): a loop that is
+    not algebraic, or too ill-conditioned for the factorization, raises
+    NoConvergence with its residual and row count.
     """
-    for z, smin, smax in zip(zs, *_circle_min_singular(blocks, zs)):
-        if not smin > 1e-10 * max(1.0, smax):
-            raise SingularOnCircle(
-                f"loop is numerically singular on |lambda| = 1{_at(z)} (sigma_min = {smin:.3e})"
-            )
+    _check_circle(blocks, zs)
     fblocks = trim_blocks(_symbol(blocks))
     finite = np.isfinite(fblocks).all(axis=(1, 2, 3))
     if not finite.all():

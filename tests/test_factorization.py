@@ -3,6 +3,7 @@
 import cmath
 import inspect
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,11 @@ from unitons.errors import (
     SingularOnCircle,
 )
 from unitons.factorization import (
+    SINGULAR_TOL,
+    _check_circle,
+    _circle_certified,
     _circle_min_singular,
+    _circle_values,
     _factor_residual,
     _spectral_factors,
     _symbol,
@@ -137,7 +142,7 @@ def test_unitarize_singular_on_circle():
     bad = LoopMat.numeric(
         [np.array([[-1.0, 0.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])]
     )
-    with pytest.raises(SingularOnCircle):
+    with pytest.raises(SingularOnCircle, match=r"on \|lambda\| = 1 \(sigma_min = "):
         unitarize(bad)
 
 
@@ -257,6 +262,99 @@ def test_circle_min_singular_matches_per_sample_svd():
     (smin,), (smax,) = _circle_min_singular(np.array(psi.coeffs)[None], [None])
     assert smin == pytest.approx(min(s[-1] for s in sing), rel=1e-12)
     assert smax == pytest.approx(max(s[0] for s in sing), rel=1e-12)
+
+
+def _column_loops(rng, mats):
+    """(Z, 3, n, n) stack of the loops M diag(lambda^k_j), each column of M
+    at a random power k_j in 0..2: on |lambda| = 1 their singular values are
+    those of M."""
+    n = mats[0].shape[-1]
+    blocks = np.zeros((len(mats), 3, n, n), dtype=complex)
+    for loop, m in zip(blocks, mats):
+        powers = rng.integers(0, 3, n)
+        for k in range(3):
+            loop[k] = m * (powers == k)
+    return blocks
+
+
+def _with_singular_values(rng, s):
+    """U diag(s) V with U and V random unitary matrices."""
+    u, v = (np.linalg.qr(rng.normal(size=(len(s), len(s), 2)) @ [1, 1j])[0] for _ in range(2))
+    return u @ np.diag(s) @ v
+
+
+def _svd_verdict(blocks, zs):
+    """The first z the 64-sample SVD fails and its sigma_min, or None."""
+    smin, smax = _circle_min_singular(blocks, zs)
+    bad = np.flatnonzero(~(smin > SINGULAR_TOL * np.maximum(1.0, smax)))
+    return (zs[bad[0]], smin[bad[0]]) if bad.size else None
+
+
+def _assert_same_verdict(blocks, zs):
+    verdict = _svd_verdict(blocks, zs)
+    if verdict is None:
+        _check_circle(blocks, zs)
+        return
+    with pytest.raises(SingularOnCircle) as info:
+        _check_circle(blocks, zs)
+    z, smin = verdict
+    assert f"at z = {z} (sigma_min = {smin:.3e})" in str(info.value)
+
+
+def test_circle_certificate_never_passes_what_the_svd_fails():
+    # near the bound: sigma_min within [0.3, 3] times SINGULAR_TOL * max(1,
+    # sigma_max), the other singular values equal up to 25 % around a scale
+    # between 0.1 and 100; so near the bound the certificate passes loops
+    # of small n (for n = 1 it is the SVD's test with the margin), and the
+    # SVD decides the rest
+    rng = np.random.default_rng(15)
+    seen = set()
+    for n in range(1, 7):
+        for _ in range(60):
+            mats = []
+            for _ in range(4):
+                s = 10 ** rng.uniform(-1, 2) * 10 ** rng.uniform(-0.1, 0.1, n)
+                s[-1] = rng.uniform(0.3, 3) * SINGULAR_TOL * max(1.0, s[:-1].max(initial=0.0))
+                mats.append(_with_singular_values(rng, s))
+            blocks = _column_loops(rng, mats)
+            zs = [0.5 * i for i in range(4)]
+            certified = _circle_certified(_circle_values(blocks, zs))
+            smin, smax = _circle_min_singular(blocks, zs)
+            bound = SINGULAR_TOL * np.maximum(1.0, smax)
+            # a certified loop clears the SVD bound by the margin of 2
+            assert (smin[certified] > 1.99 * bound[certified]).all()
+            seen.update((n, bool(c), bool(s > b)) for c, s, b in zip(certified, smin, bound))
+            _assert_same_verdict(blocks, zs)
+    for n in range(1, 7):
+        assert {(n, False, True), (n, False, False)} <= seen
+    assert {(1, True, True), (2, True, True)} <= seen
+    # the singular loops of the tests below: det = lambda - 1, and det = z - 1
+    # at z = 1 inside a stack of regular points
+    bad = np.array([[np.diag([-1.0, 1.0]), np.diag([1.0, 0.0])]], dtype=complex)
+    assert not _circle_certified(_circle_values(bad, [0])).any()
+    _assert_same_verdict(bad, [0])
+    loop = LoopMat.exact([[[Z - ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ZERO, ZERO]]])
+    zs = [0.25, 1.0, 0.5]
+    blocks = np.array([loop.to_numeric(z).coeffs for z in zs])
+    assert list(_circle_certified(_circle_values(blocks, zs))) == [True, False, True]
+    _assert_same_verdict(blocks, zs)
+
+
+def test_overflowing_certificate_falls_back_to_the_svd_without_warnings():
+    # n = 6 with entries near 1e100: ||A||_F^5 overflows, so the bound is
+    # NaN or 0 and the SVD decides, regular at z = 0 and singular at z = 1
+    rng = np.random.default_rng(6)
+    s = rng.uniform(1.0, 2.0, 6)
+    regular = _with_singular_values(rng, 1e100 * s)
+    singular = _with_singular_values(rng, 1e100 * np.append(s[:5], 1e-12))
+    blocks = _column_loops(rng, [regular, singular])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = _circle_values(blocks, [0, 1])
+        assert not _circle_certified(vals).any()
+        _check_circle(blocks[:1], [0])
+        _assert_same_verdict(blocks, [0, 1])
+        assert _svd_verdict(blocks, [0, 1])[0] == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -391,7 +489,7 @@ def test_batched_values_name_the_singular_point():
     # det = z - 1: algebraic for z != 1, singular everywhere on the circle at z = 1
     loop = LoopMat.exact([[[Z - ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ZERO, ZERO]]])
     assert np.isfinite(harmonic_map_at(loop, np.array([0.25, 0.5]))).all()
-    with pytest.raises(SingularOnCircle, match=r"at z = 1\.0 "):
+    with pytest.raises(SingularOnCircle, match=r"at z = 1\.0 \(sigma_min = "):
         harmonic_map_at(loop, np.array([0.25, 1.0, 0.5]))
 
 
