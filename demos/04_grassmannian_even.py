@@ -39,7 +39,8 @@ def main():
         print(f"|phi({w})^2 - I| = {np.linalg.norm(phi @ phi - np.eye(4)):.2e}")
 
     print("\nprojector factors of the frame at z = 0.3+0.2j:")
-    for k, q in enumerate(uniton_factorize(spec, 0.3 + 0.2j), start=1):
+    factors, _ = uniton_factorize(spec, 0.3 + 0.2j)
+    for k, q in enumerate(factors, start=1):
         pi = q.coeff(0)  # pi + lambda pi_perp: the constant block is the projector
         rank = int(round(np.trace(pi).real))
         print(f"  Q_{k}: projector rank {rank},"

@@ -26,6 +26,7 @@ from .errors import (
     SingularAtMinusOne,
     SingularOnCircle,
     SizeMismatch,
+    StepBelowResolution,
     UnitonsError,
     UnrecognizedSubsystem,
     ZeroLambda,

@@ -30,7 +30,6 @@ from .factorization import (
     flow_limit,
     harmonic_map_at,
     uniton_factorize,
-    unitarize,
 )
 from .loops import LoopMat
 from .roots import build_root_system, group_max_uniton, symmetric_space_survey
@@ -131,6 +130,9 @@ def _emit(payload, out_path):
 # ---------------------------------------------------------------------------
 # tables
 
+# the survey has 2^rank records; 8 is the rank of E_8, the largest in `tables groups`
+MAX_RANK = 8
+
 
 _GROUP_ROWS = (
     ("SU_n", "A", "n-1", lambda n: n - 1, range(2, 9)),
@@ -158,6 +160,8 @@ def cmd_tables_groups(args):
 
 
 def cmd_tables_symmetric(args):
+    if args.rank > MAX_RANK:
+        raise SchemaError(f"--rank must be at most {MAX_RANK}, got {args.rank}")
     rs = build_root_system(args.type, args.rank)
     rows = []
     for rec in symmetric_space_survey(rs):
@@ -219,16 +223,17 @@ def cmd_verify(args):
         _check_coords(reach, f"grid point {_complex_pair(w)} +- 2h (h = {args.h!r})")
     spec = _load_spec(args.solution)
     reports = [check_extended(spec)]
+    loop = assemble_loop(spec)
 
     lambda_free = all(i == 0 for i, _ in spec.c_slots)
     if lambda_free:
         reports.append(check_superhorizontal(spec))
     if spec.even_only:
-        reports.append(check_T_invariant(assemble_loop(spec).based()))
+        reports.append(check_T_invariant(loop.based()))
 
     numbers = uniton_number_report(spec)
 
-    sampler = map_sampler(spec)
+    sampler = map_sampler(loop)
     residual = harmonicity_residual(sampler, grid, h=args.h)
     harm_ok = residual <= args.tol
 
@@ -279,9 +284,10 @@ def cmd_flow(args):
         raise SchemaError(f"--t must name at least one time, got {args.t!r}")
     if not all(abs(t) <= MAX_TIME for t in times):
         raise SchemaError(f"--t {args.t!r} is outside the input range |t| <= {MAX_TIME:g}")
+    psi = assemble_loop(spec).to_numeric(z)
     steps = []
     for t in times:
-        loop = cstar_flow(spec, t, z)
+        loop = cstar_flow(psi, t, z)
         steps.append({"t": t, "energy": energy(loop), "loop": jsonio.loop_record(loop)})
     limit = flow_limit(spec)
     limit_loop = cstar_flow(limit, 0.0, z)
@@ -301,8 +307,7 @@ def cmd_flow(args):
 def cmd_factor(args):
     spec = _load_spec(args.solution)
     z = _parse_point(args.z)
-    factors = uniton_factorize(spec, z)
-    full = unitarize(assemble_loop(spec), z=z).unitary_part
+    factors, full = uniton_factorize(spec, z)
     prod = LoopMat.identity(spec.n, kind="numeric")
     for q in factors:
         prod = prod @ q

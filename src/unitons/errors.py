@@ -105,6 +105,10 @@ class NoConvergence(UnitonsError):
     """Spectral factorization failed to reach the residual target."""
 
 
+class StepBelowResolution(UnitonsError):
+    """A finite-difference step rounds away in floating point at its point."""
+
+
 class InvalidType(UnitonsError):
     """Unknown simple-group type letter or rank out of range."""
 

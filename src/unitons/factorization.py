@@ -40,6 +40,7 @@ from .weierstrass import (
     ExtendedSolutionSpec,
     WeierstrassData,
     assemble_loop,
+    exp_nilpotent,
     left_log_derivative,
     transform_subset,
 )
@@ -440,11 +441,12 @@ def bruhat_cell(obj) -> BruhatCell:
 
 
 def uniton_factorize(spec: ExtendedSolutionSpec, z):
-    """Affine projector factors of the built solution at a point z.
+    """Affine projector factors at z and the unitary factor of the whole loop.
 
     Walks the chain of exponent subsets J_1 subset J_2 subset ... obtained by
     adding marked positions in decreasing order, unitarizes each partial loop
-    at z, and returns the successive quotients u_{j-1}^* u_j (with u_0 = I).
+    exp(C) gamma_J at z with one exp C, and returns the successive quotients
+    u_{j-1}^* u_j (with u_0 = I) and the last u_j (I for an empty chain).
     Each quotient is affine, pi + lambda*(1 - pi) with pi a Hermitian
     projection, and the factors multiply back to the full unitary part.
     """
@@ -454,18 +456,16 @@ def uniton_factorize(spec: ExtendedSolutionSpec, z):
             f"exponents {spec.exponents} are not canonical (marks {marks})"
         )
     support = [i + 1 for i, m in enumerate(marks) if m == 1]
-    if not support:
-        return []
+    exp_c = exp_nilpotent(spec.c_lambda())
     factors = []
-    prev = None
+    unitary = LoopMat.identity(spec.n, kind="numeric")
     for count in range(1, len(support) + 1):
         subset = sorted(support, reverse=True)[:count]
-        partial = transform_subset(spec, subset)
-        u = unitarize(assemble_loop(partial), z=z).unitary_part
-        q = u if prev is None else prev.circle_adjoint() @ u
-        factors.append(q)
-        prev = u
-    return factors
+        partial = exp_c.times_diag_powers(transform_subset(spec, subset).exponents)
+        u = unitarize(partial, z=z).unitary_part
+        factors.append(unitary.circle_adjoint() @ u if factors else u)
+        unitary = u
+    return factors, unitary
 
 
 def big_cell_check(spec: ExtendedSolutionSpec) -> WeierstrassData:

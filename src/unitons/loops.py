@@ -123,14 +123,7 @@ class LoopMat:
     @classmethod
     def diag_powers(cls, exponents) -> "LoopMat":
         """Exact homomorphism loop diag(lambda^k_1, ..., lambda^k_n)."""
-        ks = list(exponents)
-        n = len(ks)
-        lo = min(ks)
-        hi = max(ks)
-        coeffs = [exactmat.zeros(n) for _ in range(hi - lo + 1)]
-        for i, k in enumerate(ks):
-            coeffs[k - lo][i][i] = RatFun.one()
-        return cls("exact", n, lo, coeffs)
+        return cls.identity(len(exponents)).times_diag_powers(exponents)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -223,6 +216,16 @@ class LoopMat:
         # negating an entry needs no gcd, unlike scaling it by -1
         negated = [[[-x for x in row] for row in m] for m in other.coeffs]
         return self + LoopMat("exact", self.n, other.lo, negated)
+
+    def times_diag_powers(self, exponents) -> "LoopMat":
+        """Exact L diag(lambda^k_1, ..., lambda^k_n): column b moves up k_b powers."""
+        low = min(exponents)
+        coeffs = [exactmat.zeros(self.n) for _ in range(len(self.coeffs) + max(exponents) - low)]
+        for j, m in enumerate(self.coeffs):
+            for b, k in enumerate(exponents):
+                for a in range(self.n):
+                    coeffs[j + k - low][a][b] = m[a][b]
+        return LoopMat("exact", self.n, self.lo + low, coeffs)
 
     def scale(self, c) -> "LoopMat":
         if self.kind == "exact":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactmat
-from .errors import NotS1Invariant
+from .errors import NotS1Invariant, StepBelowResolution
 from .factorization import _as_loop, harmonic_map_at
 from .loops import CompiledLoop, LoopMat
 from .roots import build_root_system, canonical_reduce, height_of, marks_from_exponents
@@ -225,6 +225,20 @@ def _stencil(z0, h: float):
     return [p for w in ring for p in (w, w + h, w - h, w + 1j * h, w - 1j * h)]
 
 
+def _check_resolution(z0, h: float):
+    """StepBelowResolution when a step of either stencil rounds onto its
+    centre: w + s, w - s, w + is or w - is equals w for s = h or h/2 and w
+    the node or a ring point, where the differences would read 0 and any
+    map would pass."""
+    for s in (h, h / 2):
+        for w in (z0, z0 + s, z0 - s, z0 + 1j * s, z0 - 1j * s):
+            if w in (w + s, w - s, w + 1j * s, w - 1j * s):
+                raise StepBelowResolution(
+                    f"a stencil point at step {s!r} rounds onto its centre {w} "
+                    f"at grid node {z0} (h = {h!r})"
+                )
+
+
 def _fd_residual(values, h: float):
     """d_zbar(phi^-1 phi_z) + d_z(phi^-1 phi_zbar) at z0 by central
     differences with step h, from phi at `_stencil(z0, h)`, (20, n, n)."""
@@ -248,10 +262,12 @@ def harmonicity_residual(sampler, grid, h: float = 1e-3) -> float:
     order in h.  The stencils of both steps, typically 21 to 27 distinct
     points (points that round to the same z are sampled once), go to the
     sampler in one call per node: it maps a 1-D array of z to a (Z, n, n)
-    array.  A non-finite node residual makes the result non-finite.
+    array.  A non-finite node residual makes the result non-finite.  A step
+    below the float resolution at a node raises StepBelowResolution.
     """
     node_residuals = []
     for z0 in grid:
+        _check_resolution(z0, h)
         points = _stencil(z0, h) + _stencil(z0, h / 2)
         distinct = {}
         where = [distinct.setdefault(w, len(distinct)) for w in points]

@@ -194,7 +194,7 @@ def build_from_free_functions(n, exponents, free, even_only=False):
 
 def assemble_loop(spec):
     """The polynomial loop exp(C) * diag(lambda^{k_1}, ..., lambda^{k_n})."""
-    return exp_nilpotent(spec.c_lambda()) @ LoopMat.diag_powers(spec.exponents)
+    return exp_nilpotent(spec.c_lambda()).times_diag_powers(spec.exponents)
 
 
 def full_flag_exponents(n):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitons import jsonio
+from unitons import cli, factorization, jsonio, weierstrass
 from unitons.cli import main
 from unitons.loops import LoopMat
 from unitons.weierstrass import veronese_solution
@@ -71,6 +71,20 @@ def test_tables_symmetric_projective_plane(capsys):
 def test_tables_symmetric_bad_rank_is_input_error(capsys):
     code, _, err = run(capsys, "tables", "symmetric", "--type", "G", "--rank", "3")
     assert code == 2 and "error" in err
+
+
+def test_tables_symmetric_rank_is_capped_before_any_work(capsys, monkeypatch):
+    # the survey has 2^rank records, and the Cartan matrix rank^2 entries
+    def refuse(*args):
+        raise AssertionError("root system built past the rank cap")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_root_system", refuse)
+        code, out, err = run(capsys, "tables", "symmetric", "--type", "A", "--rank", "9")
+    assert code == 2 and out == ""
+    assert err == "error: --rank must be at most 8, got 9\n"
+    code, out, _ = run(capsys, "tables", "symmetric", "--type", "E", "--rank", "8")
+    assert code == 0 and json.loads(out)["rank"] == 8
 
 
 # -- build / demo ----------------------------------------------------------------
@@ -212,6 +226,34 @@ def test_factor_veronese4_three_factors(tmp_path, capsys):
         assert rec["lo"] == 0 and len(rec["coeffs"]) == 2
 
 
+def _count_exp_builds(monkeypatch):
+    """Record every exp C built, wherever exp_nilpotent is looked up."""
+    calls = []
+    original = weierstrass.exp_nilpotent
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    for module in (weierstrass, factorization):
+        monkeypatch.setattr(module, "exp_nilpotent", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["factor", "--z=0.3,0.1"], 1),  # one exp C for the whole chain
+        (["flow", "--z=0.3,0.1", "--t=0,0.5,1"], 2),  # the spec's and the limit's
+    ],
+)
+def test_one_exp_c_per_command(tmp_path, monkeypatch, capsys, argv, builds):
+    path = veronese_file(tmp_path, 5)
+    calls = _count_exp_builds(monkeypatch)
+    code, _, _ = run(capsys, argv[0], path, *argv[1:])
+    assert code == 0 and len(calls) == builds
+
+
 # -- cell / big-cell --------------------------------------------------------------------
 
 
@@ -287,6 +329,15 @@ def test_nonfinite_input_is_one_line_input_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, argv[0], veronese_file(tmp_path, 2), *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_step_below_float_resolution_is_input_error(tmp_path, capsys):
+    # at h = 1e-300 every stencil point rounds onto its node, where the
+    # residual of any map would read 0
+    code, out, err = run(capsys, "verify", veronese_file(tmp_path, 3), "--h", "1e-300")
+    assert code == 2 and out == ""
+    assert err.startswith("error: StepBelowResolution: ") and err.count("\n") == 1
+    assert "grid node (0.3+0.2j)" in err and "h = 1e-300" in err
 
 
 def test_overflowing_point_is_typed_error(tmp_path, capsys):

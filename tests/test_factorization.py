@@ -676,7 +676,7 @@ def test_energy_climbs_to_critical_value_along_flow():
 def test_uniton_factorize_single_step():
     spec = veronese_solution(2)
     z = complex(0.5, 0.0)
-    factors = uniton_factorize(spec, z)
+    factors, _ = uniton_factorize(spec, z)
     assert len(factors) == 1
     fac = unitarize(assemble_loop(spec), z=z)
     assert loops_close(factors[0], fac.unitary_part, 1e-9)
@@ -693,7 +693,7 @@ def _assert_affine_projector(q, tol=1e-8):
 
 
 def test_uniton_factorize_veronese3():
-    factors = uniton_factorize(veronese_solution(3), complex(0.5, 0.0))
+    factors, _ = uniton_factorize(veronese_solution(3), complex(0.5, 0.0))
     assert len(factors) == 2
     for q in factors:
         _assert_affine_projector(q)
@@ -702,7 +702,7 @@ def test_uniton_factorize_veronese3():
 def test_uniton_factorize_reassembles():
     spec = veronese_solution(4)
     z = complex(0.3, -0.6)
-    factors = uniton_factorize(spec, z)
+    factors, _ = uniton_factorize(spec, z)
     assert len(factors) == 3
     prod = factors[0]
     for q in factors[1:]:
@@ -721,7 +721,22 @@ def test_uniton_factorize_requires_canonical():
 
 def test_uniton_factorize_constant_spec():
     spec = ExtendedSolutionSpec(n=2, exponents=(0, 0), c_slots={})
-    assert uniton_factorize(spec, 0.5) == []
+    factors, _ = uniton_factorize(spec, 0.5)
+    assert factors == []
+
+
+def test_uniton_factorize_returns_the_full_unitary_factor():
+    # the chain's last partial loop is the full loop, so its unitary factor
+    # is the one a separate split of the assembled loop gives, bit for bit
+    z = complex(0.3, 0.1)
+    for spec in [veronese_solution(n) for n in range(2, 6)] + [_u3_build()]:
+        _, unitary = uniton_factorize(spec, z)
+        full = unitarize(assemble_loop(spec), z=z).unitary_part
+        assert (unitary.lo, unitary.hi) == (full.lo, full.hi)
+        assert all(np.array_equal(a, b) for a, b in zip(unitary.coeffs, full.coeffs))
+    factors, unitary = uniton_factorize(ExtendedSolutionSpec(n=2, exponents=(0, 0)), z)
+    assert factors == [] and unitary.kind == "numeric"
+    assert (unitary.lo, unitary.hi) == (0, 0) and np.array_equal(unitary.coeffs[0], np.eye(2))
 
 
 # -- normalized-form check ----------------------------------------------------

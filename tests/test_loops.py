@@ -119,6 +119,34 @@ def test_numeric_product_matches_exact_product():
             assert np.linalg.norm(x - y) <= 1e-12 * max(1.0, np.linalg.norm(y))
 
 
+def test_column_shift_equals_the_exact_product():
+    rng = random.Random(17)
+    exponents = {
+        2: [(1, -1), (0, 0), (-2, 3)],
+        3: [(2, -1, 2), (3, 1, 0), (-1, -1, -1)],
+        4: [(-2, 0, 1, -2), (3, 3, -1, 0)],
+    }
+    for n, vectors in exponents.items():
+        for ks in vectors:
+            for _ in range(3):
+                loop = _seeded_exact_loop(rng, n)
+                got = loop.times_diag_powers(ks)
+                ref = loop @ LoopMat.diag_powers(ks)
+                assert got == ref and (got.lo, got.hi) == (ref.lo, ref.hi)
+
+
+def test_diag_powers_matches_hand_built_loops():
+    def unit(n, i):
+        return [[1 if a == b == i else 0 for b in range(n)] for a in range(n)]
+
+    loop = LoopMat.diag_powers((3, 1, 0))
+    assert loop == LoopMat.exact([unit(3, 2), unit(3, 1), exactmat.zeros(3), unit(3, 0)])
+    assert (loop.lo, loop.hi) == (0, 3)
+    loop = LoopMat.diag_powers((1, -1))
+    assert loop == LoopMat.exact([unit(2, 1), exactmat.zeros(2), unit(2, 0)], lo=-1)
+    assert (loop.lo, loop.hi) == (-1, 1)
+
+
 def test_values_at_matches_exact_evaluation():
     lams = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
             GaussianRational(Fraction(3, 5), Fraction(4, 5))]

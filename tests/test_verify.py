@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from unitons import exactmat
-from unitons.errors import NotS1Invariant, PoleAtZ
+from unitons.errors import NotS1Invariant, PoleAtZ, StepBelowResolution
 from unitons.factorization import bruhat_cell, flow_limit, unitarize
 from unitons.loops import LoopMat
 from unitons.scalars import GaussianRational, Poly, RatFun
@@ -223,6 +223,15 @@ def test_control_sampler_takes_an_array():
     assert np.array_equal(got, _phase_sampler(1.0)(zs))
     res = harmonicity_residual(non_harmonic_control(), [0.3 + 0.2j])
     assert res == pytest.approx(2.0, rel=1e-9)
+
+
+def test_step_below_float_resolution_raises():
+    # at h = 1e-17 the stencil points round onto 0.3+0.2j, and the residual
+    # read 0.0 for this map, which is not harmonic
+    for h in (1e-17, 1e-300):
+        with pytest.raises(StepBelowResolution, match=rf"grid node \(0\.3\+0\.2j\) \(h = {h!r}\)"):
+            harmonicity_residual(non_harmonic_control(), [0.3 + 0.2j], h)
+    assert harmonicity_residual(non_harmonic_control(), [0.3 + 0.2j], 1e-8) > 1.0
 
 
 def test_harmonicity_rejects_a_scalar_sampler():
