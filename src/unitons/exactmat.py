@@ -1,7 +1,8 @@
-"""Small dense-matrix helpers over an exact field (Q(i) or rational functions).
+"""Small matrix helpers over an exact field (Q(i) or rational functions).
 
-Matrices are plain nested lists; all routines are pure.  These stay separate
-from the numeric (numpy) lanes on purpose: the exact lanes must never round.
+Matrices are plain nested lists; all routines are pure, and products and
+sums skip zero entries.  These stay separate from the numeric (numpy) lanes
+on purpose: the exact lanes must never round.
 """
 
 from __future__ import annotations
@@ -41,29 +42,40 @@ def _check_same_shape(a, b):
 
 
 def mat_add(a, b):
+    """Entrywise a + b; a zero entry passes the other one through."""
     _check_same_shape(a, b)
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [
+        [y if x.is_zero() else x if y.is_zero() else x + y for x, y in zip(ra, rb)]
+        for ra, rb in zip(a, b)
+    ]
 
 
 def mat_sub(a, b):
+    """Entrywise a - b; a zero entry passes the other one through, negated
+    when it is b's (negation needs no gcd)."""
     _check_same_shape(a, b)
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [
+        [x if y.is_zero() else -y if x.is_zero() else x - y for x, y in zip(ra, rb)]
+        for ra, rb in zip(a, b)
+    ]
 
 
 def mat_mul(a, b):
+    """Row-by-row sparse product (Gustavson, ACM TOMS 4, 1978): each nonzero
+    a_ik meets only the nonzero entries of row k of b, so no product or sum
+    has a zero operand, and an entry no product reaches is the canonical
+    zero."""
     if len(a[0]) != len(b):
         raise SizeMismatch("inner dimensions differ")
-    bt = list(zip(*b))
-    out = []
-    for ra in a:
-        row = []
-        for cb in bt:
-            acc = None
-            for x, y in zip(ra, cb):
+    b_rows = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b]
+    out = zeros(len(a), len(b[0]))
+    for ra, row in zip(a, out):
+        for x, b_row in zip(ra, b_rows):
+            if x.is_zero():
+                continue
+            for j, y in b_row:
                 term = x * y
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
+                row[j] = term if row[j].is_zero() else row[j] + term
     return out
 
 

@@ -298,8 +298,8 @@ def harmonic_map_at(obj, z) -> np.ndarray:
     algebraic loops, so a point of lower degree (z = 0 of a Veronese loop)
     factors exactly too, and the value is a smooth function of z.  The
     guards work per z: a pole raises PoleAtZ, a loop singular on the circle
-    SingularOnCircle, and a factor residual above the 1e-9 bound
-    NoConvergence, each naming the first z that fails.
+    SingularOnCircle, and a factor residual or a value ||phi phi* - I||_F
+    above the 1e-9 bound NoConvergence, each naming the first z that fails.
     """
     one_point = np.ndim(z) == 0
     zs = [z] if one_point else z
@@ -310,6 +310,13 @@ def harmonic_map_at(obj, z) -> np.ndarray:
     # Phi(-1) and Phi(1) for each z, Phi = Psi G^-1
     phi = values_at(blocks, loop.lo, [-1, 1]) @ np.linalg.inv(values_at(g, 0, [-1, 1]))
     values = phi[:, 0] @ np.linalg.inv(phi[:, 1])
+    resid = np.linalg.norm(values @ values.conj().transpose(0, 2, 1) - np.eye(loop.n), axis=(1, 2))
+    bad = np.flatnonzero(~(resid <= DEFAULT_TOL))
+    if bad.size:
+        raise NoConvergence(
+            f"map value is {resid[bad[0]]:.3e} from unitary (bound {DEFAULT_TOL:.0e})"
+            f"{_at(zs[bad[0]])}; the loop is too ill-conditioned there"
+        )
     return values[0] if one_point else values
 
 

@@ -172,50 +172,27 @@ class LoopMat:
     def __matmul__(self, other: "LoopMat") -> "LoopMat":
         self._check_compatible(other)
         lo = self.lo + other.lo
-        length = len(self.coeffs) + len(other.coeffs) - 1
-        if self.kind == "exact":
-            # None marks a block no product has reached; the first product is
-            # assigned, so nothing is ever added into a zero block
-            out = [None] * length
-            right = [
-                (j, b) for j, b in enumerate(other.coeffs) if not exactmat.mat_is_zero(b)
-            ]
-            for i, a in enumerate(self.coeffs):
-                if exactmat.mat_is_zero(a):
-                    continue
-                for j, b in right:
-                    prod = exactmat.mat_mul(a, b)
-                    acc = out[i + j]
-                    out[i + j] = prod if acc is None else exactmat.mat_add(acc, prod)
-            out = [exactmat.zeros(self.n) if m is None else m for m in out]
-            return LoopMat("exact", self.n, lo, out)
-        return LoopMat("numeric", self.n, lo, list(convolve(self.coeffs, other.coeffs)))
+        if self.kind == "numeric":
+            return LoopMat("numeric", self.n, lo, list(convolve(self.coeffs, other.coeffs)))
+        out = [exactmat.zeros(self.n) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] = exactmat.mat_add(out[i + j], exactmat.mat_mul(a, b))
+        return LoopMat("exact", self.n, lo, out)
 
     def __add__(self, other: "LoopMat") -> "LoopMat":
-        self._check_compatible(other)
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        if self.kind == "numeric":
-            coeffs = [self.coeff(k) + other.coeff(k) for k in range(lo, hi + 1)]
-            return LoopMat("numeric", self.n, lo, coeffs)
-        coeffs = []
-        for k in range(lo, hi + 1):
-            a, b = self.coeff(k), other.coeff(k)
-            if exactmat.mat_is_zero(b):
-                coeffs.append(a)
-            elif exactmat.mat_is_zero(a):
-                coeffs.append(b)
-            else:
-                coeffs.append(exactmat.mat_add(a, b))
-        return LoopMat("exact", self.n, lo, coeffs)
+        return self._blockwise(other, np.add, exactmat.mat_add)
 
     def __sub__(self, other: "LoopMat") -> "LoopMat":
+        return self._blockwise(other, np.subtract, exactmat.mat_sub)
+
+    def _blockwise(self, other: "LoopMat", numeric_op, exact_op) -> "LoopMat":
+        """Apply numeric_op or exact_op, by kind, to each pair of coefficients."""
         self._check_compatible(other)
-        if self.kind == "numeric":
-            return self + other.scale(-1)
-        # negating an entry needs no gcd, unlike scaling it by -1
-        negated = [[[-x for x in row] for row in m] for m in other.coeffs]
-        return self + LoopMat("exact", self.n, other.lo, negated)
+        op = exact_op if self.kind == "exact" else numeric_op
+        lo = min(self.lo, other.lo)
+        coeffs = [op(self.coeff(k), other.coeff(k)) for k in range(lo, max(self.hi, other.hi) + 1)]
+        return LoopMat(self.kind, self.n, lo, coeffs)
 
     def times_diag_powers(self, exponents) -> "LoopMat":
         """Exact L diag(lambda^k_1, ..., lambda^k_n): column b moves up k_b powers."""

@@ -211,9 +211,10 @@ def canonical_reduce(rs, marks):
 # -- U_n bridge ---------------------------------------------------------------
 
 def marks_from_exponents(exponents):
-    """A_(n-1) marks from a non-increasing U_n exponent vector ending in 0."""
+    """A_(n-1) marks from a non-increasing U_n exponent vector ending in 0;
+    the lone exponent (0,) of U_1 has none."""
     k = tuple(int(x) for x in exponents)
-    if len(k) < 2 or k[-1] != 0 or any(k[i] < k[i + 1] for i in range(len(k) - 1)):
+    if not k or k[-1] != 0 or any(k[i] < k[i + 1] for i in range(len(k) - 1)):
         raise InvalidType("exponents must be non-increasing and end in 0")
     return tuple(k[i] - k[i + 1] for i in range(len(k) - 1))
 

@@ -226,6 +226,23 @@ def test_factor_veronese4_three_factors(tmp_path, capsys):
         assert rec["lo"] == 0 and len(rec["coeffs"]) == 2
 
 
+def test_map_far_from_unitary_is_one_line_error(tmp_path):
+    code, out, err = _call(["map", veronese_file(tmp_path, 5), "--z=30,0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: NoConvergence: map value is ") and err.count("\n") == 1, err
+
+
+def test_u1_spec_builds_and_factors_into_no_factors(tmp_path):
+    spec_path = tmp_path / "s1.json"
+    code, _, err = _call(["build", "--n", "1", "--exponents", "0", "--out", str(spec_path)])
+    assert code == 0, err
+    assert json.loads(spec_path.read_text())["exponents"] == [0]
+    code, out, err = _call(["factor", str(spec_path), "--z=0.1,0"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["count"] == 0 and payload["factors"] == []
+
+
 def _count_exp_builds(monkeypatch):
     """Record every exp C built, wherever exp_nilpotent is looked up."""
     calls = []

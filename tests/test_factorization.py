@@ -430,6 +430,19 @@ def test_harmonic_map_pole_is_reported():
         harmonic_map_at(spec, 0.0)
 
 
+def test_harmonic_map_far_from_unitary_is_refused():
+    # at z = 30 the columns of exp C have nearly lined up and the value is
+    # 1.4e-6 from unitary (Frobenius); at z = 0.3 it is unitary to rounding
+    spec = veronese_solution(5)
+    phi = harmonic_map_at(spec, 0.3)
+    assert np.linalg.norm(phi @ phi.conj().T - np.eye(5)) <= 1e-14
+    message = r"map value is \S+e-0[67] from unitary \(bound 1e-09\) at z = 30;"
+    with pytest.raises(NoConvergence, match=message):
+        harmonic_map_at(spec, 30)
+    with pytest.raises(NoConvergence, match=r"at z = 30\.0; "):
+        harmonic_map_at(spec, np.array([0.3, 30, 0.5]))
+
+
 # -- batched harmonic-map values ------------------------------------------------
 
 def _harmonic_specs():

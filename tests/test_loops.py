@@ -119,6 +119,34 @@ def test_numeric_product_matches_exact_product():
             assert np.linalg.norm(x - y) <= 1e-12 * max(1.0, np.linalg.norm(y))
 
 
+def test_numeric_difference_is_the_sum_with_the_negated_loop():
+    rng = np.random.default_rng(13)
+    for trial in range(12):
+        n = 1 + trial % 4
+        a, b = (
+            LoopMat.numeric(
+                rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)),
+                lo=int(rng.integers(-2, 2)),
+            )
+            for k in rng.integers(1, 4, size=2)
+        )
+        got, ref = a - b, a + b.scale(-1)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi)
+        assert all(np.array_equal(x, y) for x, y in zip(got.coeffs, ref.coeffs))
+        assert (a - a).is_zero()
+
+
+def test_exact_difference_inverts_the_sum():
+    rng = random.Random(19)
+    for trial in range(12):
+        n = 2 + trial % 3
+        a, b = _seeded_exact_loop(rng, n), _seeded_exact_loop(rng, n)
+        for x, y in ((a, b), (b, a), (a, LoopMat.exact([exactmat.zeros(n)]))):
+            back = (x - y) + y
+            assert back == x and (back.lo, back.hi) == (x.lo, x.hi)
+            assert (x - y) + (y - x) == LoopMat.exact([exactmat.zeros(n)])
+
+
 def test_column_shift_equals_the_exact_product():
     rng = random.Random(17)
     exponents = {

@@ -147,11 +147,15 @@ def test_reductions_idempotent_and_parity(marks):
 def test_exponent_bridge():
     assert marks_from_exponents((3, 2, 1, 0)) == (1, 1, 1)
     assert marks_from_exponents((2, 2, 0)) == (0, 2)
+    assert marks_from_exponents((0,)) == ()  # U_1 has no flag steps
+    assert exponents_from_marks(()) == (0,)
     assert exponents_from_marks((1, 1, 1)) == (3, 2, 1, 0)
     with pytest.raises(InvalidType):
         marks_from_exponents((1, 2, 0))
     with pytest.raises(InvalidType):
         marks_from_exponents((2, 1))
+    with pytest.raises(InvalidType):
+        marks_from_exponents(())
 
 
 # -- survey -------------------------------------------------------------------
