@@ -80,7 +80,8 @@ def mat_mul(a, b):
 
 
 def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
+    """Entrywise c * a; a zero entry passes through."""
+    return [[x if x.is_zero() else x * c for x in row] for row in a]
 
 
 def mat_is_zero(a) -> bool:

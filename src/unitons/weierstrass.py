@@ -8,10 +8,12 @@ exponent vector with k_n = 0 and
 
 each C_i strictly graded-positive for the grading k_a - k_b of matrix
 positions.  The grade-(i+1) block of C_i is free holomorphic input; all
-higher blocks are forced, slot by slot, by the requirement that the
+higher blocks are forced, grade by grade, by the requirement that the
 lambda^i coefficient of (exp C)^{-1} (exp C)_z has no component in
-grades i+2, ..., r.  Each forced entry is a single rational
-integration, so the construction stays inside exact arithmetic.
+grades i+2, ..., r.  Grades and lambda powers add under products, so the
+grade-j part of that series involves only lower grades, and one series
+fixes every forced slot of grade j.  Each forced entry is a single
+rational integration, so the construction stays inside exact arithmetic.
 
 C, exp C and (exp C)^{-1} (exp C)_z are matrix polynomials in lambda and
 are all held as exact `LoopMat`s; the finite series for exp and for the
@@ -131,6 +133,18 @@ class ExtendedSolutionSpec:
         return self.c_slots.get((i, j)) or exactmat.zeros(self.n)
 
 
+def _forced_entry(rhs, i, j, a, b):
+    """The antiderivative of -rhs, naming slot c^j_i entry (a, b) in a
+    logarithmic obstruction."""
+    try:
+        return integrate_rational(-rhs)
+    except NonRationalAntiderivative as exc:
+        raise NonRationalAntiderivative(
+            exc.log_numerator, exc.log_denominator, exc.poles, exc.residues,
+            context=f"slot c^{j}_{i} entry ({a + 1},{b + 1})",
+        ) from exc
+
+
 def build_from_free_functions(n, exponents, free, even_only=False):
     """Solve the triangular integration conditions for the given free data.
 
@@ -139,55 +153,35 @@ def build_from_free_functions(n, exponents, free, even_only=False):
     Forced slots c^j_i (j >= i+2) are obtained by integrating the
     appropriate component of the left logarithmic derivative; integration
     constants are set to zero.
+
+    Slots are solved in grade order: the grade-j, power-i component of the
+    log-derivative series involves only slots of grade < j and power <= i,
+    so one series per grade fixes all of that grade's forced slots.  When
+    several slots have a logarithmic obstruction, the error names the one
+    of lowest grade, then lowest power.
     """
     exponents = _check_exponents(n, exponents)
-    r = exponents[0]
-    layout = free_slot_layout(exponents, even_only)
-    want = sum(len(pos) for _, pos in layout)
+    want = sum(len(pos) for _, pos in free_slot_layout(exponents, even_only))
     if len(free) != want:
         raise InvalidType(
             f"exponents {exponents} require {want} free functions, got {len(free)}"
         )
-    values = [RatFun(v) for v in free]
-    slots = {}
-    at = 0
-    for i, pos in layout:
-        m = exactmat.zeros(n)
-        for a, b in pos:
-            m[a][b] = values[at]
-            at += 1
-        if not exactmat.mat_is_zero(m):
-            slots[(i, i + 1)] = m
-
-    spec = ExtendedSolutionSpec(
-        n=n, exponents=exponents, c_slots=slots, even_only=even_only
-    )
-    for i in range(0, max(r - 1, 0)):
-        if even_only and i % 2 == 1:
-            continue
-        for j in range(i + 2, r + 1):
-            pos = graded_positions(exponents, j)
-            if not pos:
+    values = iter([RatFun(v) for v in free])
+    spec = ExtendedSolutionSpec(n=n, exponents=exponents, even_only=even_only)
+    for j in range(1, exponents[0] + 1):
+        pos = graded_positions(exponents, j)
+        rhs = left_log_derivative(spec.c_lambda()) if pos and j > 1 else None
+        for i in range(j if pos else 0):
+            if even_only and i % 2:
                 continue
-            rhs = left_log_derivative(spec.c_lambda()).coeff(i)
+            forced = rhs.coeff(i) if i < j - 1 else None
             m = exactmat.zeros(n)
-            nonzero = False
             for a, b in pos:
-                entry = rhs[a][b]
-                if entry.is_zero():
-                    continue
-                try:
-                    m[a][b] = integrate_rational(-entry)
-                except NonRationalAntiderivative as exc:
-                    raise NonRationalAntiderivative(
-                        exc.log_numerator,
-                        exc.log_denominator,
-                        exc.poles,
-                        exc.residues,
-                        context=f"slot c^{j}_{i} entry ({a + 1},{b + 1})",
-                    ) from exc
-                nonzero = True
-            if nonzero:
+                m[a][b] = (
+                    next(values) if forced is None
+                    else _forced_entry(forced[a][b], i, j, a, b)
+                )
+            if not exactmat.mat_is_zero(m):
                 spec.c_slots[(i, j)] = m
     return spec
 

@@ -3,7 +3,9 @@
 `ratfun_reference` is canonical form the long way: one gcd of the whole
 numerator and denominator; `ratfun_complex_value` evaluates one rational
 function at one point with Python complex numbers.  The frame and root-system formulas are closed
-forms that the builders and tables must agree with.  The flag unitarizer splits an invertible exact loop into its based
+forms that the builders and tables must agree with; `slot_by_slot_build`
+is the builder the long way, one whole log-derivative series per forced
+slot.  The flag unitarizer splits an invertible exact loop into its based
 unitary factor and a disc-holomorphic factor by peeling one affine projector
 per step: the image of the lowest lambda coefficient determines the next
 projector, and the peel lowers the determinant winding, so the process stops.
@@ -18,7 +20,13 @@ from unitons import exactmat
 from unitons.errors import DegenerateFrame, ExactKindUnsupported, InvalidType
 from unitons.loops import LoopMat
 from unitons.roots import height_of, level
-from unitons.scalars import GaussianRational, Poly, RatFun
+from unitons.scalars import GaussianRational, Poly, RatFun, integrate_rational
+from unitons.weierstrass import (
+    ExtendedSolutionSpec,
+    free_slot_layout,
+    graded_positions,
+    left_log_derivative,
+)
 
 
 def ratfun_reference(num, den):
@@ -89,6 +97,44 @@ def veronese_frame(n):
         ]
         comps.append(RatFun(Poly(coeffs)))
     return comps
+
+
+def slot_by_slot_build(n, exponents, free, even_only=False):
+    """Reference builder: one whole log-derivative series per forced slot.
+
+    Free slots are filled first; each forced slot c^j_i (j >= i+2) is then
+    solved in (power, grade) order from -(component (i, j)) of
+    (exp C)^{-1} (exp C)_z recomputed for the C solved so far.  Integration
+    constants are zero; errors carry no slot context.
+    """
+    exponents = tuple(exponents)
+    r = exponents[0]
+    values = iter([RatFun(v) for v in free])
+    slots = {}
+    for i, pos in free_slot_layout(exponents, even_only):
+        m = exactmat.zeros(n)
+        for a, b in pos:
+            m[a][b] = next(values)
+        if not exactmat.mat_is_zero(m):
+            slots[(i, i + 1)] = m
+    spec = ExtendedSolutionSpec(
+        n=n, exponents=exponents, c_slots=slots, even_only=even_only
+    )
+    for i in range(0, max(r - 1, 0)):
+        if even_only and i % 2 == 1:
+            continue
+        for j in range(i + 2, r + 1):
+            pos = graded_positions(exponents, j)
+            if not pos:
+                continue
+            rhs = left_log_derivative(spec.c_lambda()).coeff(i)
+            m = exactmat.zeros(n)
+            for a, b in pos:
+                if not rhs[a][b].is_zero():
+                    m[a][b] = integrate_rational(-rhs[a][b])
+            if not exactmat.mat_is_zero(m):
+                spec.c_slots[(i, j)] = m
+    return spec
 
 
 # -- index formulas over a root system (marks are non-negative integers) ------------

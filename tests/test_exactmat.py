@@ -116,6 +116,23 @@ def test_strictly_triangular_square_forms_only_nonzero_products(monkeypatch):
     _assert_same(got, ref)
 
 
+def test_mat_scale_multiplies_only_nonzero_entries(monkeypatch):
+    rng = random.Random(7)
+    c = _ratfun(rng)
+    mats = [
+        _matrix(rng, 3, 4, keep)
+        for keep in (lambda i, j: False, lambda i, j: j > i, lambda i, j: True)
+    ]
+    refs = [[[x * c for x in row] for row in a] for a in mats]
+    counts = _count_ratfun_ops(monkeypatch)
+    for a, ref in zip(mats, refs):
+        k = sum(not x.is_zero() for row in a for x in row)
+        before = counts["mul"]
+        got = exactmat.mat_scale(a, c)
+        assert counts["mul"] - before == k
+        _assert_same(got, ref)
+
+
 def test_shape_mismatch_is_rejected():
     with pytest.raises(SizeMismatch):
         exactmat.mat_mul(exactmat.zeros(2, 3), exactmat.zeros(2, 3))

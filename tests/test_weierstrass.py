@@ -1,8 +1,10 @@
 """Extended-solution builder: triangular solve, closed forms, transforms."""
 
+import random
+
 import pytest
 
-from unitons import exactmat
+from unitons import exactmat, weierstrass
 from unitons.errors import (
     DegenerateFrame,
     EmptySubset,
@@ -12,7 +14,7 @@ from unitons.errors import (
     OddSlotData,
 )
 from unitons.loops import LoopMat
-from oracles import closed_form_full_flag_C0, veronese_frame
+from oracles import closed_form_full_flag_C0, slot_by_slot_build, veronese_frame
 from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
@@ -207,7 +209,62 @@ def test_nonrational_antiderivative_surfaces_slot():
     a1 = ONE / Z
     with pytest.raises(NonRationalAntiderivative) as info:
         u4_build(a1, ZERO, ZERO, ZERO, Z, ZERO)
-    assert "slot" in str(info.value)
+    assert "slot c^3_1 entry (1,4)" in str(info.value)
+
+
+def _seeded_free(rng, count):
+    """Polynomials of degree <= 2 with small Gaussian-rational coefficients."""
+    def gauss():
+        return GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+
+    return [RatFun(Poly([gauss() for _ in range(rng.randint(1, 3))])) for _ in range(count)]
+
+
+def test_grade_sweep_matches_slot_by_slot_reference():
+    pole = ONE / ((ONE + Z) * (ONE + Z))
+    cases = [
+        ((3, 2, 1, 0), False),
+        ((4, 3, 2, 1, 0), False),
+        ((3, 2, 2, 1, 0), False),
+        ((4, 2, 1, 0), False),
+        ((2, 1, 1, 0), False),
+        ((3, 2, 1, 0), True),
+        ((4, 3, 2, 1, 0), True),
+    ]
+    rng = random.Random(18)
+    for exponents, even in cases:
+        count = sum(len(pos) for _, pos in free_slot_layout(exponents, even))
+        for with_pole in (False, True):
+            free = _seeded_free(rng, count)
+            if with_pole:
+                free[rng.randrange(count)] = pole
+            n = len(exponents)
+            try:
+                expected = slot_by_slot_build(n, exponents, free, even_only=even)
+            except NonRationalAntiderivative:
+                # a logarithmic obstruction: the builder must find one too
+                with pytest.raises(NonRationalAntiderivative):
+                    build_from_free_functions(n, exponents, free, even_only=even)
+                continue
+            assert build_from_free_functions(n, exponents, free, even_only=even) == expected
+    for n in range(2, 11):
+        exponents = full_flag_exponents(n)
+        free = [Z if i == 0 else ZERO for i, pos in free_slot_layout(exponents) for _ in pos]
+        assert veronese_solution(n) == slot_by_slot_build(n, exponents, free)
+
+
+def test_veronese_takes_one_log_derivative_per_forced_grade(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return left_log_derivative(c)
+
+    monkeypatch.setattr(weierstrass, "left_log_derivative", counted)
+    for n in range(3, 9):
+        calls.clear()
+        veronese_solution(n)
+        assert len(calls) == n - 2  # grades 2 .. n-1
 
 
 # -- veronese ------------------------------------------------------------------
