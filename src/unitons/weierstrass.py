@@ -170,8 +170,10 @@ def build_from_free_functions(n, exponents, free, even_only=False):
     spec = ExtendedSolutionSpec(n=n, exponents=exponents, even_only=even_only)
     for j in range(1, exponents[0] + 1):
         pos = graded_positions(exponents, j)
-        rhs = left_log_derivative(spec.c_lambda()) if pos and j > 1 else None
-        for i in range(j if pos else 0):
+        if not pos:
+            continue
+        rhs = left_log_derivative(spec.c_lambda()) if j > 1 else None
+        for i in range(j):
             if even_only and i % 2:
                 continue
             forced = rhs.coeff(i) if i < j - 1 else None
