@@ -27,14 +27,13 @@ from . import exactmat
 from .errors import (
     ExactKindUnsupported,
     NoConvergence,
-    NonMonomialDeterminant,
     NotCanonical,
     NotInBigCellForm,
     NotInvertibleLoop,
     PoleAtZ,
     SingularOnCircle,
 )
-from .loops import CompiledLoop, LoopMat, convolve, trim_blocks, values_at
+from .loops import CompiledLoop, LoopMat, convolve, monomial_power, trim_blocks, values_at
 from .roots import marks_from_exponents
 from .weierstrass import (
     ExtendedSolutionSpec,
@@ -437,11 +436,7 @@ def bruhat_cell(obj) -> BruhatCell:
     det = diag[0]
     for p in diag[1:]:
         det = det * p
-    support = [k for k in range(det.degree + 1) if not det[k].is_zero()]
-    if len(support) != 1:
-        raise NonMonomialDeterminant(
-            f"determinant has lambda powers {support}; expected a monomial"
-        )
+    monomial_power(det, obj.n * obj.lo)
     # every factor of a monomial is a monomial, so its degree is its power
     exps = sorted((p.degree + obj.lo for p in diag), reverse=True)
     return BruhatCell(tuple(exps))

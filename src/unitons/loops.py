@@ -351,13 +351,7 @@ class LoopMat:
         det = _poly_det(self._entry_polys())
         if det.is_zero():
             raise NotInvertibleLoop("loop determinant is identically zero")
-        support = [k for k in range(det.degree + 1) if not det[k].is_zero()]
-        if len(support) != 1:
-            raise NonMonomialDeterminant(
-                f"determinant has lambda powers {support}; expected a monomial"
-            )
-        m = support[0]
-        return m + self.n * self.lo, det[m]
+        return monomial_power(det, self.n * self.lo), det.lead()
 
     def inverse(self) -> "LoopMat":
         """Exact Laurent inverse via the adjugate over the determinant."""
@@ -541,6 +535,18 @@ class CompiledLoop:
                 raise PoleAtZ(f"pole at z = {z}")
             raise PoleAtZ(f"loop coefficients at z = {z} exceed {MAX_COEFF:g} or are not finite")
         return out
+
+
+def monomial_power(det: Poly, shift: int) -> int:
+    """The power of the monomial det * lambda^shift, for det the nonzero
+    determinant of lambda^(-lo) L and shift = n * lo; NonMonomialDeterminant
+    names the true powers when there are several."""
+    support = [k + shift for k in range(det.degree + 1) if not det[k].is_zero()]
+    if len(support) != 1:
+        raise NonMonomialDeterminant(
+            f"determinant has lambda powers {support}; expected a monomial"
+        )
+    return support[0]
 
 
 def _poly_det(entries) -> Poly:

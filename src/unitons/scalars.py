@@ -8,8 +8,8 @@ package, for polynomials in lambda over the rational-function field.  RatFun
 is the fraction field of Poly over Q(i) kept in canonical form: denominator
 monic and coprime to the numerator.
 
-Integration of rational functions uses squarefree decomposition plus
-Hermite-Ostrogradsky reduction, so no polynomial factorization is needed.
+Integration of rational functions uses the Horowitz-Ostrogradsky split: one
+gcd and one square linear system, so no polynomial factorization is needed.
 When the antiderivative has a logarithmic part the failure carries an exact
 certificate (remainder over squarefree denominator) and, as a numeric aid,
 approximate poles and residues.
@@ -566,109 +566,52 @@ def differentiate(f: RatFun) -> RatFun:
     return _as_ratfun(f).derivative()
 
 
-def _squarefree_decomposition(p: Poly):
-    """Yun's algorithm: return [Q_1, Q_2, ...] with p = lead * prod Q_i^i,
-    the Q_i squarefree, monic and pairwise coprime (possibly constant 1)."""
-    p = p.monic()
-    if p.degree <= 0:
-        return []
-    dp = p.derivative()
-    g = p.gcd(dp)
-    if g.degree == 0:
-        return [p]
-    out = []
-    c = p // g
-    d = dp // g - c.derivative()
-    while True:
-        q = c.gcd(d)
-        out.append(q.monic())
-        c2 = c // q
-        d = d // q - c2.derivative()
-        c = c2
-        if c.degree <= 0:
-            break
-    return out
-
-
-def _extended_euclid(a: Poly, b: Poly):
-    """Return (s, t, g) with s*a + t*b = g = gcd(a, b), g monic."""
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(field), Poly.zero(field)
-    t0, t1 = Poly.zero(field), Poly.one(field)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return s0, t0, r0
-    lead = r0.lead()
-    inv = field.one() / lead
-    return s0 * inv, t0 * inv, r0.monic()
-
-
-def _diophantine(a: Poly, b: Poly, c: Poly):
-    """Solve s*a + t*b = c for coprime a, b with deg s < deg b."""
-    s, t, g = _extended_euclid(a, b)
-    if g.degree != 0:
-        raise ArithmeticError("diophantine solve requires coprime inputs")
-    s = s * c
-    t = t * c
-    if not b.is_const():
-        q, s = s.divmod(b)
-        t = t + q * a
-    return s, t
+def _solve(rows, rhs):
+    """Gauss-Jordan solve of a nonsingular square system over Q(i)."""
+    n = len(rhs)
+    a = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if not a[r][col].is_zero())
+        a[col], a[piv] = a[piv], a[col]
+        inv = GaussianRational.one() / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and not f.is_zero():
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n] for row in a]
 
 
 def hermite_reduce(num: Poly, den: Poly):
-    """Hermite-Ostrogradsky reduction of the proper fraction num/den.
+    """Horowitz-Ostrogradsky split of the proper fraction num/den.
 
-    Returns (g, r, d_star) with num/den = g' + r/d_star, g a RatFun,
-    d_star the squarefree part of den and deg r < deg d_star.  The fraction
-    is integrable in rational terms iff r = 0.
+    Returns (g, r, d_star) with num/den = g' + r/d_star, g a proper RatFun
+    (zero at infinity), r/d_star in lowest terms with d_star monic, squarefree
+    and dividing den, and deg r < deg d_star.  The split is unique, and the
+    fraction is integrable in rational terms iff r = 0.  With d- = gcd(den,
+    den') and d* = den/d-, the ansatz num/den = (b/d-)' + c/d* clears to
+    num = b' d* - b h + c d-, h = d* d-'/d-: one deg(den)-square linear
+    system in the coefficients of b and c.  Raises ValueError when den = 0
+    or deg num >= deg den.
     """
-    if num.is_zero():
-        return RatFun.zero(), Poly.zero(), Poly.one()
-    lead = den.lead()
+    if den.is_zero() or num.degree >= den.degree:
+        raise ValueError(
+            f"hermite_reduce needs a proper fraction: deg num = {num.degree}, "
+            f"deg den = {den.degree}"
+        )
+    num = num * (GaussianRational.one() / den.lead())
     den = den.monic()
-    num = num * (GaussianRational.one() / lead)
-    squarefree = _squarefree_decomposition(den)
-    # split num/den into partial fractions num_i / Q_i^i
-    pieces = []
-    rest_num, rest_den = num, den
-    for i, q in enumerate(squarefree, start=1):
-        if q.degree == 0:
-            continue
-        qi = q
-        for _ in range(i - 1):
-            qi = qi * q
-        other = rest_den // qi
-        if other.degree == 0:
-            pieces.append((rest_num, q, i))
-            rest_num, rest_den = Poly.zero(), Poly.one()
-            continue
-        # rest_num / (qi * other) = a/qi + b/other with deg a < deg qi
-        a, b = _diophantine(other, qi, rest_num)
-        pieces.append((a, q, i))
-        rest_num, rest_den = b, other
-    g = RatFun.zero()
-    for a, q, i in pieces:
-        # reduce a / q^i to a derivative part plus an order-one part
-        while i > 1:
-            # a/q^i = (-t/((i-1) q^(i-1)))' + (s + t'/(i-1)) / q^(i-1)
-            s, t = _diophantine(q, q.derivative(), a)
-            k = GaussianRational(Fraction(1, i - 1))
-            qpow = Poly.one()
-            for _ in range(i - 1):
-                qpow = qpow * q
-            g = g + RatFun(-(t * k), qpow)
-            a = s + t.derivative() * k
-            i -= 1
-    # what is left over after removing g' is the logarithmic part; computing
-    # it by exact subtraction keeps the certificate self-verifying
-    residual = RatFun(num, den) - g.derivative()
-    return g, residual.num, residual.den
+    d_minus = den.gcd(den.derivative())
+    d_star = den // d_minus
+    h = d_star * d_minus.derivative() // d_minus
+    m, n = d_minus.degree, den.degree
+    powers = [Poly([0] * k + [1]) for k in range(n)]
+    cols = [p.derivative() * d_star - p * h for p in powers[:m]]
+    cols += [p * d_minus for p in powers[: n - m]]
+    rows = [[col[i] for col in cols] for i in range(n)]
+    x = _solve(rows, [num[i] for i in range(n)])
+    residual = RatFun(Poly(x[m:]), d_star)
+    return RatFun(Poly(x[:m]), d_minus), residual.num, residual.den
 
 
 def integrate_rational(f: RatFun) -> RatFun:

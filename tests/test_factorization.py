@@ -584,6 +584,13 @@ def test_cell_dressed_nonmonomial_determinant_names_its_powers():
         bruhat_cell(dressed)
 
 
+def test_cell_nonmonomial_determinant_names_true_powers_below_zero():
+    # lambda^-1 diag(1 + lambda, 1): det = lambda^-2 + lambda^-1
+    loop = LoopMat.exact([[[ONE, ZERO], [ZERO, ONE]], [[ONE, ZERO], [ZERO, ZERO]]], lo=-1)
+    with pytest.raises(NonMonomialDeterminant, match=r"lambda powers \[-2, -1\];"):
+        bruhat_cell(loop)
+
+
 def test_ad_width_matches_conjugation_oracle():
     rng = random.Random(19)
     loops = [

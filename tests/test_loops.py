@@ -328,6 +328,10 @@ def test_non_monomial_determinant_rejected():
     loop = LoopMat.exact([[[1, 0], [0, 1]], [[1, 0], [0, 0]]])  # diag(1+lambda, 1)
     with pytest.raises(NonMonomialDeterminant):
         loop.inverse()
+    # the error names the powers of det L, not of det(lambda^-lo L)
+    with pytest.raises(NonMonomialDeterminant, match=r"lambda powers \[-2, -1\];"):
+        loop.shift(-1).det_lambda()
+    assert LoopMat.diag_powers((1, 0)).shift(-2).det_lambda() == (-3, RatFun.one())
 
 
 def test_singular_loop_rejected():

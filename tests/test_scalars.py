@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import ratfun_reference
 from unitons.errors import NonRationalAntiderivative, PoleAtZ
@@ -38,6 +38,24 @@ gauss = st.builds(GaussianRational, small_fraction, small_fraction)
 polys = st.lists(gauss, min_size=0, max_size=5).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 ratfuns = st.builds(lambda n, d: RatFun(n, d), polys, nonzero_polys)
+
+
+def _power(p, k):
+    out = Poly.one()
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+# denominators with a repeated factor of degree >= 2: q^k (k = 2, 3) for a
+# monic quadratic q, times p^j (j = 1, 2) for a monic linear or quadratic p
+monic_quadratics = st.builds(lambda b, c: Poly([c, b, G(1)]), gauss, gauss)
+monic_low = st.one_of(monic_quadratics, st.builds(lambda c: Poly([c, G(1)]), gauss))
+repeated_dens = st.builds(
+    lambda q, k, p, j: _power(q, k) * _power(p, j),
+    monic_quadratics, st.integers(2, 3), monic_low, st.integers(1, 2),
+)
+repeated = st.builds(lambda n, d: RatFun(n, d), polys, repeated_dens)
 
 
 # -- Gaussian rationals ----------------------------------------------------
@@ -292,16 +310,47 @@ def test_hermite_reduce_identity():
     assert recon == RatFun(num, den)
 
 
-@given(ratfuns)
+def test_hermite_reduce_refuses_improper_input():
+    with pytest.raises(ValueError, match="deg num = 3, deg den = 2"):
+        hermite_reduce(poly(0, 0, 0, 1), poly(0, 0, 1))
+    with pytest.raises(ValueError, match="deg num = 2, deg den = 2"):
+        hermite_reduce(poly(1, 0, 1), poly(0, 0, 1))
+    with pytest.raises(ValueError, match="deg den = -1"):
+        hermite_reduce(poly(1), Poly.zero())
+
+
+@given(repeated, st.booleans())
+@example(-(2 + 2 * Z) / (Z * (Z * Z + 1) * (Z * Z + 1)), False)
+@settings(max_examples=40, derandomize=True)
+def test_hermite_reduce_pins_the_unique_split(h, exact):
+    # g proper and d_star squarefree make the split unique; f = h' has no
+    # logarithmic part, and then g is the proper part of h
+    f = differentiate(h) if exact else h
+    _, rem = f.num.divmod(f.den)
+    g, r, d_star = hermite_reduce(rem, f.den)
+    assert g.derivative() + RatFun(r, d_star) == RatFun(rem, f.den)
+    assert g.num.degree < g.den.degree
+    assert r.degree < d_star.degree
+    assert d_star.lead() == G(1)
+    assert d_star.gcd(d_star.derivative()).degree <= 0
+    assert (f.den % d_star).is_zero()
+    if exact:
+        assert r.is_zero() and g == h - RatFun(h.num // h.den)
+
+
+@given(st.one_of(ratfuns, repeated))
 @settings(max_examples=60)
 def test_integrate_inverts_differentiate(g):
-    # every derivative of a rational function is integrable in rational terms
+    # every derivative of a rational function is integrable in rational terms;
+    # the antiderivative is g less the constant term of its polynomial part
     f = differentiate(g)
     F = integrate_rational(f)
     assert differentiate(F) == f
+    assert F == g - (g.num // g.den)[0]
+    assert (F.num // F.den)[0].is_zero()
 
 
-@given(ratfuns, st.integers(min_value=-3, max_value=3))
+@given(st.one_of(ratfuns, repeated), st.integers(min_value=-3, max_value=3))
 @settings(max_examples=40)
 def test_integrate_fails_iff_log_part(g, a):
     # g' + 1/(z - a) always has a logarithmic antiderivative
