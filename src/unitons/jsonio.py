@@ -203,6 +203,7 @@ def parse_loop(obj, where="loop"):
     n = _get(obj, "n", where, int)
     _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1, where, "n must be a positive integer")
     lo = _get(obj, "lo", where, int)
+    _expect(not isinstance(lo, bool), where, "lo must be an integer")
     coeffs_obj = _get(obj, "coeffs", where, list)
     _expect(len(coeffs_obj) >= 1, where, "coeffs must be non-empty")
     coeffs = []

@@ -146,8 +146,7 @@ class RootSystem:
 def build_root_system(type_letter, rank):
     cartan = cartan_matrix(type_letter, rank)
     pos = _close_positive_roots(cartan)
-    expected = _POSITIVE_COUNTS[type_letter]
-    expected = expected(rank) if callable(expected) else expected
+    expected = _POSITIVE_COUNTS[type_letter](rank)
     if len(pos) != expected:
         raise InvalidType(
             f"{type_letter}{rank}: closure produced {len(pos)} roots, expected {expected}"
@@ -228,94 +227,19 @@ def exponents_from_marks(marks):
 # -- even-part classification and the symmetric-space survey -------------------
 
 def _classify_component(rs, simples):
-    """Dynkin label of an indecomposable simple system inside rs."""
+    """Dynkin label of an indecomposable simple system inside rs, read off
+    its rank, its number of positive roots and how many simple roots are
+    short.  The letter order keeps D3 as A3; C2 has one short root, so B2."""
     k = len(simples)
-    if k == 1:
-        return "A1"
     norms = [rs.inner(b, b) for b in simples]
-    cart = [
-        [
-            2 * rs.inner(simples[i], simples[j]) / norms[j]
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    for row in cart:
-        for x in row:
-            if x.denominator != 1:
-                raise UnrecognizedSubsystem("non-integral Cartan pairing")
-    cart = [[int(x) for x in row] for row in cart]
-    edges = [
-        (i, j, cart[i][j] * cart[j][i])
-        for i in range(k)
-        for j in range(i + 1, k)
-        if cart[i][j] != 0
-    ]
-    weights = sorted(w for _, _, w in edges)
-    deg = [0] * k
-    for i, j, _ in edges:
-        deg[i] += 1
-        deg[j] += 1
-    if len(edges) != k - 1:
-        raise UnrecognizedSubsystem("component is not a tree")
-    if any(w == 3 for w in weights):
-        if k == 2:
-            return "G2"
-        raise UnrecognizedSubsystem("triple edge in rank > 2")
-    if all(w == 1 for w in weights):
-        if max(deg) <= 2:
-            return f"A{k}"
-        branches = [i for i in range(k) if deg[i] == 3]
-        if len(branches) != 1 or max(deg) > 3:
-            raise UnrecognizedSubsystem("bad branch structure")
-        arms = sorted(_arm_lengths(cart, branches[0]))
-        if arms[0] == 1 and arms[1] == 1:
-            return f"D{k}"
-        if arms == [1, 2, 2]:
-            return "E6"
-        if arms == [1, 2, 3]:
-            return "E7"
-        if arms == [1, 2, 4]:
-            return "E8"
-        raise UnrecognizedSubsystem(f"arm pattern {arms}")
-    doubles = [(i, j) for i, j, w in edges if w == 2]
-    if len(doubles) != 1 or max(deg) > 2:
-        raise UnrecognizedSubsystem("bad multi-edge structure")
-    if k == 2:
-        return "B2"
-    i, j = doubles[0]
-    end = i if deg[i] == 1 else (j if deg[j] == 1 else None)
-    if end is None:
-        if k == 4:
-            return "F4"
-        raise UnrecognizedSubsystem("interior double edge in rank != 4")
-    other = j if end == i else i
-    return f"B{k}" if norms[end] < norms[other] else f"C{k}"
-
-
-def _arm_lengths(cart, center):
-    k = len(cart)
-    seen = {center}
-    lengths = []
-    for start in range(k):
-        if start in seen or cart[center][start] == 0:
-            continue
-        length = 0
-        node = start
-        prev = center
-        while True:
-            length += 1
-            seen.add(node)
-            nxt = [
-                m
-                for m in range(k)
-                if m not in (prev, node) and cart[node][m] != 0
-            ]
-            if not nxt:
-                break
-            prev, node = node, nxt[0]
-        lengths.append(length)
-    return lengths
+    cartan = [[int(2 * rs.inner(a, b) / nb) for b, nb in zip(simples, norms)] for a in simples]
+    count = len(_close_positive_roots(cartan))
+    short = sum(1 for x in norms if x < max(norms))
+    letters = "ADE" if short == 0 else ("BG" if short == 1 else "CF")
+    for t in letters:
+        if _RANK_OK[t](k) and _POSITIVE_COUNTS[t](k) == count:
+            return f"{t}{k}"
+    raise UnrecognizedSubsystem(f"rank {k}, {count} positive roots, {short} short simple roots")
 
 
 @dataclass(frozen=True)

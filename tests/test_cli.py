@@ -305,6 +305,14 @@ def test_cell_nonmonomial_determinant_names_true_powers(tmp_path, capsys):
     assert "NonMonomialDeterminant" in err and "lambda powers [-2, -1];" in err
 
 
+def test_cell_bool_lo_is_input_error(tmp_path, capsys):
+    path = tmp_path / "lo.json"
+    path.write_text('{"kind":"exact","n":2,"lo":true,"coeffs":[[["1","0"],["0","1"]]]}')
+    code, out, err = run(capsys, "cell", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_big_cell_reports_derivative_matrix(tmp_path, capsys):
     code, out, _ = run(capsys, "big-cell", veronese_file(tmp_path, 2))
     assert code == 0

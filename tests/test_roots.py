@@ -167,6 +167,27 @@ def test_survey_zero_marks_recovers_whole_group():
         assert rec.marks == (0,) * l
         assert rec.components == (f"{t}{l}",)
         assert rec.center_dim == 0 and rec.height == 0
+    # zero marks keep every simple root, so each system's own simple roots
+    # must name the system; C2 and D3 read as their isomorphic B2 and A3
+    for t, l in ALL_SYSTEMS + [("A", 8), ("B", 8), ("C", 8), ("D", 8)]:
+        rs = build_root_system(t, l)
+        simples = [tuple(int(i == j) for j in range(l)) for i in range(l)]
+        expected = {"C2": "B2", "D3": "A3"}.get(f"{t}{l}", f"{t}{l}")
+        assert roots._classify_component(rs, simples) == expected
+
+
+def test_survey_exceptional_types_match_cartans_list():
+    # inner symmetric subalgebras of the exceptional algebras (Cartan's list)
+    expected = {
+        ("G", 2): {(("G2",), 0), (("A1", "A1"), 0)},
+        ("F", 4): {(("F4",), 0), (("B4",), 0), (("A1", "C3"), 0)},
+        ("E", 6): {(("E6",), 0), (("A1", "A5"), 0), (("D5",), 1)},
+        ("E", 7): {(("E7",), 0), (("A7",), 0), (("A1", "D6"), 0), (("E6",), 1)},
+        ("E", 8): {(("E8",), 0), (("D8",), 0), (("A1", "E7"), 0)},
+    }
+    for (t, l), signatures in expected.items():
+        recs = symmetric_space_survey(build_root_system(t, l))
+        assert {r.signature for r in recs} == signatures, (t, l)
 
 
 def test_survey_complex_grassmannians():
