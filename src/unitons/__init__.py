@@ -4,7 +4,8 @@ The package implements the loop-group pipeline for harmonic maps of the
 two-sphere: exact Weierstrass-type construction of extended solutions from
 free rational data, root-system bookkeeping for uniton-number bounds,
 Bruhat-cell detection by Smith normal form, numerical Iwasawa factorization
-by spectral factorization of the loop symbol, and a verification suite.
+in the Grassmannian model (one SVD of the shifted loop's generator matrix),
+and a verification suite.
 """
 
 from .errors import (

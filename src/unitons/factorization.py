@@ -1,14 +1,15 @@
 """Loop-group factorizations and the energy flow.
 
 Four pieces live here.  `unitarize` splits an invertible numeric loop into a
-based unitary factor and a disc-holomorphic factor through spectral
-factorization of the symbol F = Psi~ Psi: one dense Cholesky of its
-block-Toeplitz matrix with n*d + 1 block rows, exact for algebraic loops
-(det Psi = c lambda^m).  Phi = Psi G^-1 is then formed from the polynomial
-G^-1 (degree <= (n-1)*d) without sampling.  The factor's residual and the
-split's unitarity and reassembly residuals are always checked against the
-fixed bound 1e-9 (relative where it has a scale), and a loop that exceeds
-one raises NoConvergence.
+based unitary factor and a disc-holomorphic factor in Segal's Grassmannian
+model: for an algebraic loop (det Psi = c lambda^m) shifted to powers >= 0,
+W = Psi H+ lies between lambda^R H+ and H+, and the unitary factor's columns
+are an orthonormal basis of W - lambda W, read off one SVD of the
+n(R+1) x nR generator matrix of lambda W, whose rank nR - m is known, and
+one QR.  The det's single lambda power, the separation of the singular
+values at that rank, and the split's unitarity and reassembly residuals are
+always checked against the fixed bound 1e-9 (relative where it has a
+scale), and a loop that fails one raises NoConvergence.
 `bruhat_cell` recovers the diagonal lambda-exponents of an exact loop by
 Smith reduction over the rational-function field.  `cstar_flow` and
 `flow_limit` implement the lambda -> u*lambda deformation and its u -> 0
@@ -90,10 +91,13 @@ def _at(z) -> str:
 
 
 def _circle_values(blocks, zs):
-    """Values at 64 samples of |lambda| = 1, a (Z, 64, n, n) stack, for each
-    loop of the (Z, K, n, n) coefficient stack; PoleAtZ names the first z
-    whose values there are not finite."""
-    vals = values_at(blocks, 0, np.exp(2j * np.pi * np.arange(64) / 64))
+    """Values at S samples of |lambda| = 1, a (Z, S, n, n) stack, for each
+    loop of the (Z, K, n, n) coefficient stack: S = 64, or the next multiple
+    of 64 above n*(K-1), the degree of det Psi, so that its powers can be
+    read off the samples.  PoleAtZ names the first z whose values there
+    are not finite."""
+    samples = 64 * (blocks.shape[-1] * (blocks.shape[-3] - 1) // 64 + 1)
+    vals = values_at(blocks, 0, np.exp(2j * np.pi * np.arange(samples) / samples))
     finite = np.isfinite(vals).all(axis=(1, 2, 3))
     if not finite.all():
         raise PoleAtZ(
@@ -102,10 +106,11 @@ def _circle_values(blocks, zs):
     return vals
 
 
-def _circle_certified(vals):
-    """True for each loop of the (Z, S, n, n) stack of circle values that is
-    certainly regular: |det A| = prod sigma_i <= sigma_min sigma_max^(n-1)
-    and sigma_max <= ||A||_F give sigma_min >= |det A| / ||A||_F^(n-1) at
+def _circle_certified(vals, dets):
+    """True for each loop of the (Z, S, n, n) stack of circle values, with
+    their (Z, S) determinants dets, that is certainly regular:
+    |det A| = prod sigma_i <= sigma_min sigma_max^(n-1) and
+    sigma_max <= ||A||_F give sigma_min >= |det A| / ||A||_F^(n-1) at
     every sample, and the loop passes when the smallest of these bounds
     exceeds 2 * SINGULAR_TOL * max(1, largest ||A||_F).  The 2 is room for
     the rounding of the LU determinant.  An overflowing or underflowing
@@ -113,12 +118,12 @@ def _circle_certified(vals):
     n = vals.shape[-1]
     with np.errstate(all="ignore"):
         fro = np.linalg.norm(vals, axis=(-2, -1))
-        lower = np.abs(np.linalg.det(vals)) / fro ** (n - 1)
+        lower = np.abs(dets) / fro ** (n - 1)
         return lower.min(axis=1) > 2 * SINGULAR_TOL * np.maximum(1.0, fro.max(axis=1))
 
 
 def _circle_min_singular(blocks, zs):
-    """Smallest and largest singular value over 64 samples of |lambda| = 1
+    """Smallest and largest singular value over the samples of |lambda| = 1
     for each loop of the (Z, K, n, n) coefficient stack, from one stacked
     SVD: the fallback guard for a stack that `_circle_certified` does not
     pass."""
@@ -128,146 +133,117 @@ def _circle_min_singular(blocks, zs):
 
 def _check_circle(blocks, zs):
     """SingularOnCircle naming the first z whose loop has sigma_min <=
-    SINGULAR_TOL * max(1, sigma_max) over 64 samples of |lambda| = 1 (PoleAtZ
+    SINGULAR_TOL * max(1, sigma_max) over the samples of |lambda| = 1 (PoleAtZ
     where its values are not finite).  A stack that `_circle_certified`
     passes is regular without an SVD; any other stack is decided by the
-    SVD of `_circle_min_singular`, so the verdict is the SVD's."""
-    if _circle_certified(_circle_values(blocks, zs)).all():
-        return
+    SVD of `_circle_min_singular`, so the verdict is the SVD's.  Returns the
+    (Z, S) stack of det Psi at the samples, inf or NaN where it overflows."""
+    vals = _circle_values(blocks, zs)
+    with np.errstate(all="ignore"):
+        dets = np.linalg.det(vals)
+    if _circle_certified(vals, dets).all():
+        return dets
     for z, smin, smax in zip(zs, *_circle_min_singular(blocks, zs)):
         if not smin > SINGULAR_TOL * max(1.0, smax):
             raise SingularOnCircle(
                 f"loop is numerically singular on |lambda| = 1{_at(z)} (sigma_min = {smin:.3e})"
             )
+    return dets
 
 
-def _symbol(blocks):
-    """Blocks 0..K-1 of Psi~ Psi for a (..., K, n, n) stack of Psi's blocks:
-    the upper half of the product of Psi~, whose blocks are those of Psi
-    adjoined and reversed, with Psi."""
-    adj = np.asarray(blocks)[..., ::-1, :, :].conj().swapaxes(-1, -2)
-    return convolve(adj, blocks)[..., adj.shape[-3] - 1 :, :, :]
+def _det_power_and_height(blocks, lo, zs):
+    """(m, R) for the (Z, K, n, n) coefficient stack of loops Psi = lambda^lo
+    (blocks[0] + blocks[1] lambda + ...), loop i taken at zs[i]: m, an array,
+    is each point's power of det(lambda^-lo Psi) = c lambda^m, and R, one
+    integer for the stack, a height with lambda^R H+ inside W = Psi H+.
 
-
-def _factor_residual(fblocks, g):
-    """max_k ||F_k - (G~G)_k||_F over blocks 0..d of (..., d+1, n, n) stacks,
-    one value per stack; NaN if any term is NaN."""
-    diff = np.asarray(fblocks) - _symbol(g)
-    return np.max(np.linalg.norm(diff, axis=(-2, -1)), axis=-1)
-
-
-def _toeplitz_factor(fblocks, z):
-    """G_0..G_d from one dense Cholesky factorization of the block-Toeplitz
-    matrix of F_0..F_d with n*d + 1 block rows (see `_spectral_factors`)."""
-    d = len(fblocks) - 1
-    n = fblocks.shape[-1]
-    rows = n * d + 1
-    # band[rows - 1 + k] = F_k and band[rows - 1 - k] = F_k^* for k <= d (the
-    # centre F_0^*), zero blocks outside the band
-    band = np.zeros((2 * rows - 1, n, n), dtype=complex)
-    band[rows - 1 : rows + d] = fblocks
-    band[rows - 1 - d : rows] = fblocks[::-1].conj().swapaxes(1, 2)
-    idx = np.arange(rows)
-    toeplitz = band[rows - 1 + idx[None, :] - idx[:, None]]
-    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(rows * n, rows * n)
-    try:
-        chol = np.linalg.cholesky(toeplitz)
-    except np.linalg.LinAlgError:
-        raise SingularOnCircle(
-            f"block-Toeplitz matrix of the symbol is not positive definite{_at(z)}"
-        ) from None
-    # G_j = L[rows-1][rows-1-j]^*: the last d+1 blocks of L's last block row
-    last = chol[-n:, (rows - 1 - d) * n :].reshape(n, d + 1, n)
-    return last.transpose(1, 2, 0)[::-1].conj()
-
-
-def _spectral_factors(blocks, zs):
-    """Polynomial G with G~G = Psi~Psi, invertible on the closed disc, for
-    each loop of the (Z, K, n, n) coefficient stack (loop i taken at zs[i]).
-
-    Returns the (Z, d+1, n, n) stack of G_0..G_d, trimmed like a numeric
-    LoopMat, and each factor's residual.  The whole stack is factored at one
-    degree: d is the top degree of the trimmed symbols F = Psi~Psi, so each
-    F has Fourier blocks F_-d..F_d, zero above its own degree.  Each G is
-    read off its own dense Cholesky factorization T = L L^* of the Hermitian
-    block-Toeplitz matrix T[i][j] = F_(j-i) with rows = n*d + 1 block rows.
-    The last block row of L, read backwards, is G: G_j = L[rows-1][rows-1-j]^*.
-
-    The row count is exact, not a truncation, for algebraic loops
-    (det Psi = c lambda^m).  There det G is a polynomial without zeros in
-    the closed disc and of constant modulus on the circle, hence constant,
-    so G^-1 = adj G / det G is a polynomial of degree e <= (n-1)*d.  Row k of
-    L^-1 solves the Yule-Walker equations of the leading k+1 block rows;
-    for k >= e its solution is the coefficient row of G~^-1 lambda^k, since
-    G~^-1 lambda^k F = lambda^k G has no powers below k.  Then
-    L = T L^-*, and the last row of L sees only rows k >= rows-1-d of L^-1,
-    which gives L[rows-1][rows-1-j] = G_j^* once rows-1-d >= e, that is
-    rows >= n*d + 1.  Any larger row count is exact too, so a point whose
-    own symbol has a lower degree than d factors exactly at the stack's d.
-
-    Every guard works per z and names the first z it fails at: a loop
-    singular on the circle or a Toeplitz matrix that is not positive
-    definite raises SingularOnCircle, a non-finite symbol PoleAtZ.  The
-    circle guard `_check_circle` is a det/Frobenius certificate with an SVD
-    fallback.  The residual of G~G against F is checked against the
-    relative bound DEFAULT_TOL (1e-9 times max(1, ||F_0||)): a loop that is
-    not algebraic, or too ill-conditioned for the factorization, raises
-    NoConvergence with its residual and row count.
+    m is read off the discrete Fourier transform of det Psi at the circle
+    samples `_check_circle` takes, more than the degree n*(K-1) of det, so
+    no power aliases.  A det with a second power above DEFAULT_TOL times its
+    largest raises NoConvergence naming the powers: the loop is not
+    algebraic.  A non-finite det raises PoleAtZ.  If column j has lowest
+    power o_j, then lambda^(m - sum o + max o) Psi^-1 is a polynomial (the
+    adjugate of the column-shifted loop over its det), so R is the largest
+    m - sum o + max o over the stack; any larger R serves as well.
     """
-    _check_circle(blocks, zs)
-    fblocks = trim_blocks(_symbol(blocks))
-    finite = np.isfinite(fblocks).all(axis=(1, 2, 3))
+    dets = _check_circle(blocks, zs)
+    finite = np.isfinite(dets).all(axis=1)
     if not finite.all():
-        raise PoleAtZ(f"symbol blocks of the loop are not finite{_at(zs[np.argmin(finite)])}")
-    d = int(np.flatnonzero(fblocks.any(axis=(0, 2, 3)))[-1])
-    fblocks = fblocks[:, : d + 1]
-    g = np.array([_toeplitz_factor(f, z) for f, z in zip(fblocks, zs)])
-    res = _factor_residual(fblocks, g)
-    scale = np.maximum(1.0, np.linalg.norm(fblocks[:, 0], axis=(1, 2)))
+        raise PoleAtZ(f"det Psi on |lambda| = 1 is not finite{_at(zs[np.argmin(finite)])}")
+    coeffs = np.abs(np.fft.fft(dets))
+    present = coeffs > DEFAULT_TOL * coeffs.max(axis=1, keepdims=True)
     n = blocks.shape[-1]
-    for z, r, s in zip(zs, res, scale):
-        if not r <= DEFAULT_TOL * s:
+    for z, powers in zip(zs, present):
+        if powers.sum() > 1:
             raise NoConvergence(
-                f"spectral factorization residual {r:.3e} exceeds "
-                f"{DEFAULT_TOL * s:.3e}{_at(z)} at {n * d + 1} block rows (n = {n}, d = {d}); "
-                "the loop is not algebraic (det Psi = c lambda^m) or is too "
-                "ill-conditioned"
+                f"det Psi has lambda powers {(np.flatnonzero(powers) + n * lo).tolist()}{_at(z)}; "
+                "the loop is not algebraic (det Psi = c lambda^m)"
             )
-    return trim_blocks(g), res
+    m = coeffs.argmax(axis=1)
+    low = (blocks != 0).any(axis=-2).argmax(axis=1)
+    return m, int((m - low.sum(axis=1) + low.max(axis=1)).max())
+
+
+def _wandering_blocks(blocks, m, height, zs):
+    """Blocks 0..R of a unitary Phi with Phi H+ = W = Psi H+, for each loop
+    of the (Z, K, n, n) coefficient stack of polynomial loops Psi, given the
+    powers m of their dets and a height R with lambda^R H+ inside W.
+
+    Phi's columns are an orthonormal basis of W - lambda W, which lies in
+    the polynomials P_R of degree <= R (Beurling-Lax).  Truncated to P_R,
+    lambda W is spanned by the columns lambda^j Psi e_i, j = 1..R, of one
+    n(R+1) x nR generator matrix of rank nR - m, known in advance.  Its SVD
+    gives an orthonormal basis of truncated lambda W; Psi's columns less
+    their part in it span W - lambda W, and a QR of them gives Phi.  The
+    singular values on either side of rank nR - m must be separated, the
+    lower at most DEFAULT_TOL times the upper, or NoConvergence names z.
+    """
+    count, k, n = len(blocks), blocks.shape[1], blocks.shape[-1]
+    gen = np.zeros((count, height + 1, n, height + 1, n), dtype=complex)
+    for j in range(height + 1):
+        top = min(k, height + 1 - j)
+        gen[:, j : j + top, :, j] = blocks[:, :top]
+    gen = gen.reshape(count, (height + 1) * n, (height + 1) * n)
+    u, sing, _ = np.linalg.svd(gen[..., n:], full_matrices=False)
+    rank = n * height - m
+    # sigma_0 := sigma_1 and sigma_(nR+1) := 0 at the ends
+    sing = np.pad(sing, ((0, 0), (1, 1)))
+    sing[:, 0] = sing[:, 1]
+    upper, lower = sing[np.arange(count), rank], sing[np.arange(count), rank + 1]
+    for z, r, s_up, s_low in zip(zs, rank, upper, lower):
+        if not s_low <= DEFAULT_TOL * s_up:
+            raise NoConvergence(
+                f"singular values {s_up:.3e} and {s_low:.3e} on either side of rank {r} "
+                f"of lambda W are not separated (bound {DEFAULT_TOL:.0e}){_at(z)}; "
+                "the loop is too ill-conditioned"
+            )
+    basis = u * (np.arange(n * height) < rank[:, None])[:, None, :]
+    psi = gen[..., :n]
+    q = np.linalg.qr(psi - basis @ (basis.conj().swapaxes(-1, -2) @ psi))[0]
+    return q.reshape(count, height + 1, n, n)
 
 
 def unitarize(psi, z=None) -> IwasawaFactors:
     """Split an invertible loop into (based unitary) times (powers >= 0).
 
-    The symbol F = Psi~Psi is factored as G~G with G polynomial and
-    invertible on the disc, by one Cholesky factorization of the
-    block-Toeplitz matrix of F with n*d + 1 block rows (d the degree of F).
-    Every row count >= n*d + 1 is exact for algebraic loops,
-    det Psi = c lambda^m, which is every loop this package builds; numeric
-    loops passed in must be algebraic too.  A factor residual above the
-    relative bound 1e-9 (the loop is not algebraic, or too ill-conditioned)
-    raises NoConvergence.
-    Then Phi = Psi G^-1 is unitary on the circle and the returned parts
-    are Phi(lambda) Phi(1)^-1 and Phi(1) G.  G^-1 is a polynomial of degree
-    <= (n-1)*d (see `_spectral_factors`), so its blocks come from the power
-    series recursion H_0 = G_0^-1, H_k = -H_0 sum_(j=1..min(k,d)) G_j H_(k-j),
-    and Phi = Psi H is an exact product: no circle samples, no truncation.
-    A unitarity residual above 1e-9, or a split residual above 1e-9 times
-    max(1, max_k ||Psi_k||), raises NoConvergence naming both, the bound
-    and z.
+    Shifted to powers >= 0, the loop spans W = Psi H+ with
+    lambda^R H+ inside W inside H+, and the unitary Phi whose columns are an
+    orthonormal basis of W - lambda W has Phi H+ = W (see `_wandering_blocks`).
+    The returned parts are lambda^lo Phi(lambda) Phi(1)^-1 and
+    Phi(1) (Phi* Psi)+, from Phi's R + 1 blocks without circle samples or
+    truncation.  The loop must be algebraic, det Psi = c lambda^m, as
+    every loop this package builds is; a det with other powers, a
+    generator whose rank nR - m is not separated, a unitarity residual
+    above 1e-9 or a split residual above 1e-9 times max(1, max_k ||Psi_k||)
+    raises NoConvergence naming its values, the bound and z.
     """
     psi = _as_loop(psi).to_numeric(z)
-    g = _spectral_factors(np.array(psi.coeffs)[None], [z])[0][0]
-    d = len(g) - 1
-    h = np.zeros(((psi.n - 1) * d + 1, psi.n, psi.n), dtype=complex)
-    h[0] = np.linalg.inv(g[0])
-    for k in range(1, len(h)):
-        j = np.arange(1, min(k, d) + 1)
-        h[k] = -h[0] @ (g[j] @ h[k - j]).sum(axis=0)
-    phi = psi @ LoopMat.numeric(h)
-    phi_one = phi.evaluate(1.0)
-    unitary = phi @ LoopMat.numeric([np.linalg.inv(phi_one)])
-    plus = LoopMat.numeric([phi_one]) @ LoopMat.numeric(g)
+    blocks = np.array(psi.coeffs)[None]
+    phi = _wandering_blocks(blocks, *_det_power_and_height(blocks, psi.lo, [z]), [z])[0]
+    phi_one = phi.sum(axis=0)
+    unitary = LoopMat.numeric(phi @ np.linalg.inv(phi_one), psi.lo)
+    adjoint = phi[::-1].conj().swapaxes(-1, -2)
+    plus = LoopMat.numeric(phi_one @ convolve(adjoint, psi.coeffs)[len(phi) - 1 :])
     resid_u = unitary.unitarity_residual(samples=64)
     psi_v, unitary_v, plus_v = (
         loop.circle_values(64, 0.5) for loop in (psi, unitary, plus)
@@ -289,26 +265,25 @@ def harmonic_map_at(obj, z) -> np.ndarray:
 
     obj is a LoopMat, an ExtendedSolutionSpec or a CompiledLoop; an exact
     loop is compiled once and evaluated at every z with one array pass.
-    Works pointwise from the spectral factor: with Phi = Psi G^-1 the value
-    is Phi(-1) Phi(1)^-1, no Fourier extraction involved.  Each G comes from
-    its own finite block-Toeplitz Cholesky as in `unitarize`, at one degree
-    for the whole stack: d is the top symbol degree over all z and every
-    point gets n*d + 1 block rows.  Any count >= n*d + 1 is exact for
-    algebraic loops, so a point of lower degree (z = 0 of a Veronese loop)
-    factors exactly too, and the value is a smooth function of z.  The
+    The value is Phi(-1) Phi(1)^-1 for the unitary Phi of `unitarize`, read
+    off its blocks: no Fourier extraction involved.  The whole stack is
+    split at one height R, and any R with lambda^R H+ inside Psi H+ gives
+    the same Phi, so a point of lower height (z = 0 of a Veronese loop)
+    splits exactly too, and the value is a smooth function of z.  The
     guards work per z: a pole raises PoleAtZ, a loop singular on the circle
-    SingularOnCircle, and a factor residual or a value ||phi phi* - I||_F
-    above the 1e-9 bound NoConvergence, each naming the first z that fails.
+    SingularOnCircle, and a det that is not a lambda monomial, a generator
+    rank that is not separated or a value ||phi phi* - I||_F above the 1e-9
+    bound NoConvergence, each naming the first z that fails.
     """
     one_point = np.ndim(z) == 0
     zs = [z] if one_point else z
     loop = obj if isinstance(obj, CompiledLoop) else CompiledLoop(_as_loop(obj))
-    # trimmed as a numeric LoopMat is, so each point factors as in `unitarize`
+    # trimmed as a numeric LoopMat is, so each point splits as in `unitarize`
     blocks = trim_blocks(loop.values(zs))
-    g = _spectral_factors(blocks, zs)[0]
-    # Phi(-1) and Phi(1) for each z, Phi = Psi G^-1
-    phi = values_at(blocks, loop.lo, [-1, 1]) @ np.linalg.inv(values_at(g, 0, [-1, 1]))
-    values = phi[:, 0] @ np.linalg.inv(phi[:, 1])
+    phi = _wandering_blocks(blocks, *_det_power_and_height(blocks, loop.lo, zs), zs)
+    # lambda^lo Phi at lambda = -1 and 1 for each z
+    ends = values_at(phi, loop.lo, [-1, 1])
+    values = ends[:, 0] @ np.linalg.inv(ends[:, 1])
     resid = np.linalg.norm(values @ values.conj().transpose(0, 2, 1) - np.eye(loop.n), axis=(1, 2))
     bad = np.flatnonzero(~(resid <= DEFAULT_TOL))
     if bad.size:

@@ -18,9 +18,10 @@ from .loops import LoopMat
 from .weierstrass import ExtendedSolutionSpec, free_slot_layout
 
 # input limits: a spec of height k assembles loops with k + 1 lambda powers and
-# symbols with 2k + 1 Toeplitz blocks, so the height is capped well above every
-# built solution (tests, demos and bench stay <= 4); numeric loop entries stay
-# in the range the CLI allows for points, far from float overflow
+# splits them with a generator matrix of at most n(k + 1) rows, so the height
+# is capped well above every built solution (tests, demos and bench stay
+# <= 4); numeric loop entries stay in the range the CLI allows for points,
+# far from float overflow
 MAX_EXPONENT = 64
 MAX_NUMERIC = 1e6
 

@@ -27,8 +27,9 @@ __all__ = ["LoopMat", "CompiledLoop", "NUMERIC_TRIM", "trim_blocks", "convolve",
 
 # relative Frobenius threshold below which numeric coefficients are dropped
 NUMERIC_TRIM = 1e-12
-# largest |RE|, |IM| of a coefficient from to_numeric: norms and the symbol
-# Psi~ Psi square magnitudes, so this keeps every product far from overflow
+# largest |RE|, |IM| of a coefficient from to_numeric: norms square
+# magnitudes, so this keeps them far from overflow; det Psi, a product of n
+# magnitudes, is checked for overflow where the split reads it
 MAX_COEFF = 1e100
 
 

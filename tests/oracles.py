@@ -9,7 +9,7 @@ slot.  The flag unitarizer splits an invertible exact loop into its based
 unitary factor and a disc-holomorphic factor by peeling one affine projector
 per step: the image of the lowest lambda coefficient determines the next
 projector, and the peel lowers the determinant winding, so the process stops.
-It shares no code path with the production Toeplitz routine, which is the
+It shares no code path with the production Grassmannian split, which is the
 point: the two routes must agree on their overlap.
 """
 

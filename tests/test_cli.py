@@ -204,16 +204,30 @@ def test_flow_veronese3_energy_is_constant(tmp_path, capsys):
     assert abs(payload["limit"]["energy"] - 5.0) <= 1e-6
 
 
-def test_flow_past_the_split_bound_is_one_line_error(tmp_path):
-    # the column rebalancing cannot follow the U_3 build to t = -10; the split
-    # there is 4.5e-5 from unitary, so flow refuses it instead of printing it
+def _u3_file(tmp_path):
     flags, free = _BUILDS["u3"]
     free_path, spec_path = tmp_path / "free.json", tmp_path / "u3.json"
     free_path.write_text(json.dumps(free))
     assert _call(["build", *flags, "--free", str(free_path), "--out", str(spec_path)])[0] == 0
-    code, out, err = _call(["flow", str(spec_path), "--z=0.3,0.1", "--t=-10"])
+    return str(spec_path)
+
+
+def test_flow_past_the_split_bound_is_one_line_error(tmp_path):
+    # the column rebalancing cannot follow the U_3 build to t = -20; the split
+    # there is 6e-8 from unitary, so flow refuses it instead of printing it
+    code, out, err = _call(["flow", _u3_file(tmp_path), "--z=0.3,0.1", "--t=-20"])
     assert code == 2 and out == ""
     assert err.startswith("error: NoConvergence: ") and err.count("\n") == 1, err
+
+
+def test_flow_at_negative_time_prints_no_noise_blocks(tmp_path, capsys):
+    # the unitary factor of the U_3 build has powers 0..2 at every t; the
+    # split reads its R + 1 = 3 blocks off W - lambda W, so no rounding
+    # noise above lambda^2 reaches the printed loop
+    code, out, _ = run(capsys, "flow", _u3_file(tmp_path), "--z=0.5,0.0", "--t=-5,0,5")
+    assert code == 0
+    for step in json.loads(out)["steps"]:
+        assert step["loop"]["lo"] == 0 and len(step["loop"]["coeffs"]) == 3
 
 
 def test_factor_veronese4_three_factors(tmp_path, capsys):
@@ -227,9 +241,15 @@ def test_factor_veronese4_three_factors(tmp_path, capsys):
 
 
 def test_map_far_from_unitary_is_one_line_error(tmp_path):
-    code, out, err = _call(["map", veronese_file(tmp_path, 5), "--z=30,0"])
+    # Veronese 6 at z = 25: the generator's singular values on either side of
+    # its known rank are not separated, so no value there is certified
+    code, out, err = _call(["map", veronese_file(tmp_path, 6), "--z=25,0"])
     assert code == 2 and out == ""
-    assert err.startswith("error: NoConvergence: map value is ") and err.count("\n") == 1, err
+    assert err.startswith("error: NoConvergence: singular values ") and err.count("\n") == 1, err
+    # Veronese 5 at z = 30 splits to 6.5e-11 from unitary
+    code, out, err = _call(["map", veronese_file(tmp_path, 5), "--z=30,0"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["unitarity_residual"] <= 1e-9
 
 
 def test_u1_spec_builds_and_factors_into_no_factors(tmp_path):

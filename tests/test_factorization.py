@@ -1,6 +1,5 @@
 """Unitarization, cell recovery, flow, uniton splitting, normalized form."""
 
-import cmath
 import inspect
 import random
 import warnings
@@ -27,9 +26,8 @@ from unitons.factorization import (
     _circle_certified,
     _circle_min_singular,
     _circle_values,
-    _factor_residual,
-    _spectral_factors,
-    _symbol,
+    _det_power_and_height,
+    _wandering_blocks,
     big_cell_check,
     bruhat_cell,
     cstar_flow,
@@ -39,13 +37,15 @@ from unitons.factorization import (
     unitarize,
     uniton_factorize,
 )
-from unitons.loops import LoopMat
+from unitons.loops import CompiledLoop, LoopMat, trim_blocks, values_at
+from unitons.roots import marks_from_exponents
 from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
 from unitons.verify import harmonicity_residual, map_sampler
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
     assemble_loop,
     build_from_free_functions,
+    exp_nilpotent,
     full_flag_exponents,
     transform_subset,
     two_projector_frame,
@@ -166,11 +166,11 @@ def test_unitarize_keeps_powers_above_the_loop():
 
 
 def test_split_residual_past_the_bound_raises_no_convergence():
-    # the column rebalancing cannot follow the U_3 build to t = -10: the
-    # split's unitarity residual reads 4.5e-5 there
+    # the column rebalancing cannot follow the U_3 build to t = -20: the
+    # split's unitarity residual reads 6e-8 there
     z = complex(0.3, 0.1)
     with pytest.raises(NoConvergence) as info:
-        cstar_flow(_u3_build(), -10.0, z)
+        cstar_flow(_u3_build(), -20.0, z)
     message = str(info.value)
     assert f"z = {z}" in message
     assert "unitarity " in message and "split " in message and "bound" in message
@@ -207,7 +207,7 @@ def test_unitarize_random_loops_match_oracle():
         assert fac.residual_split <= 1e-8 * max(1.0, loop.to_numeric().max_coeff_norm())
 
 
-# -- finite-order spectral factor ---------------------------------------------
+# -- the split's height; the Toeplitz reference factor ----------------------
 
 def _reference_factor(psi, rows):
     """G from the last block row of a plain numpy block-Toeplitz Cholesky."""
@@ -225,33 +225,52 @@ def _reference_factor(psi, rows):
     return [last[:, (rows - 1 - j) * n:(rows - j) * n].conj().T for j in range(d + 1)]
 
 
-def _assert_factor_matches_reference(psi):
-    g, res = _spectral_factors(np.array(psi.coeffs)[None], [None])
-    g, res = g[0], res[0]
-    d = len(g) - 1
-    ref = _reference_factor(psi, 4 * (psi.n * d + 1))
-    scale = max(1.0, psi.max_coeff_norm() ** 2)
-    assert res <= 1e-9 * scale
-    assert max(np.linalg.norm(x - y) for x, y in zip(g, ref)) <= 1e-12 * scale
+def _partial_loops(spec):
+    """The partial loops exp(C) gamma_J that `uniton_factorize` unitarizes."""
+    support = [i + 1 for i, m in enumerate(marks_from_exponents(spec.exponents)) if m == 1]
+    exp_c = exp_nilpotent(spec.c_lambda())
+    for count in range(1, len(support) + 1):
+        exponents = transform_subset(spec, sorted(support, reverse=True)[:count]).exponents
+        yield exp_c.times_diag_powers(exponents), exponents
 
 
-def test_spectral_factor_rows_rule_matches_4x_rows_on_veronese():
-    for n in range(2, 6):
-        psi = assemble_loop(veronese_solution(n)).to_numeric(complex(0.3, -0.2))
-        _assert_factor_matches_reference(psi)
+def test_height_rule_is_the_exponent_span():
+    # R = m - sum o_j + max o_j is k_1 - k_n on every built spec and on every
+    # partial loop of its uniton factorization
+    zs = [complex(0.3, -0.2), 0.0, complex(-0.45, 0.6)]
+    for spec in _harmonic_specs():
+        loops = [(assemble_loop(spec), spec.exponents), *_partial_loops(spec)]
+        for loop, exponents in loops:
+            blocks = trim_blocks(CompiledLoop(loop).values(zs))
+            m, height = _det_power_and_height(blocks, loop.lo, zs)
+            assert list(m) == [sum(exponents) - loop.n * loop.lo] * len(zs)
+            assert height == max(exponents) - min(exponents)
 
 
-def test_spectral_factor_rows_rule_matches_4x_rows_on_random_loops():
+def test_splitting_above_the_height_gives_the_same_values():
+    # lambda^R H+ inside W holds for every R past the rule's, and the
+    # wandering subspace W - lambda W does not depend on it: R is exact (to
+    # 1e-13 on the built specs, 1e-12 on the rougher random loops)
+    zs = [complex(0.3, 0.2), complex(-0.45, 0.6), complex(0.7, -0.1)]
     rng = random.Random(7)
-    for trial in range(8):
-        loop = _random_exact_loop(rng, 2 + trial % 2)
-        _assert_factor_matches_reference(loop.to_numeric())
+    cases = [(assemble_loop(spec), zs, 1e-13) for spec in _harmonic_specs()]
+    cases += [(_random_exact_loop(rng, 2 + trial % 2), [0.0], 1e-12) for trial in range(8)]
+    for loop, points, tol in cases:
+        blocks = trim_blocks(CompiledLoop(loop).values(points))
+        m, height = _det_power_and_height(blocks, loop.lo, points)
+        ends = [
+            values_at(_wandering_blocks(blocks, m, r, points), loop.lo, [-1, 1])
+            for r in (height, height + 3)
+        ]
+        values = [e[:, 0] @ np.linalg.inv(e[:, 1]) for e in ends]
+        assert np.abs(values[0] - values[1]).max() <= tol
+        assert np.abs(values[0] - harmonic_map_at(loop, np.array(points))).max() <= tol
 
 
 def test_non_algebraic_numeric_loop_raises_no_convergence():
     # det = 2 - lambda: regular on the circle, but not a lambda monomial
     loop = LoopMat.numeric([np.diag([2.0, 1.0]), np.diag([-1.0, 0.0])])
-    with pytest.raises(NoConvergence, match="3 block rows"):
+    with pytest.raises(NoConvergence, match=r"det Psi has lambda powers \[0, 1\]"):
         unitarize(loop)
 
 
@@ -281,6 +300,12 @@ def _with_singular_values(rng, s):
     """U diag(s) V with U and V random unitary matrices."""
     u, v = (np.linalg.qr(rng.normal(size=(len(s), len(s), 2)) @ [1, 1j])[0] for _ in range(2))
     return u @ np.diag(s) @ v
+
+
+def _certified(vals):
+    """`_circle_certified` with the determinants `_check_circle` computes."""
+    with np.errstate(all="ignore"):
+        return _circle_certified(vals, np.linalg.det(vals))
 
 
 def _svd_verdict(blocks, zs):
@@ -318,7 +343,7 @@ def test_circle_certificate_never_passes_what_the_svd_fails():
                 mats.append(_with_singular_values(rng, s))
             blocks = _column_loops(rng, mats)
             zs = [0.5 * i for i in range(4)]
-            certified = _circle_certified(_circle_values(blocks, zs))
+            certified = _certified(_circle_values(blocks, zs))
             smin, smax = _circle_min_singular(blocks, zs)
             bound = SINGULAR_TOL * np.maximum(1.0, smax)
             # a certified loop clears the SVD bound by the margin of 2
@@ -331,12 +356,12 @@ def test_circle_certificate_never_passes_what_the_svd_fails():
     # the singular loops of the tests below: det = lambda - 1, and det = z - 1
     # at z = 1 inside a stack of regular points
     bad = np.array([[np.diag([-1.0, 1.0]), np.diag([1.0, 0.0])]], dtype=complex)
-    assert not _circle_certified(_circle_values(bad, [0])).any()
+    assert not _certified(_circle_values(bad, [0])).any()
     _assert_same_verdict(bad, [0])
     loop = LoopMat.exact([[[Z - ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ZERO, ZERO]]])
     zs = [0.25, 1.0, 0.5]
     blocks = np.array([loop.to_numeric(z).coeffs for z in zs])
-    assert list(_circle_certified(_circle_values(blocks, zs))) == [True, False, True]
+    assert list(_certified(_circle_values(blocks, zs))) == [True, False, True]
     _assert_same_verdict(blocks, zs)
 
 
@@ -351,7 +376,7 @@ def test_overflowing_certificate_falls_back_to_the_svd_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals = _circle_values(blocks, [0, 1])
-        assert not _circle_certified(vals).any()
+        assert not _certified(vals).any()
         _check_circle(blocks[:1], [0])
         _assert_same_verdict(blocks, [0, 1])
         assert _svd_verdict(blocks, [0, 1])[0] == 1
@@ -362,7 +387,7 @@ def test_overflowing_certificate_falls_back_to_the_svd_without_warnings():
     "top, match",
     [
         (np.array([[np.nan, 0.0], [0.0, 0.0]]), "values"),  # NaN on the circle
-        (np.array([[0.0, 1e200], [0.0, 0.0]]), "symbol"),  # F overflows
+        (np.array([[0.0, 1e200], [0.0, 0.0]]), "det"),  # det Psi overflows
     ],
 )
 def test_nonfinite_loop_is_typed_error(top, match):
@@ -371,35 +396,20 @@ def test_nonfinite_loop_is_typed_error(top, match):
         unitarize(bad)
 
 
-def test_factor_residual_propagates_nan():
-    f = [np.eye(2), np.zeros((2, 2))]
-    g = [np.eye(2), np.full((2, 2), np.nan)]
-    assert np.isnan(_factor_residual(f, g))
-
-
-def test_symbol_blocks_match_pointwise_gram():
-    # F(lambda) = Psi(lambda)^* Psi(lambda) on the circle, both sides summed
-    # here term by term from the blocks
-    free = [Z, ONE + Z, Z]
-    for spec in (build_from_free_functions(3, (2, 1, 0), free), veronese_solution(4)):
-        psi = assemble_loop(spec).to_numeric(complex(0.3, 0.1))
-        f = _symbol(np.array(psi.coeffs))
-        d = len(f) - 1
-        for m in range(16):
-            lam = cmath.exp(2j * cmath.pi * (m + 0.5) / 16)
-            value = sum(c * lam**k for k, c in zip(range(psi.lo, psi.hi + 1), psi.coeffs))
-            symbol = f[0] + sum(f[k] * lam**k + f[k].conj().T * lam**-k for k in range(1, d + 1))
-            gram = value.conj().T @ value
-            assert np.linalg.norm(symbol - gram) <= 1e-12 * np.linalg.norm(gram)
-
-
 @pytest.mark.parametrize(
     "func",
     [unitarize, harmonic_map_at, cstar_flow, uniton_factorize, map_sampler],
 )
 def test_no_truncation_order_argument(func):
-    params = inspect.signature(func).parameters
-    assert "order" not in params and "max_order" not in params
+    # the split's height R comes from the loop itself, never from a caller
+    params = {
+        "unitarize": ["psi", "z"],
+        "harmonic_map_at": ["obj", "z"],
+        "cstar_flow": ["obj", "t", "z"],
+        "uniton_factorize": ["spec", "z"],
+        "map_sampler": ["spec_or_loop"],
+    }
+    assert list(inspect.signature(func).parameters) == params[func.__name__]
 
 
 # -- harmonic_map_at ----------------------------------------------------------
@@ -430,17 +440,36 @@ def test_harmonic_map_pole_is_reported():
         harmonic_map_at(spec, 0.0)
 
 
+def _flowed_u3_family():
+    """The U_3 loop at z0 = 3/10 + i/10 with lambda -> z lambda and its
+    columns divided by z^2, z and z: the flow to t = -log z, each column
+    rebalanced by its top power where `cstar_flow` uses its norm."""
+    psi = assemble_loop(_u3_build()).at_z(gr(Fraction(3, 10), Fraction(1, 10)))
+    scale = [ONE / (Z * Z), ONE / Z, ONE / Z]
+    coeffs, z_power = [], ONE
+    for mat in psi.coeffs:
+        coeffs.append([[e * z_power * s for e, s in zip(row, scale)] for row in mat])
+        z_power = z_power * Z
+    return LoopMat.exact(coeffs, psi.lo)
+
+
 def test_harmonic_map_far_from_unitary_is_refused():
-    # at z = 30 the columns of exp C have nearly lined up and the value is
-    # 1.4e-6 from unitary (Frobenius); at z = 0.3 it is unitary to rounding
+    # Veronese 5 is unitary to rounding at z = 0.3 and to 6.5e-11 at z = 30;
+    # the U_3 loop flowed to t = -log 1e9 is 1e-7 from unitary, and to
+    # t = -log 1e3 within 1e-11
     spec = veronese_solution(5)
     phi = harmonic_map_at(spec, 0.3)
     assert np.linalg.norm(phi @ phi.conj().T - np.eye(5)) <= 1e-14
-    message = r"map value is \S+e-0[67] from unitary \(bound 1e-09\) at z = 30;"
+    phi = harmonic_map_at(spec, 30)
+    assert np.linalg.norm(phi @ phi.conj().T - np.eye(5)) <= 1e-9
+    family = _flowed_u3_family()
+    phi = harmonic_map_at(family, 1e3)
+    assert np.linalg.norm(phi @ phi.conj().T - np.eye(3)) <= 1e-11
+    message = r"map value is \S+e-0[78] from unitary \(bound 1e-09\) at z = 1000000000\.0;"
     with pytest.raises(NoConvergence, match=message):
-        harmonic_map_at(spec, 30)
-    with pytest.raises(NoConvergence, match=r"at z = 30\.0; "):
-        harmonic_map_at(spec, np.array([0.3, 30, 0.5]))
+        harmonic_map_at(family, 1e9)
+    with pytest.raises(NoConvergence, match=r"at z = 1000000000\.0; "):
+        harmonic_map_at(family, np.array([1e3, 1e9, 1.0]))
 
 
 # -- batched harmonic-map values ------------------------------------------------
@@ -479,8 +508,8 @@ def test_batched_values_match_per_point_values():
 
 
 def test_mixed_degree_stack_matches_one_point_values():
-    # at z = 0 Psi is gamma, so the symbol has degree 0 there and 4 elsewhere;
-    # the stack factors every point at its top degree
+    # at z = 0 Psi is gamma, one lambda power per column, and elsewhere its
+    # columns mix powers; the stack splits every point at one height
     spec = veronese_solution(3)
     zs = np.array([0, 0.3 + 0.1j, -0.2j])
     batch = harmonic_map_at(spec, zs)
