@@ -1,12 +1,15 @@
 """Exact scalar arithmetic: Gaussian rationals, polynomials, rational functions.
 
-Everything here is exact.  GaussianRational is Q(i) built on two
-fractions.Fraction values.  Poly is a dense univariate polynomial over any
-field that exposes zero()/one() classmethods plus the usual arithmetic
-dunders; it is used both for polynomials in z over Q(i) and, elsewhere in the
-package, for polynomials in lambda over the rational-function field.  RatFun
-is the fraction field of Poly over Q(i) kept in canonical form: denominator
-monic and coprime to the numerator.
+Everything here is exact.  GaussianRational is Q(i) stored as three ints
+(a, b, d), meaning (a + b*i)/d, in canonical form: d > 0 and
+gcd(a, b, d) = 1, with zero (0, 0, 1); each operation normalizes its result
+with one gcd of the three ints (Knuth, TAOCP vol. 2, 4.5.1).  Poly is a
+dense univariate polynomial over any field that exposes zero()/one()
+classmethods plus the usual arithmetic dunders; it is used both for
+polynomials in z over Q(i) and, elsewhere in the package, for polynomials in
+lambda over the rational-function field.  RatFun is the fraction field of
+Poly over Q(i) kept in canonical form: denominator monic and coprime to the
+numerator.
 
 Integration of rational functions uses the Horowitz-Ostrogradsky split: one
 gcd and one square linear system, so no polynomial factorization is needed.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -42,13 +46,30 @@ _PURE_IM_RE = _re.compile(rf"^\s*(?P<im>{_RAT})\s*i\s*$")
 
 
 class GaussianRational:
-    """Element of Q(i): re + im*i with exact rational parts."""
+    """Element of Q(i), stored as three ints (a, b, d) meaning (a + b*i)/d.
 
-    __slots__ = ("re", "im")
+    Invariant: d > 0 and gcd(a, b, d) = 1, so each value has exactly one
+    triple, equality compares triples, and zero is (0, 0, 1).  Every
+    operation ends in one gcd of the three ints.  `GaussianRational(re, im)`
+    takes for each part whatever fractions.Fraction takes; `re` and `im` give
+    the parts back as reduced Fractions.  A real element hashes as the equal
+    int or Fraction.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of two reduced denominators the triple is canonical: a
+        # prime dividing d, a and b would divide the numerator and the
+        # denominator of one reduced part
+        d = re.denominator // gcd(re.denominator, im.denominator) * im.denominator
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
 
     @classmethod
     def zero(cls):
@@ -75,91 +96,135 @@ class GaussianRational:
                 im_part = -im_part
         return cls(re_part, im_part)
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other, 0)
-        return NotImplemented
+        return _triple(self._a, -self._b, self._d)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        return _reduced(f * (a * c + b * e), f * (b * c - a * e), self._d * norm)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other / self
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
+        # a real element hashes as the equal int or Fraction
+        if not self._b:
+            return hash(Fraction(self._a, self._d))
         return hash((self.re, self.im))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d, self._b / self._d)
 
     def __str__(self):
-        if self.im == 0:
+        if not self._b:
             return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple already in canonical form."""
+    r = _new(GaussianRational)
+    r._a, r._b, r._d = a, b, d
+    return r
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """Canonical triple of (a + b*i)/d for d > 0."""
+    g = gcd(a, b, d)
+    r = _new(GaussianRational)
+    if g == 1:
+        r._a, r._b, r._d = a, b, d
+    else:
+        r._a, r._b, r._d = a // g, b // g, d // g
+    return r
+
+
+def _coerce(other):
+    if isinstance(other, GaussianRational):
+        return other
+    if isinstance(other, int):
+        return _triple(int(other), 0, 1)
+    if isinstance(other, Fraction):
+        return _triple(other.numerator, 0, other.denominator)
+    return NotImplemented
 
 
 def _as_field(value, field):

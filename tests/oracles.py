@@ -1,8 +1,12 @@
 """Independent references used only by the tests.
 
-`ratfun_reference` is canonical form the long way: one gcd of the whole
-numerator and denominator; `ratfun_complex_value` evaluates one rational
-function at one point with Python complex numbers.  The frame and root-system formulas are closed
+`GaussianRationalReference` is Q(i) the long way, on two fractions.Fraction
+parts, each operation a handful of Fraction operations with their own gcds;
+the production class keeps one integer triple per value and must agree with
+it on every operation and printed form.  `ratfun_reference` is canonical
+form the long way: one gcd of the whole numerator and denominator;
+`ratfun_complex_value` evaluates one rational function at one point with
+Python complex numbers.  The frame and root-system formulas are closed
 forms that the builders and tables must agree with; `slot_by_slot_build`
 is the builder the long way, one whole log-derivative series per forced
 slot.  The flag unitarizer splits an invertible exact loop into its based
@@ -27,6 +31,102 @@ from unitons.weierstrass import (
     graded_positions,
     left_log_derivative,
 )
+
+
+class GaussianRationalReference:
+    """Element of Q(i): re + im*i with two exact Fraction parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def conjugate(self):
+        return GaussianRationalReference(self.re, -self.im)
+
+    def _coerce(self, other):
+        if isinstance(other, GaussianRationalReference):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return GaussianRationalReference(other, 0)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return GaussianRationalReference(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRationalReference(-self.re, -self.im)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return GaussianRationalReference(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return GaussianRationalReference(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        d = other.re * other.re + other.im * other.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return GaussianRationalReference(
+            (self.re * other.re + self.im * other.im) / d,
+            (self.im * other.re - self.re * other.im) / d,
+        )
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        # a real element hashes as the equal int or Fraction
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        sign = "+" if self.im >= 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
 def ratfun_reference(num, den):

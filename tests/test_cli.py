@@ -618,7 +618,8 @@ def test_hostile_json_file_is_input_error(tmp_path, argv, text):
 
 # -- pinned exact-lane bytes ------------------------------------------------------------------
 # sha256 of exact-lane outputs as recorded before the uniton number was read off
-# degrees and the Bruhat cell off the Smith diagonal.  The outputs hold only
+# degrees and the Bruhat cell off the Smith diagonal; those of the `large` build,
+# before Gaussian rationals became integer triples.  The outputs hold only
 # strings and integers, so the digests hold on every platform and Python version.
 
 
@@ -635,6 +636,11 @@ _BUILDS = {
     "even": (("--n", "4", "--exponents", "3,2,1,0", "--even"),
              {"c1_0[1,2]": _poly(0, 1), "c1_0[2,3]": _poly(0, 0, 1), "c1_0[3,4]": "2",
               "c3_2[1,4]": _poly(0, 1)}),
+    # entries whose numerators and denominators outgrow a machine word once
+    # the builder multiplies them
+    "large": (("--n", "3", "--exponents", "2,1,0"),
+              {"c1_0[1,2]": _poly(0, "123456789/987654321+5/7i"),
+               "c1_0[2,3]": _poly("3/1000003", 1), "c2_1[1,3]": _poly(0, 1)}),
 }
 _SYMMETRIC_RANKS = {"A": 3, "B": 3, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
 
@@ -699,6 +705,10 @@ _EXACT_DIGESTS = {
     "cell even": "cab1197c6a33b80be7958b48aed7064d8dd99b2e1353887f6debc66646821e32",
     "big-cell even": "16845c0b0905fcb88f29f1da0b5da92ea7c874f67a2908d4a656db0cb53dafc1",
     "verify even": "90012998296184fdfb7b4f5416ae398ee9427c99b56c64b35936f866a8637547",
+    "build large": "60dbe4ce7fb53cc8c47a46b37bfbbc252c43c5faccad943469411cd9a2caa1a3",
+    "cell large": "a27737f13b00dca6b3d67034ebd6aef132216a47c924d062b0fba788ca32c445",
+    "big-cell large": "022098bc71def6d9a67f996037b8a5c67585e87404b2502fa434d13391a503a8",
+    "verify large": "b28ec1a5a133f52fc8a7e4e094b5e60ce222e487a581d730ab4f101c9005afdf",
     "tables groups": "7154e4345c6a7a2b078d36dbb515a26f794d649c34e8aa17ef5632aafb5c0fa5",
     "tables symmetric A": "16568377a31d84b60034946608b93c1fe4cb5c746ae8464f9cca4497c8cf7dcd",
     "tables symmetric B": "5022e946b00c272e57ddde057cf180ad7dfabdbed2cd74dd932049a20372b219",

@@ -1,11 +1,13 @@
 """Exact scalar layer: arithmetic, canonical forms, calculus."""
 
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import ratfun_reference
+from oracles import GaussianRationalReference, ratfun_reference
 from unitons.errors import NonRationalAntiderivative, PoleAtZ
 from unitons.scalars import (
     GaussianRational,
@@ -91,6 +93,87 @@ def test_gaussian_mul_div_cancel(a, b):
 def test_gaussian_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         G(1) / G(0)
+
+
+def test_real_elements_hash_as_equal_numbers():
+    assert len({G(3), 3}) == 1
+    assert len({G(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert hash(G(-7)) == hash(-7) and hash(G(Fraction(-2, 6))) == hash(Fraction(-1, 3))
+    assert hash(G(Fraction(2, 4), Fraction(3, 6))) == hash(G(Fraction(1, 2), Fraction(1, 2)))
+
+
+# parts with numerators and denominators up to 10^12, ints and Fractions mixed
+_BIG = 10**12
+wide_part = st.one_of(
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.just(0),
+)
+wide_pair = st.tuples(wide_part, wide_part)
+# an operand beside a Gaussian rational: another one, or a plain int or Fraction
+wide_operand = st.one_of(wide_pair, wide_part)
+
+
+def _both(value):
+    """The same value as a production element and as a reference element,
+    or unchanged when it is a plain int or Fraction."""
+    if isinstance(value, tuple):
+        return GaussianRational(*value), GaussianRationalReference(*value)
+    return value, value
+
+
+def _assert_canonical_triple(x):
+    assert type(x._a) is int and type(x._b) is int and type(x._d) is int
+    assert x._d > 0 and gcd(x._a, x._b, x._d) == 1
+    if x.is_zero():
+        assert (x._a, x._b, x._d) == (0, 0, 1)
+
+
+def _assert_matches(x, ref):
+    """x agrees with the reference on value and on every printed form."""
+    assert isinstance(x, GaussianRational)
+    _assert_canonical_triple(x)
+    assert (x.re, x.im) == (ref.re, ref.im)
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert str(x) == str(ref) and repr(x) == repr(ref)
+    assert complex(x) == complex(ref)
+    assert hash(x) == hash(ref)
+
+
+_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+@given(wide_pair, wide_operand)
+@example((Fraction(123456789, 987654321), Fraction(5, 7)), (Fraction(3, 1000003), 0))
+@example((0, 0), 0)
+@example((2, 2), (Fraction(1, 2), Fraction(1, 2)))
+def test_gaussian_ops_match_two_fraction_reference(x, y):
+    gx, rx = _both(x)
+    gy, ry = _both(y)
+    _assert_matches(gx, rx)
+    _assert_matches(-gx, -rx)
+    _assert_matches(gx.conjugate(), rx.conjugate())
+    for op in _OPS:
+        for left, right, ref_left, ref_right in ((gx, gy, rx, ry), (gy, gx, ry, rx)):
+            try:
+                expected = op(ref_left, ref_right)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            _assert_matches(op(left, right), expected)
+    assert (gx == gy) == (rx == ry) and (gy == gx) == (ry == rx)
+    assert (gx != gy) == (rx != ry)
+
+
+@given(wide_pair, wide_part.filter(bool))
+def test_gaussian_equality_and_hash_match_the_reference_on_equal_values(x, scale):
+    # equal values reached two ways: built directly, and scaled up then back
+    gx, rx = _both(x)
+    round_trip = gx * scale / scale
+    assert round_trip == gx and hash(round_trip) == hash(gx) == hash(rx)
+    if x[1] == 0:
+        assert gx == x[0] and x[0] == gx and hash(gx) == hash(x[0])
 
 
 # -- polynomials -----------------------------------------------------------
