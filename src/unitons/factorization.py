@@ -28,13 +28,14 @@ from . import exactmat
 from .errors import (
     ExactKindUnsupported,
     NoConvergence,
+    NonMonomialDeterminant,
     NotCanonical,
     NotInBigCellForm,
     NotInvertibleLoop,
     PoleAtZ,
     SingularOnCircle,
 )
-from .loops import CompiledLoop, LoopMat, convolve, monomial_power, trim_blocks, values_at
+from .loops import CompiledLoop, LoopMat, convolve, trim_blocks, values_at
 from .roots import marks_from_exponents
 from .weierstrass import (
     ExtendedSolutionSpec,
@@ -162,8 +163,8 @@ def _det_power_and_height(blocks, lo, zs):
     no power aliases.  A det with a second power above DEFAULT_TOL times its
     largest raises NoConvergence naming the powers: the loop is not
     algebraic.  A non-finite det raises PoleAtZ.  If column j has lowest
-    power o_j, then lambda^(m - sum o + max o) Psi^-1 is a polynomial (the
-    adjugate of the column-shifted loop over its det), so R is the largest
+    power o_j, then lambda^(m - sum o + max o) Psi^-1 is a polynomial (by
+    Cramer's rule on the column-shifted loop), so R is the largest
     m - sum o + max o over the stack; any larger R serves as well.
     """
     dets = _check_circle(blocks, zs)
@@ -393,6 +394,18 @@ def _smith_diagonal(m, n: int):
                 break
         diag.append(m[k][k])
     return diag
+
+
+def monomial_power(det, shift: int) -> int:
+    """The power of the monomial det * lambda^shift, for det the nonzero
+    determinant of lambda^(-lo) L and shift = n * lo; NonMonomialDeterminant
+    names the true powers when there are several."""
+    support = [k + shift for k in range(det.degree + 1) if not det[k].is_zero()]
+    if len(support) != 1:
+        raise NonMonomialDeterminant(
+            f"determinant has lambda powers {support}; expected a monomial"
+        )
+    return support[0]
 
 
 def bruhat_cell(obj) -> BruhatCell:

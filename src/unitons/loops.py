@@ -14,7 +14,6 @@ import numpy as np
 from . import exactmat
 from .errors import (
     ExactKindUnsupported,
-    NonMonomialDeterminant,
     NotInvertibleLoop,
     PoleAtZ,
     SingularAtMinusOne,
@@ -328,7 +327,7 @@ class LoopMat:
             return self
         return LoopMat("numeric", self.n, self.lo, list(CompiledLoop(self).values([z])[0]))
 
-    # -- exact inverse and adjoint width ---------------------------------------
+    # -- exact entries as polynomials in lambda --------------------------------
 
     def _entry_polys(self):
         """Entries of lambda^(-lo) * L as Poly-over-RatFun in lambda."""
@@ -340,63 +339,6 @@ class LoopMat:
                     [m[i][j] for m in self.coeffs], field=RatFun
                 )
         return entries
-
-    def det_lambda(self):
-        """Exact determinant as (m, c) with det = c * lambda^m.
-
-        Raises NotInvertibleLoop when det = 0 and NonMonomialDeterminant when
-        the determinant has more than one lambda power.
-        """
-        if self.kind != "exact":
-            raise ExactKindUnsupported("exact determinant needs an exact loop")
-        det = _poly_det(self._entry_polys())
-        if det.is_zero():
-            raise NotInvertibleLoop("loop determinant is identically zero")
-        return monomial_power(det, self.n * self.lo), det.lead()
-
-    def inverse(self) -> "LoopMat":
-        """Exact Laurent inverse via the adjugate over the determinant."""
-        m, c = self.det_lambda()
-        entries = self._entry_polys()
-        n = self.n
-        inv_c = RatFun.one() / c
-        adj_cols = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = _poly_det(
-                    [
-                        [entries[r][s] for s in range(n) if s != j]
-                        for r in range(n)
-                        if r != i
-                    ]
-                ) if n > 1 else Poly.one(RatFun)
-                if (i + j) % 2 == 1:
-                    minor = -minor
-                adj_cols[j][i] = minor * inv_c  # adjugate transposes indices
-        deg = max(
-            (adj_cols[i][j].degree for i in range(n) for j in range(n)), default=0
-        )
-        deg = max(deg, 0)
-        coeffs = []
-        for k in range(deg + 1):
-            coeffs.append(
-                [[adj_cols[i][j][k] for j in range(n)] for i in range(n)]
-            )
-        shifted_m = m - self.n * self.lo  # power of the shifted polynomial det
-        return LoopMat("exact", n, -self.lo - shifted_m, coeffs)
-
-    def ad_width(self) -> int:
-        """Width of the conjugation action X -> L X L^(-1) in lambda powers.
-
-        Entry (i,j,r,s) of the lambda^k coefficient of Ad L is the lambda^k
-        coefficient of the scalar product L_ij (L^-1)_rs.  Over the field
-        Q(i)(z) a product of nonzero Laurent polynomials keeps the extreme
-        powers of its factors, so the top power of Ad L is hi(L) + hi(L^-1)
-        and the bottom one lo(L) + lo(L^-1); L L^-1 = I keeps them on either
-        side of zero.
-        """
-        inv = self.inverse()
-        return max(self.hi + inv.hi, -(self.lo + inv.lo))
 
     # -- numeric diagnostics -----------------------------------------------------
 
@@ -537,46 +479,3 @@ class CompiledLoop:
             raise PoleAtZ(f"loop coefficients at z = {z} exceed {MAX_COEFF:g} or are not finite")
         return out
 
-
-def monomial_power(det: Poly, shift: int) -> int:
-    """The power of the monomial det * lambda^shift, for det the nonzero
-    determinant of lambda^(-lo) L and shift = n * lo; NonMonomialDeterminant
-    names the true powers when there are several."""
-    support = [k + shift for k in range(det.degree + 1) if not det[k].is_zero()]
-    if len(support) != 1:
-        raise NonMonomialDeterminant(
-            f"determinant has lambda powers {support}; expected a monomial"
-        )
-    return support[0]
-
-
-def _poly_det(entries) -> Poly:
-    """Determinant of a square matrix of Poly-over-RatFun entries.
-
-    Expansion by minors with memoization on the active column set; fine for
-    the small sizes used here and free of polynomial division.
-    """
-    n = len(entries)
-    if n == 0:
-        return Poly.one(RatFun)
-    cache = {}
-
-    def rec(row: int, cols: tuple) -> Poly:
-        if row == n:
-            return Poly.one(RatFun)
-        key = cols
-        if key in cache:
-            return cache[key]
-        acc = Poly.zero(RatFun)
-        sign = 1
-        for idx, c in enumerate(cols):
-            e = entries[row][c]
-            if not e.is_zero():
-                sub = rec(row + 1, cols[:idx] + cols[idx + 1 :])
-                term = e * sub
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        cache[key] = acc
-        return acc
-
-    return rec(0, tuple(range(n)))

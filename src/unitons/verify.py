@@ -15,10 +15,10 @@ import numpy as np
 
 from . import exactmat
 from .errors import NotS1Invariant, StepBelowResolution
-from .factorization import _as_loop, harmonic_map_at
+from .factorization import _as_loop, bruhat_cell, harmonic_map_at
 from .loops import CompiledLoop, LoopMat
 from .roots import build_root_system, canonical_reduce, height_of, marks_from_exponents
-from .weierstrass import ExtendedSolutionSpec, left_log_derivative
+from .weierstrass import ExtendedSolutionSpec, exp_nilpotent, left_log_derivative
 
 __all__ = [
     "CheckEntry",
@@ -147,16 +147,54 @@ class UnitonNumbers:
     within_group_bound: bool
 
 
+def _spec_inverse_powers(spec: ExtendedSolutionSpec):
+    """Lowest and highest lambda powers of Psi^-1 for Psi = exp(C) gamma.
+    Psi^-1 = gamma^-1 exp(-C), whose row a is row a of exp(-C) moved down
+    k_a powers, so no determinant is needed."""
+    inv = exp_nilpotent(spec.c_lambda().scale(-1))
+    powers = [
+        k - spec.exponents[a]
+        for k, m in zip(range(inv.lo, inv.hi + 1), inv.coeffs)
+        for a, row in enumerate(m)
+        if not all(e.is_zero() for e in row)
+    ]
+    return min(powers), max(powers)
+
+
+def _loop_inverse_powers(loop: LoopMat):
+    """Lowest and highest lambda powers of L^-1 for a bare exact loop L,
+    read off two cell reductions.
+
+    `_smith_diagonal` reduces lambda^(-lo) L to D = P lambda^(-lo) L Q with
+    P, Q unimodular over F[lambda]: it uses only swaps and row and column
+    additions.  So lambda^k L^-1 = lambda^(k - lo) Q D^-1 P is polynomial
+    exactly when lambda^(k - lo) D^-1 is.  D's diagonal holds multiples of
+    lambda^(e - lo) for e in the cell of L, so lo L^-1 = -max cell(L).  The
+    same argument on L(1/lambda), whose inverse is L^-1(1/lambda), gives
+    hi L^-1 = max cell(L(1/lambda)).  A singular loop raises
+    NotInvertibleLoop and a loop whose det is not a lambda monomial
+    NonMonomialDeterminant, naming the powers of det L.
+    """
+    reversed_loop = LoopMat("exact", loop.n, -loop.hi, loop.coeffs[::-1])
+    return -max(bruhat_cell(loop).exponents), max(bruhat_cell(reversed_loop).exponents)
+
+
 def uniton_number_report(obj) -> UnitonNumbers:
     """Conjugation width of the loop against the structural bounds.
 
-    The width is computed exactly with z symbolic, so it is the generic
-    value.  For built specs it must equal the top exponent; for any n x n
-    loop it is bounded by the width of the full-flag geodesic, n - 1.
+    The width of X -> L X L^-1 in lambda powers is
+    max(hi L + hi L^-1, -(lo L + lo L^-1)): entry (i,j,r,s) of the lambda^k
+    coefficient of Ad L is the lambda^k coefficient of L_ij (L^-1)_rs, and
+    over the field Q(i)(z) a product of nonzero Laurent polynomials keeps
+    the extreme powers of its factors.  It is computed exactly with z
+    symbolic, so it is the generic value.  For built specs it must equal
+    the top exponent; for any n x n loop it is bounded by the width of the
+    full-flag geodesic, n - 1.
     """
     spec = obj if isinstance(obj, ExtendedSolutionSpec) else None
     loop = _as_loop(obj)
-    w = loop.ad_width()
+    lo_inv, hi_inv = _loop_inverse_powers(loop) if spec is None else _spec_inverse_powers(spec)
+    w = max(loop.hi + hi_inv, -(loop.lo + lo_inv))
     n = loop.n
     if n >= 2:
         rs = build_root_system("A", n - 1)

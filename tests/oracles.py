@@ -14,7 +14,9 @@ unitary factor and a disc-holomorphic factor by peeling one affine projector
 per step: the image of the lowest lambda coefficient determines the next
 projector, and the peel lowers the determinant winding, so the process stops.
 It shares no code path with the production Grassmannian split, which is the
-point: the two routes must agree on their overlap.
+point: the two routes must agree on their overlap.  `ad_width_by_conjugation`
+reads the width of Ad L off n^2 conjugations by an inverse that the caller
+builds from the factors of L, so it shares no inversion with the package.
 """
 
 from fractions import Fraction
@@ -22,6 +24,7 @@ from math import factorial
 
 from unitons import exactmat
 from unitons.errors import DegenerateFrame, ExactKindUnsupported, InvalidType
+from unitons.factorization import bruhat_cell
 from unitons.loops import LoopMat
 from unitons.roots import height_of, level
 from unitons.scalars import GaussianRational, Poly, RatFun, integrate_rational
@@ -293,7 +296,7 @@ def flag_unitarize(psi: LoopMat):
     if psi.kind != "exact":
         raise ExactKindUnsupported("flag unitarizer needs an exact loop")
     n = psi.n
-    winding, _ = psi.det_lambda()  # validates invertibility on the circle
+    winding = sum(bruhat_cell(psi).exponents)  # det psi = c lambda^winding
     work = psi
     shift = work.lo
     if shift:
@@ -318,20 +321,21 @@ def flag_unitarize(psi: LoopMat):
     return unitary, work
 
 
-def ad_width_by_conjugation(loop: LoopMat) -> int:
+def ad_width_by_conjugation(loop: LoopMat, inverse: LoopMat) -> int:
     """Largest |k| over the nonzero lambda^k coefficients of L E_jr L^-1.
 
-    Entry (i,s) of L E_jr L^-1 is L_ij (L^-1)_rs, so running over every
-    elementary matrix E_jr reaches every entry of Ad L; the width is read
-    off n^2 exact loop products.
+    The caller builds L^-1 from the factors of L; it is checked exactly
+    against L L^-1 = I.  Entry (i,s) of L E_jr L^-1 is L_ij (L^-1)_rs, so
+    running over every elementary matrix E_jr reaches every entry of Ad L;
+    the width is read off n^2 exact loop products.
     """
     n = loop.n
-    inv = loop.inverse()
+    assert loop @ inverse == LoopMat.identity(n), "inverse does not invert the loop"
     width = 0
     for j in range(n):
         for r in range(n):
             e = exactmat.zeros(n)
             e[j][r] = RatFun.one()
-            image = loop @ LoopMat("exact", n, 0, [e]) @ inv
+            image = loop @ LoopMat("exact", n, 0, [e]) @ inverse
             width = max(width, abs(image.lo), abs(image.hi))
     return width

@@ -40,7 +40,7 @@ from unitons.factorization import (
 from unitons.loops import CompiledLoop, LoopMat, trim_blocks, values_at
 from unitons.roots import marks_from_exponents
 from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
-from unitons.verify import harmonicity_residual, map_sampler
+from unitons.verify import harmonicity_residual, map_sampler, uniton_number_report
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
     assemble_loop,
@@ -573,8 +573,19 @@ def test_cell_nonmonomial_determinant():
         bruhat_cell(loop)
 
 
-def _random_unimodular(rng, n):
-    loop = LoopMat.identity(n)
+def _elementary(n, a, b, k, c):
+    """The loop I + c lambda^k E_ab."""
+    blocks = [exactmat.zeros(n) for _ in range(k + 1)]
+    for i in range(n):
+        blocks[0][i][i] = ONE
+    blocks[k][a][b] = blocks[k][a][b] + c
+    return LoopMat.exact(blocks)
+
+
+def _random_unimodular_pair(rng, n):
+    """A product of elementary loops I + c lambda^k E_ab, a != b, and its
+    inverse: the factors I - c lambda^k E_ab in reverse order."""
+    loop = inverse = LoopMat.identity(n)
     for _ in range(rng.randint(1, 4)):
         a = rng.randrange(n)
         b = rng.randrange(n)
@@ -582,12 +593,13 @@ def _random_unimodular(rng, n):
             b = rng.randrange(n)
         k = rng.randint(0, 2)
         c = RatFun.const(gr(rng.randint(-2, 2), rng.randint(-1, 1)))
-        blocks = [exactmat.zeros(n) for _ in range(k + 1)]
-        for i in range(n):
-            blocks[0][i][i] = ONE
-        blocks[k][a][b] = blocks[k][a][b] + c
-        loop = loop @ LoopMat.exact(blocks)
-    return loop
+        loop = loop @ _elementary(n, a, b, k, c)
+        inverse = _elementary(n, a, b, k, -c) @ inverse
+    return loop, inverse
+
+
+def _random_unimodular(rng, n):
+    return _random_unimodular_pair(rng, n)[0]
 
 
 def test_cell_invariant_under_unimodular_multiplication():
@@ -620,18 +632,42 @@ def test_cell_nonmonomial_determinant_names_true_powers_below_zero():
         bruhat_cell(loop)
 
 
+def _reversed(loop):
+    """The loop lambda -> L(1/lambda)."""
+    return LoopMat("exact", loop.n, -loop.hi, loop.coeffs[::-1])
+
+
 def test_ad_width_matches_conjugation_oracle():
+    # each loop comes with an inverse built from its factors
     rng = random.Random(19)
-    loops = [
-        _random_unimodular(rng, 3) @ LoopMat.diag_powers(ks) @ _random_unimodular(rng, 3)
-        for ks in ((2, 1, 0), (3, 1, 0), (1, 1, 0), (2, 0, 0), (1, -1, 0), (0, -2, -1))
-    ]
+    cases = []
+    for ks in ((2, 1, 0), (3, 1, 0), (1, 1, 0), (2, 0, 0), (1, -1, 0), (0, -2, -1)):
+        left, left_inv = _random_unimodular_pair(rng, 3)
+        right, right_inv = _random_unimodular_pair(rng, 3)
+        gamma_inv = LoopMat.diag_powers([-k for k in ks])
+        cases.append((left @ LoopMat.diag_powers(ks) @ right, right_inv @ gamma_inv @ left_inv))
     # lambda -> 1/lambda turns a width set by the top powers into one set by the bottom
-    loops += [LoopMat("exact", 3, -loop.hi, loop.coeffs[::-1]) for loop in loops[:2]]
-    loops += [assemble_loop(veronese_solution(n)) for n in range(2, 6)]
-    loops += [two_projector_frame(), LoopMat.diag_powers((2, 1, 0)).shift(-3)]
-    for loop in loops:
-        assert loop.ad_width() == ad_width_by_conjugation(loop), loop
+    cases += [(_reversed(loop), _reversed(inv)) for loop, inv in cases[:2]]
+    # Psi = exp(C) gamma has Psi^-1 = gamma^-1 exp(-C); the spec path is checked too
+    for n in range(2, 6):
+        spec = veronese_solution(n)
+        loop = assemble_loop(spec)
+        gamma_inv = LoopMat.diag_powers([-k for k in spec.exponents])
+        inverse = gamma_inv @ exp_nilpotent(spec.c_lambda().scale(-1))
+        assert uniton_number_report(spec).ad_width == ad_width_by_conjugation(loop, inverse), n
+        cases.append((loop, inverse))
+    # (p + lambda^-1 p_perp)(pi + lambda pi_perp) has inverse
+    # (pi + lambda^-1 pi_perp)(p + lambda p_perp)
+    gram = ONE + Z * Z
+    p = exactmat.projector_const([[ONE, ZERO]])
+    pi = [[ONE / gram, Z / gram], [Z / gram, Z * Z / gram]]
+    p_perp, pi_perp = (exactmat.mat_sub(exactmat.eye(2), m) for m in (p, pi))
+    frame_inv = LoopMat("exact", 2, -1, [pi_perp, pi]) @ LoopMat("exact", 2, 0, [p, p_perp])
+    cases.append((two_projector_frame(), frame_inv))
+    shifted = LoopMat.diag_powers((2, 1, 0)).shift(-3)
+    cases.append((shifted, LoopMat.diag_powers((-2, -1, 0)).shift(3)))
+    for loop, inverse in cases:
+        assert uniton_number_report(loop).ad_width == ad_width_by_conjugation(loop, inverse), loop
 
 
 def test_cell_with_rational_function_entries():
@@ -698,8 +734,8 @@ def test_flow_limit_keeps_lambda0_slots_only():
 
 def test_flow_limit_preserves_uniton_width():
     spec = u4_build(poly(0, 1), poly(1, 1), poly(0, 2), poly(0, 1), poly(1), poly(0, 0, 1))
-    assert assemble_loop(flow_limit(spec)).ad_width() == 3
-    assert assemble_loop(spec).ad_width() == 3
+    assert uniton_number_report(assemble_loop(flow_limit(spec))).ad_width == 3
+    assert uniton_number_report(assemble_loop(spec)).ad_width == 3
 
 
 # -- energy -------------------------------------------------------------------

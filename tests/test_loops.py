@@ -1,4 +1,4 @@
-"""Laurent loop matrices: algebra, involutions, exact inverse, ad width."""
+"""Laurent loop matrices: algebra, involutions, ad width of bare loops."""
 
 import random
 import warnings
@@ -19,6 +19,7 @@ from unitons.errors import (
 )
 from unitons.loops import CompiledLoop, LoopMat, values_at
 from unitons.scalars import GaussianRational, Poly, RatFun
+from unitons.verify import uniton_number_report
 from unitons.weierstrass import assemble_loop, build_from_free_functions, veronese_solution
 
 from oracles import ratfun_complex_value
@@ -304,57 +305,37 @@ def test_inf_block_reaches_the_checks_without_a_warning():
     assert np.isinf(loop.coeffs[1]).all()
 
 
-# -- exact inverse and determinant --------------------------------------------
+# -- ad width of bare loops ------------------------------------------------------
 
-def test_det_lambda_of_diag_powers():
-    m, c = LoopMat.diag_powers((3, 2, 1, 0)).det_lambda()
-    assert m == 6 and c == RatFun.one()
-
-
-def test_inverse_roundtrip_exact():
-    loop = frame_loop()
-    inv = loop.inverse()
-    assert loop @ inv == LoopMat.identity(2)
-    assert inv @ loop == LoopMat.identity(2)
-
-
-def test_inverse_with_negative_powers():
-    loop = su2_projector_loop(GaussianRational(2, 5))
-    inv = loop.inverse()
-    assert loop @ inv == LoopMat.identity(2)
+def test_singular_loop_rejected():
+    loop = LoopMat.exact([[[1, 1], [1, 1]]])
+    with pytest.raises(NotInvertibleLoop):
+        uniton_number_report(loop)
 
 
 def test_non_monomial_determinant_rejected():
     loop = LoopMat.exact([[[1, 0], [0, 1]], [[1, 0], [0, 0]]])  # diag(1+lambda, 1)
     with pytest.raises(NonMonomialDeterminant):
-        loop.inverse()
+        uniton_number_report(loop)
     # the error names the powers of det L, not of det(lambda^-lo L)
     with pytest.raises(NonMonomialDeterminant, match=r"lambda powers \[-2, -1\];"):
-        loop.shift(-1).det_lambda()
-    assert LoopMat.diag_powers((1, 0)).shift(-2).det_lambda() == (-3, RatFun.one())
+        uniton_number_report(loop.shift(-1))
 
-
-def test_singular_loop_rejected():
-    loop = LoopMat.exact([[[1, 1], [1, 1]]])
-    with pytest.raises(NotInvertibleLoop):
-        loop.det_lambda()
-
-
-# -- ad width ------------------------------------------------------------------
 
 def test_ad_width_scalar_loop_is_zero():
     scalar = LoopMat.exact([exactmat.mat_scale(exactmat.eye(3), RatFun.one())], lo=5)
-    assert scalar.ad_width() == 0
+    assert uniton_number_report(scalar).ad_width == 0
 
 
 def test_ad_width_diag_powers():
-    assert LoopMat.diag_powers((1, 0)).ad_width() == 1
-    assert LoopMat.diag_powers((3, 2, 1, 0)).ad_width() == 3
+    assert uniton_number_report(LoopMat.diag_powers((1, 0))).ad_width == 1
+    assert uniton_number_report(LoopMat.diag_powers((1, 0)).shift(-2)).ad_width == 1
+    assert uniton_number_report(LoopMat.diag_powers((3, 2, 1, 0))).ad_width == 3
 
 
 def test_ad_width_projector_product_is_two():
     loop = su2_projector_loop(GaussianRational(1, 2))
-    assert loop.ad_width() == 2
+    assert uniton_number_report(loop).ad_width == 2
 
 
 def test_ad_width_projector_product_collapses_when_equal():
@@ -364,7 +345,7 @@ def test_ad_width_projector_product_collapses_when_equal():
     p_perp = exactmat.mat_sub(exactmat.eye(2), p)
     loop = LoopMat.exact([p_perp, p], lo=-1) @ LoopMat.exact([p, p_perp], lo=0)
     assert loop == LoopMat.identity(2)
-    assert loop.ad_width() == 0
+    assert uniton_number_report(loop).ad_width == 0
 
 
 # -- algebra properties ---------------------------------------------------------

@@ -26,6 +26,7 @@ from unitons.weierstrass import (
     assemble_loop,
     build_from_free_functions,
     even_grassmannian_build,
+    exp_nilpotent,
     graded_positions,
     two_projector_frame,
     veronese_solution,
@@ -155,6 +156,42 @@ def test_uniton_numbers_su2_example():
     assert rep.group_bound == 1
     assert rep.height is None
     assert not rep.within_group_bound
+
+
+# the specs the suite builds: Veronese 2-6, the U_3, U_4 and large CLI
+# builds, the even builds and their flow limits, and U_1
+_LARGE = RatFun.const(GaussianRational.from_string("123456789/987654321+5/7i"))
+_EVEN_BUILDS = {
+    "even-3210": lambda: even_grassmannian_build(4, (3, 2, 1, 0), [Z, poly(0, 0, 1), poly(2), Z]),
+    "even-110": lambda: even_grassmannian_build(3, (1, 1, 0), [Z, ONE]),
+    "even-2110": lambda: even_spec(),
+}
+_BUILT_SPECS = {
+    **{f"veronese{n}": (lambda n=n: veronese_solution(n)) for n in range(2, 7)},
+    "u3": lambda: build_from_free_functions(3, (2, 1, 0), [Z, poly(1, 1), Z]),
+    "u4": u4_spec,
+    "large": lambda: build_from_free_functions(
+        3, (2, 1, 0), [_LARGE * Z, poly(Fraction(3, 1000003), 1), Z]
+    ),
+    **_EVEN_BUILDS,
+    **{f"{name}-limit": (lambda b=b: flow_limit(b())) for name, b in _EVEN_BUILDS.items()},
+    "u1": lambda: build_from_free_functions(1, (0,), []),
+}
+
+
+@pytest.mark.parametrize("name", _BUILT_SPECS)
+def test_spec_width_matches_bare_loop_width(name):
+    # exp(-C) on the spec against the two cell reductions on the assembled loop
+    spec = _BUILT_SPECS[name]()
+    width = uniton_number_report(spec).ad_width
+    assert width == uniton_number_report(assemble_loop(spec)).ad_width
+    c = spec.c_lambda()
+    assert exp_nilpotent(c) @ exp_nilpotent(c.scale(-1)) == LoopMat.identity(spec.n)
+
+
+def test_uniton_numbers_veronese14_is_quick():
+    # exp(-C) needs no determinant, so n = 14 takes milliseconds
+    assert uniton_number_report(veronese_solution(14)).ad_width == 13
 
 
 # -- harmonicity by finite differences ----------------------------------------

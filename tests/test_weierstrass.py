@@ -13,9 +13,11 @@ from unitons.errors import (
     NotNilpotent,
     OddSlotData,
 )
+from unitons.factorization import bruhat_cell
 from unitons.loops import LoopMat
 from oracles import closed_form_full_flag_C0, slot_by_slot_build, veronese_frame
 from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
+from unitons.verify import uniton_number_report
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
     assemble_loop,
@@ -200,8 +202,8 @@ def test_assemble_u4_degree():
     spec = u4_build(poly(0, 1), ZERO, poly(1), ZERO, poly(0, 2), poly(5))
     loop = assemble_loop(spec)
     assert loop.lo == 0 and loop.hi == 3
-    m, c = loop.det_lambda()
-    assert m == 6 and c == ONE
+    # det Psi = lambda^m, and m is the sum of the cell exponents
+    assert sum(bruhat_cell(loop).exponents) == 6
 
 
 def test_nonrational_antiderivative_surfaces_slot():
@@ -289,7 +291,7 @@ def test_veronese_frame_matches_closed_form():
 def test_veronese_assembled_width():
     for n in (2, 3, 4):
         loop = assemble_loop(veronese_solution(n))
-        assert loop.ad_width() == n - 1
+        assert uniton_number_report(loop).ad_width == n - 1
 
 
 # -- transforms ----------------------------------------------------------------
