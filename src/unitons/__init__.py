@@ -10,7 +10,6 @@ and a verification suite.
 
 from .errors import (
     DegenerateFrame,
-    EmptySubset,
     ExactKindUnsupported,
     InvalidType,
     NoConvergence,
@@ -59,7 +58,6 @@ from .weierstrass import (
     even_grassmannian_build,
     free_slot_layout,
     left_log_derivative,
-    transform_subset,
     two_projector_frame,
     veronese_solution,
 )

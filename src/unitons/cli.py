@@ -31,7 +31,7 @@ from .factorization import (
     harmonic_map_at,
     uniton_factorize,
 )
-from .loops import LoopMat
+from .loops import CompiledLoop, LoopMat, shift_columns
 from .roots import build_root_system, group_max_uniton, symmetric_space_survey
 from .verify import (
     check_extended,
@@ -45,6 +45,7 @@ from .weierstrass import (
     assemble_loop,
     build_from_free_functions,
     even_grassmannian_build,
+    exp_nilpotent,
     veronese_solution,
 )
 
@@ -284,13 +285,16 @@ def cmd_flow(args):
         raise SchemaError(f"--t must name at least one time, got {args.t!r}")
     if not all(abs(t) <= MAX_TIME for t in times):
         raise SchemaError(f"--t {args.t!r} is outside the input range |t| <= {MAX_TIME:g}")
-    psi = assemble_loop(spec).to_numeric(z)
+    # Psi = exp(C) gamma and its limit exp(C_0) gamma from one evaluation of
+    # exp C: C has no negative powers, so exp C_0 is exp C at lambda = 0
+    exp_c = CompiledLoop(exp_nilpotent(spec.c_lambda())).values([z])[0]
+    psi = LoopMat.numeric(shift_columns(exp_c, spec.exponents))
     steps = []
     for t in times:
         loop = cstar_flow(psi, t, z)
         steps.append({"t": t, "energy": energy(loop), "loop": jsonio.loop_record(loop)})
     limit = flow_limit(spec)
-    limit_loop = cstar_flow(limit, 0.0, z)
+    limit_loop = cstar_flow(LoopMat.numeric(shift_columns(exp_c[:1], spec.exponents)), 0.0, z)
     payload = {
         "z": _complex_pair(z),
         "steps": steps,

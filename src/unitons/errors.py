@@ -77,10 +77,6 @@ class DegenerateFrame(UnitonsError):
     """A frame minor needed by the triangular normalization vanishes."""
 
 
-class EmptySubset(UnitonsError):
-    """A nonempty subset of canonical marks is required."""
-
-
 class OddSlotData(UnitonsError):
     """Even-type build received data in an odd lambda slot."""
 

@@ -35,15 +35,14 @@ from .errors import (
     PoleAtZ,
     SingularOnCircle,
 )
-from .loops import CompiledLoop, LoopMat, convolve, trim_blocks, values_at
-from .roots import marks_from_exponents
+from .loops import CompiledLoop, LoopMat, convolve, shift_columns, trim_blocks, values_at
+from .roots import exponents_from_marks, marks_from_exponents
 from .weierstrass import (
     ExtendedSolutionSpec,
     WeierstrassData,
     assemble_loop,
     exp_nilpotent,
     left_log_derivative,
-    transform_subset,
 )
 
 __all__ = [
@@ -123,12 +122,12 @@ def _circle_certified(vals, dets):
         return lower.min(axis=1) > 2 * SINGULAR_TOL * np.maximum(1.0, fro.max(axis=1))
 
 
-def _circle_min_singular(blocks, zs):
+def _circle_min_singular(vals):
     """Smallest and largest singular value over the samples of |lambda| = 1
-    for each loop of the (Z, K, n, n) coefficient stack, from one stacked
-    SVD: the fallback guard for a stack that `_circle_certified` does not
-    pass."""
-    sing = np.linalg.svd(_circle_values(blocks, zs), compute_uv=False)
+    for each loop of the (Z, S, n, n) stack of circle values, from one
+    stacked SVD: the fallback guard for a stack that `_circle_certified`
+    does not pass."""
+    sing = np.linalg.svd(vals, compute_uv=False)
     return sing[..., -1].min(axis=1), sing[..., 0].max(axis=1)
 
 
@@ -144,7 +143,7 @@ def _check_circle(blocks, zs):
         dets = np.linalg.det(vals)
     if _circle_certified(vals, dets).all():
         return dets
-    for z, smin, smax in zip(zs, *_circle_min_singular(blocks, zs)):
+    for z, smin, smax in zip(zs, *_circle_min_singular(vals)):
         if not smin > SINGULAR_TOL * max(1.0, smax):
             raise SingularOnCircle(
                 f"loop is numerically singular on |lambda| = 1{_at(z)} (sigma_min = {smin:.3e})"
@@ -245,7 +244,7 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     unitary = LoopMat.numeric(phi @ np.linalg.inv(phi_one), psi.lo)
     adjoint = phi[::-1].conj().swapaxes(-1, -2)
     plus = LoopMat.numeric(phi_one @ convolve(adjoint, psi.coeffs)[len(phi) - 1 :])
-    resid_u = unitary.unitarity_residual(samples=64)
+    resid_u = unitary.unitarity_residual()
     psi_v, unitary_v, plus_v = (
         loop.circle_values(64, 0.5) for loop in (psi, unitary, plus)
     )
@@ -435,8 +434,10 @@ def uniton_factorize(spec: ExtendedSolutionSpec, z):
 
     Walks the chain of exponent subsets J_1 subset J_2 subset ... obtained by
     adding marked positions in decreasing order, unitarizes each partial loop
-    exp(C) gamma_J at z with one exp C, and returns the successive quotients
-    u_{j-1}^* u_j (with u_0 = I) and the last u_j (I for an empty chain).
+    exp(C) gamma_J at z, whose coefficients are those of exp C at z with
+    column b moved up k^J_b powers (one evaluation of exp C for the whole
+    chain), and returns the successive quotients u_{j-1}^* u_j (with
+    u_0 = I) and the last u_j (I for an empty chain).
     Each quotient is affine, pi + lambda*(1 - pi) with pi a Hermitian
     projection, and the factors multiply back to the full unitary part.
     """
@@ -445,13 +446,15 @@ def uniton_factorize(spec: ExtendedSolutionSpec, z):
         raise NotCanonical(
             f"exponents {spec.exponents} are not canonical (marks {marks})"
         )
-    support = [i + 1 for i, m in enumerate(marks) if m == 1]
-    exp_c = exp_nilpotent(spec.c_lambda())
+    exp_c = CompiledLoop(exp_nilpotent(spec.c_lambda())).values([z])[0]
     factors = []
     unitary = LoopMat.identity(spec.n, kind="numeric")
-    for count in range(1, len(support) + 1):
-        subset = sorted(support, reverse=True)[:count]
-        partial = exp_c.times_diag_powers(transform_subset(spec, subset).exponents)
+    chain = [0] * len(marks)
+    for i in reversed(range(len(marks))):
+        if not marks[i]:
+            continue
+        chain[i] = 1
+        partial = LoopMat.numeric(shift_columns(exp_c, exponents_from_marks(chain)))
         u = unitarize(partial, z=z).unitary_part
         factors.append(unitary.circle_adjoint() @ u if factors else u)
         unitary = u

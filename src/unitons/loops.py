@@ -22,7 +22,10 @@ from .errors import (
 )
 from .scalars import GaussianRational, Poly, RatFun
 
-__all__ = ["LoopMat", "CompiledLoop", "NUMERIC_TRIM", "trim_blocks", "convolve", "values_at"]
+__all__ = [
+    "LoopMat", "CompiledLoop", "NUMERIC_TRIM", "trim_blocks", "convolve", "values_at",
+    "shift_columns",
+]
 
 # relative Frobenius threshold below which numeric coefficients are dropped
 NUMERIC_TRIM = 1e-12
@@ -70,6 +73,20 @@ def values_at(blocks, lo: int, lams) -> np.ndarray:
     blocks = np.asarray(blocks)
     powers = np.asarray(lams, dtype=complex)[:, None] ** np.arange(lo, lo + blocks.shape[-3])
     return np.einsum("lk,...kab->...lab", powers, blocks)
+
+
+def shift_columns(blocks, exponents) -> np.ndarray:
+    """Coefficient stack of L diag(lambda^k_1, ..., lambda^k_n) for the loops
+    L with (..., K, n, n) coefficient stack blocks and exponents k_b >= 0:
+    column b moves up k_b blocks and the lowest power stays, the numeric
+    twin of `LoopMat.times_diag_powers`.  No block is trimmed, so a moved
+    stack of raw values trims as the moved exact loop does."""
+    blocks = np.asarray(blocks)
+    k = blocks.shape[-3]
+    out = np.zeros(blocks.shape[:-3] + (k + max(exponents),) + blocks.shape[-2:], blocks.dtype)
+    for b, s in enumerate(exponents):
+        out[..., s : s + k, :, b] = blocks[..., b]
+    return out
 
 
 def _exact_matrix(m, n: int):
@@ -351,12 +368,12 @@ class LoopMat:
         lams = np.exp(2j * np.pi * (np.arange(samples) + offset) / samples)
         return values_at(loop.coeffs, loop.lo, lams)
 
-    def unitarity_residual(self, samples: int = 32) -> float:
-        """max over sampled |lambda| = 1 of || L(lam)* L(lam) - I ||_F.
+    def unitarity_residual(self) -> float:
+        """max over 64 samples of |lambda| = 1 of || L(lam)* L(lam) - I ||_F.
 
         A non-finite value anywhere makes the result non-finite.
         """
-        v = self.circle_values(samples)
+        v = self.circle_values(64)
         gram = v.conj().transpose(0, 2, 1) @ v - np.eye(self.n)
         return float(np.linalg.norm(gram, axis=(1, 2)).max())
 

@@ -81,20 +81,20 @@ class GaussianRational:
 
     @classmethod
     def from_string(cls, s: str) -> "GaussianRational":
-        """Parse 'p/q', 'p/q+r/si', 'p/q-r/si' or 'r/si'."""
+        """Parse 'p/q', 'p/q+r/si', 'p/q-r/si' or 'r/si' straight to the
+        triple; a zero q or s raises ZeroDivisionError."""
         m = _PURE_IM_RE.match(s)
         if m:
-            return cls(0, Fraction(m.group("im")))
-        m = _SCALAR_RE.match(s)
-        if not m or (m.group("re") is None and m.group("im") is None):
-            raise ValueError(f"cannot parse Gaussian rational {s!r}")
-        re_part = Fraction(m.group("re")) if m.group("re") is not None else Fraction(0)
-        im_part = Fraction(0)
-        if m.group("im") is not None:
-            im_part = Fraction(m.group("im"))
-            if m.group("sign") == "-":
-                im_part = -im_part
-        return cls(re_part, im_part)
+            re_part, sign, im_part = None, "+", m.group("im")
+        else:
+            m = _SCALAR_RE.match(s)
+            if not m or (m.group("re") is None and m.group("im") is None):
+                raise ValueError(f"cannot parse Gaussian rational {s!r}")
+            re_part, sign, im_part = m.group("re", "sign", "im")
+        a, p = _ratio(re_part)
+        b, q = _ratio(im_part)
+        # a/p + (b/q) i = (aq + bp i) / pq
+        return _reduced(a * q, -b * p if sign == "-" else b * p, p * q)
 
     @property
     def re(self) -> Fraction:
@@ -215,6 +215,15 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     else:
         r._a, r._b, r._d = a // g, b // g, d // g
     return r
+
+
+def _ratio(text):
+    """(p, q) of a matched 'p' or 'p/q', (0, 1) for None; q = 0 raises
+    ZeroDivisionError."""
+    num, _, den = (text or "0").partition("/")
+    if den and not int(den):
+        raise ZeroDivisionError(f"zero denominator in {text!r}")
+    return int(num), int(den or 1)
 
 
 def _coerce(other):

@@ -28,16 +28,14 @@ from math import factorial
 
 from . import exactmat
 from .errors import (
-    EmptySubset,
     InvalidType,
     NonRationalAntiderivative,
-    NotCanonical,
     NotNilpotent,
     OddSlotData,
 )
 from .loops import LoopMat
-from .roots import exponents_from_marks, marks_from_exponents
-from .scalars import GaussianRational, Poly, RatFun, integrate_rational
+from .roots import marks_from_exponents
+from .scalars import GaussianRational, RatFun, integrate_rational
 
 
 def _dz(c):
@@ -226,34 +224,6 @@ def two_projector_frame():
     pi_perp = exactmat.mat_sub(exactmat.eye(2), pi)
     right = LoopMat("exact", 2, 0, [pi, pi_perp])
     return left @ right
-
-
-def transform_subset(spec, subset):
-    """Keep only the flag steps in `subset` (1-based mark positions).
-
-    The unipotent data is reused verbatim; only the homomorphism factor
-    changes.  The result still satisfies the extended-solution conditions
-    but is in general no longer graded by its own exponent vector, so
-    strict_grading is cleared.
-    """
-    marks = marks_from_exponents(spec.exponents)
-    if any(m not in (0, 1) for m in marks):
-        raise NotCanonical(f"exponents {spec.exponents} are not canonical")
-    support = {i + 1 for i, m in enumerate(marks) if m == 1}
-    chosen = set(int(j) for j in subset)
-    if not chosen:
-        raise EmptySubset("subset of marks must be nonempty")
-    if not chosen <= support:
-        raise InvalidType(f"subset {sorted(chosen)} not within marks {sorted(support)}")
-    new_marks = tuple(1 if i + 1 in chosen else 0 for i in range(len(marks)))
-    new_exponents = exponents_from_marks(new_marks)
-    return ExtendedSolutionSpec(
-        n=spec.n,
-        exponents=new_exponents,
-        c_slots={k: [row[:] for row in m] for k, m in spec.c_slots.items()},
-        even_only=spec.even_only,
-        strict_grading=(new_exponents == spec.exponents),
-    )
 
 
 def even_grassmannian_build(n, exponents, free):

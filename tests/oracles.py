@@ -3,7 +3,9 @@
 `GaussianRationalReference` is Q(i) the long way, on two fractions.Fraction
 parts, each operation a handful of Fraction operations with their own gcds;
 the production class keeps one integer triple per value and must agree with
-it on every operation and printed form.  `ratfun_reference` is canonical
+it on every operation and printed form, and `parse_gaussian_reference`
+reads the strings `GaussianRational.from_string` reads, each part through
+Fraction.  `ratfun_reference` is canonical
 form the long way: one gcd of the whole numerator and denominator;
 `ratfun_complex_value` evaluates one rational function at one point with
 Python complex numbers.  The frame and root-system formulas are closed
@@ -19,6 +21,7 @@ reads the width of Ad L off n^2 conjugations by an inverse that the caller
 builds from the factors of L, so it shares no inversion with the package.
 """
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -130,6 +133,25 @@ class GaussianRationalReference:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_RATIO = r"-?\d+(?:/\d+)?"
+_SCALAR = re.compile(rf"^\s*(?P<re>{_RATIO})?\s*(?:(?P<sign>[+-])\s*(?P<im>\d+(?:/\d+)?)\s*i)?\s*$")
+_PURE_IM = re.compile(rf"^\s*(?P<im>{_RATIO})\s*i\s*$")
+
+
+def parse_gaussian_reference(text):
+    """'p/q', 'p/q+r/si', 'p/q-r/si' or 'r/si' with Fraction parts; Fraction
+    raises ZeroDivisionError at a zero denominator, and other text raises
+    ValueError."""
+    m = _PURE_IM.match(text)
+    if m:
+        return GaussianRationalReference(0, Fraction(m.group("im")))
+    m = _SCALAR.match(text)
+    if not m or (m.group("re") is None and m.group("im") is None):
+        raise ValueError(f"cannot parse Gaussian rational {text!r}")
+    re_part, im_part = Fraction(m.group("re") or 0), Fraction(m.group("im") or 0)
+    return GaussianRationalReference(re_part, -im_part if m.group("sign") == "-" else im_part)
 
 
 def ratfun_reference(num, den):

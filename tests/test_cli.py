@@ -272,7 +272,7 @@ def _count_exp_builds(monkeypatch):
         calls.append(c)
         return original(c)
 
-    for module in (weierstrass, factorization):
+    for module in (weierstrass, factorization, cli):
         monkeypatch.setattr(module, "exp_nilpotent", counted, raising=False)
     return calls
 
@@ -281,7 +281,7 @@ def _count_exp_builds(monkeypatch):
     "argv, builds",
     [
         (["factor", "--z=0.3,0.1"], 1),  # one exp C for the whole chain
-        (["flow", "--z=0.3,0.1", "--t=0,0.5,1"], 2),  # the spec's and the limit's
+        (["flow", "--z=0.3,0.1", "--t=0,0.5,1"], 1),  # the limit is exp C at lambda = 0
     ],
 )
 def test_one_exp_c_per_command(tmp_path, monkeypatch, capsys, argv, builds):

@@ -1,5 +1,6 @@
 """Unitarization, cell recovery, flow, uniton splitting, normalized form."""
 
+import dataclasses
 import inspect
 import random
 import warnings
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import ad_width_by_conjugation, flag_unitarize
-from unitons import exactmat
+from unitons import cli, exactmat, factorization, jsonio
 from unitons.errors import (
     ExactKindUnsupported,
     NoConvergence,
@@ -38,16 +39,15 @@ from unitons.factorization import (
     uniton_factorize,
 )
 from unitons.loops import CompiledLoop, LoopMat, trim_blocks, values_at
-from unitons.roots import marks_from_exponents
+from unitons.roots import exponents_from_marks, marks_from_exponents
 from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
 from unitons.verify import harmonicity_residual, map_sampler, uniton_number_report
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
     assemble_loop,
     build_from_free_functions,
+    even_grassmannian_build,
     exp_nilpotent,
-    full_flag_exponents,
-    transform_subset,
     two_projector_frame,
     veronese_solution,
 )
@@ -226,11 +226,14 @@ def _reference_factor(psi, rows):
 
 
 def _partial_loops(spec):
-    """The partial loops exp(C) gamma_J that `uniton_factorize` unitarizes."""
-    support = [i + 1 for i, m in enumerate(marks_from_exponents(spec.exponents)) if m == 1]
+    """The partial loops exp(C) gamma_J that `uniton_factorize` unitarizes,
+    as exact loops: J takes the marks of the spec one at a time, the last
+    mark first."""
+    marks = marks_from_exponents(spec.exponents)
     exp_c = exp_nilpotent(spec.c_lambda())
-    for count in range(1, len(support) + 1):
-        exponents = transform_subset(spec, sorted(support, reverse=True)[:count]).exponents
+    for count in range(1, sum(marks) + 1):
+        kept = [i for i, m in enumerate(marks) if m][-count:]
+        exponents = exponents_from_marks([int(i in kept) for i in range(len(marks))])
         yield exp_c.times_diag_powers(exponents), exponents
 
 
@@ -278,7 +281,7 @@ def test_circle_min_singular_matches_per_sample_svd():
     psi = frame_loop().to_numeric(complex(0.4, -0.8))
     lams = np.exp(2j * np.pi * np.arange(64) / 64)
     sing = [np.linalg.svd(psi.evaluate(lam), compute_uv=False) for lam in lams]
-    (smin,), (smax,) = _circle_min_singular(np.array(psi.coeffs)[None], [None])
+    (smin,), (smax,) = _circle_min_singular(_circle_values(np.array(psi.coeffs)[None], [None]))
     assert smin == pytest.approx(min(s[-1] for s in sing), rel=1e-12)
     assert smax == pytest.approx(max(s[0] for s in sing), rel=1e-12)
 
@@ -310,7 +313,7 @@ def _certified(vals):
 
 def _svd_verdict(blocks, zs):
     """The first z the 64-sample SVD fails and its sigma_min, or None."""
-    smin, smax = _circle_min_singular(blocks, zs)
+    smin, smax = _circle_min_singular(_circle_values(blocks, zs))
     bad = np.flatnonzero(~(smin > SINGULAR_TOL * np.maximum(1.0, smax)))
     return (zs[bad[0]], smin[bad[0]]) if bad.size else None
 
@@ -343,8 +346,9 @@ def test_circle_certificate_never_passes_what_the_svd_fails():
                 mats.append(_with_singular_values(rng, s))
             blocks = _column_loops(rng, mats)
             zs = [0.5 * i for i in range(4)]
-            certified = _certified(_circle_values(blocks, zs))
-            smin, smax = _circle_min_singular(blocks, zs)
+            vals = _circle_values(blocks, zs)
+            certified = _certified(vals)
+            smin, smax = _circle_min_singular(vals)
             bound = SINGULAR_TOL * np.maximum(1.0, smax)
             # a certified loop clears the SVD bound by the margin of 2
             assert (smin[certified] > 1.99 * bound[certified]).all()
@@ -824,6 +828,54 @@ def test_uniton_factorize_returns_the_full_unitary_factor():
     assert (unitary.lo, unitary.hi) == (0, 0) and np.array_equal(unitary.coeffs[0], np.eye(2))
 
 
+def _column_move_specs():
+    """The harmonic specs (Veronese 2-5, the U_3 build and two more) and
+    three even builds."""
+    specs = _harmonic_specs()
+    specs.append(even_grassmannian_build(4, (3, 2, 1, 0), [Z, Z * Z, RatFun.const(gr(2)), Z]))
+    specs.append(even_grassmannian_build(3, (1, 1, 0), [Z, ONE]))
+    specs.append(even_grassmannian_build(4, (2, 1, 1, 0), [Z, Z * Z, ONE, -Z]))
+    return specs
+
+
+def _recorder(monkeypatch, module, name):
+    """The loops passed to module.name, recorded as it is called."""
+    loops, original = [], getattr(module, name)
+
+    def record(loop, *args, **kwargs):
+        loops.append(loop)
+        return original(loop, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+    return loops
+
+
+def _same_stack(a, b):
+    return a.lo == b.lo and np.array_equal(np.array(a.coeffs), np.array(b.coeffs))
+
+
+def test_column_moves_of_exp_c_match_the_exact_loops(tmp_path, monkeypatch):
+    # `flow` and `factor` move the columns of one evaluation of exp C; each
+    # loop they split is the numeric value of the exact loop, bit for bit
+    partials = _recorder(monkeypatch, factorization, "unitarize")
+    flowed = _recorder(monkeypatch, cli, "cstar_flow")
+    for z in (complex(0.3, 0.1), complex(-0.45, 0.6)):
+        for spec in _column_move_specs():
+            partials.clear()
+            uniton_factorize(spec, z)
+            exact = list(_partial_loops(spec))
+            assert len(partials) == len(exact)
+            for got, (loop, _) in zip(partials, exact):
+                assert _same_stack(got, loop.to_numeric(z))
+            path = tmp_path / "spec.json"
+            path.write_text(jsonio.dumps(jsonio.spec_record(spec)))
+            flowed.clear()
+            assert cli.main(["flow", str(path), f"--z={z.real},{z.imag}", "--t=0"]) == 0
+            psi, limit = flowed
+            assert _same_stack(psi, assemble_loop(spec).to_numeric(z))
+            assert _same_stack(limit, assemble_loop(flow_limit(spec)).to_numeric(z))
+
+
 # -- normalized-form check ----------------------------------------------------
 
 def test_big_cell_zero_data():
@@ -869,7 +921,9 @@ def test_big_cell_rejects_off_grade_slot():
 
 
 def test_big_cell_rejects_subset_transform():
-    moved = transform_subset(veronese_solution(4), [3])
-    assert moved.strict_grading is False
+    # Veronese 4's slots under the exponents of its last mark alone
+    moved = dataclasses.replace(
+        veronese_solution(4), exponents=(1, 1, 1, 0), strict_grading=False
+    )
     with pytest.raises(NotInBigCellForm):
         big_cell_check(moved)

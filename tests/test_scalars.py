@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import GaussianRationalReference, ratfun_reference
+from oracles import GaussianRationalReference, parse_gaussian_reference, ratfun_reference
 from unitons.errors import NonRationalAntiderivative, PoleAtZ
 from unitons.scalars import (
     GaussianRational,
@@ -138,6 +138,42 @@ def _assert_matches(x, ref):
     assert str(x) == str(ref) and repr(x) == repr(ref)
     assert complex(x) == complex(ref)
     assert hash(x) == hash(ref)
+
+
+# text near the accepted forms: parts with leading zeros and zero
+# denominators, optional signs, spacing, an "i" suffix, and stray symbols
+_space = st.sampled_from(["", " ", "  ", "\t", "\n"])
+_digits = st.from_regex(r"[0-9]{1,16}", fullmatch=True)
+_part = st.builds(
+    lambda sign, p, q: f"{sign}{p}" if q is None else f"{sign}{p}/{q}",
+    st.sampled_from(["", "-", "+"]), _digits, st.none() | _digits,
+)
+_token = st.one_of(_space, _part, st.sampled_from(["+", "-", "i", "/", ".", "I", "j"]))
+gaussian_text = st.one_of(
+    st.builds("{}{}{}{}{}{}i{}".format, _space, _part, _space, st.sampled_from("+-"),
+              _space, _part, _space),
+    st.builds("{}{}{}".format, _space, _part, _space),
+    st.builds("{}{}{}i{}".format, _space, _part, _space, _space),
+    st.lists(_token, max_size=7).map("".join),
+)
+
+
+@settings(max_examples=300)
+@given(gaussian_text)
+@example("0/0")
+@example(" -0/7 - 0/3 i ")
+@example("-4/6 - 10/4 i")
+@example("1+2/0i")
+@example("-12/18i")
+@example("\u0663/\u0664")  # non-ASCII decimal digits, which both parses accept
+def test_from_string_matches_the_fraction_parse(text):
+    try:
+        ref = parse_gaussian_reference(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            GaussianRational.from_string(text)
+        return
+    _assert_matches(GaussianRational.from_string(text), ref)
 
 
 _OPS = [operator.add, operator.sub, operator.mul, operator.truediv]

@@ -1,4 +1,4 @@
-"""Extended-solution builder: triangular solve, closed forms, transforms."""
+"""Extended-solution builder: triangular solve, closed forms, even builds."""
 
 import random
 
@@ -7,8 +7,6 @@ import pytest
 from unitons import exactmat, weierstrass
 from unitons.errors import (
     DegenerateFrame,
-    EmptySubset,
-    InvalidType,
     NonRationalAntiderivative,
     NotNilpotent,
     OddSlotData,
@@ -19,7 +17,6 @@ from oracles import closed_form_full_flag_C0, slot_by_slot_build, veronese_frame
 from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
 from unitons.verify import uniton_number_report
 from unitons.weierstrass import (
-    ExtendedSolutionSpec,
     assemble_loop,
     build_from_free_functions,
     even_grassmannian_build,
@@ -28,7 +25,6 @@ from unitons.weierstrass import (
     full_flag_exponents,
     graded_positions,
     left_log_derivative,
-    transform_subset,
     veronese_solution,
 )
 
@@ -292,35 +288,6 @@ def test_veronese_assembled_width():
     for n in (2, 3, 4):
         loop = assemble_loop(veronese_solution(n))
         assert uniton_number_report(loop).ad_width == n - 1
-
-
-# -- transforms ----------------------------------------------------------------
-
-def test_transform_full_subset_is_identity():
-    spec = veronese_solution(3)
-    back = transform_subset(spec, {1, 2})
-    assert back.exponents == spec.exponents
-    assert back.strict_grading
-
-
-def test_transform_single_step_exponents():
-    spec = veronese_solution(4)
-    t = transform_subset(spec, {1})
-    assert t.exponents == (1, 0, 0, 0)
-    t = transform_subset(spec, {3})
-    assert t.exponents == (1, 1, 1, 0)
-    assert not t.strict_grading
-
-
-def test_transform_errors():
-    spec = veronese_solution(3)
-    with pytest.raises(EmptySubset):
-        transform_subset(spec, set())
-    with pytest.raises(InvalidType):
-        transform_subset(spec, {5})
-    bad = ExtendedSolutionSpec(n=2, exponents=(2, 0), c_slots={})
-    with pytest.raises(Exception):
-        transform_subset(bad, {1})
 
 
 # -- even builds ----------------------------------------------------------------
