@@ -9,7 +9,6 @@ and a verification suite.
 """
 
 from .errors import (
-    DegenerateFrame,
     ExactKindUnsupported,
     InvalidType,
     NoConvergence,

@@ -73,10 +73,6 @@ class NotNilpotent(UnitonsError):
     """exp/log series did not terminate: the argument is not nilpotent."""
 
 
-class DegenerateFrame(UnitonsError):
-    """A frame minor needed by the triangular normalization vanishes."""
-
-
 class OddSlotData(UnitonsError):
     """Even-type build received data in an odd lambda slot."""
 

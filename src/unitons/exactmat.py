@@ -8,7 +8,7 @@ on purpose: the exact lanes must never round.
 from __future__ import annotations
 
 from .errors import SizeMismatch
-from .scalars import RatFun
+from .scalars import RatFun, solve
 
 __all__ = [
     "eye",
@@ -93,29 +93,9 @@ def mat_eq(a, b) -> bool:
 
 
 def mat_inv(a):
-    """Gauss-Jordan inverse of a matrix of RatFun entries.
-
-    Raises ZeroDivisionError when the matrix is singular.
-    """
-    n = len(a)
-    m = [row[:] + unit for row, unit in zip(a, eye(n))]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not m[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        pivot = m[col][col]
-        m[col] = [x / pivot for x in m[col]]
-        for r in range(n):
-            if r == col or m[r][col].is_zero():
-                continue
-            factor = m[r][col]
-            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    """Inverse of a matrix of RatFun entries, `scalars.solve` against the
+    identity.  Raises ZeroDivisionError when the matrix is singular."""
+    return solve(a, eye(len(a)))
 
 
 def conj_transpose_const(a):

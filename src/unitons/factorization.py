@@ -238,7 +238,7 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     raises NoConvergence naming its values, the bound and z.
     """
     psi = _as_loop(psi).to_numeric(z)
-    blocks = np.array(psi.coeffs)[None]
+    blocks = psi.coeffs[None]
     phi = _wandering_blocks(blocks, *_det_power_and_height(blocks, psi.lo, [z]), [z])[0]
     phi_one = phi.sum(axis=0)
     unitary = LoopMat.numeric(phi @ np.linalg.inv(phi_one), psi.lo)
@@ -319,19 +319,17 @@ def cstar_flow(obj, t: float, z=None) -> LoopMat:
     loop = _as_loop(obj).to_numeric(z)
     try:
         u = math.exp(-t)
-        blocks = [
-            np.array(loop.coeff(k)) * u**k for k in range(loop.lo, loop.hi + 1)
-        ]
+        powers = np.array([u**k for k in range(loop.lo, loop.hi + 1)])
     except (OverflowError, ZeroDivisionError):
         raise PoleAtZ(f"lambda -> exp(-t) lambda leaves the float range at t = {t!r}") from None
-    scale = np.ones(loop.n)
-    for j in range(loop.n):
-        top = max(np.linalg.norm(b[:, j]) for b in blocks)
-        if top > 0:
-            scale[j] = 1.0 / top
-    d = np.diag(scale)
-    scaled = LoopMat.numeric([b @ d for b in blocks], loop.lo)
-    return unitarize(scaled, z).unitary_part
+    blocks = loop.coeffs * powers[:, None, None]
+    # one 1-D norm per block and column, and a product with diag(scale)
+    # rather than an entrywise one: a norm along an axis of the stack rounds
+    # differently, and the entrywise product signs some zero entries
+    # differently, which steers the SVD's reflections; both move printed digits
+    top = np.array([[np.linalg.norm(b[:, j]) for j in range(loop.n)] for b in blocks]).max(axis=0)
+    scale = np.divide(1.0, top, out=np.ones(loop.n), where=top > 0)
+    return unitarize(LoopMat.numeric(blocks @ np.diag(scale), loop.lo), z).unitary_part
 
 
 def flow_limit(spec: ExtendedSolutionSpec) -> ExtendedSolutionSpec:

@@ -1,10 +1,11 @@
 """Laurent-polynomial matrix loops lambda -> M_n, exact or numeric.
 
 A loop is stored as coefficient matrices for powers lambda^lo .. lambda^hi.
-Exact loops have entries in the rational-function field Q(i)(z); numeric
-loops have complex matrices.  The two kinds never mix silently: numeric data
-cannot be promoted back to exact, and exact operations that would need
-complex conjugation of z-dependent entries refuse instead of rounding.
+Exact loops hold a list of nested-list matrices with entries in the
+rational-function field Q(i)(z); numeric loops hold one complex (K, n, n)
+stack.  The two kinds never mix silently: numeric data cannot be promoted
+back to exact, and exact operations that would need complex conjugation of
+z-dependent entries refuse instead of rounding.
 """
 
 from __future__ import annotations
@@ -122,20 +123,19 @@ class LoopMat:
 
     @classmethod
     def numeric(cls, coeffs, lo: int = 0) -> "LoopMat":
-        mats = [np.asarray(m, dtype=complex) for m in coeffs]
-        if not mats:
+        """Numeric loop from a (K, n, n) stack or a sequence of n x n matrices."""
+        stack = np.asarray(coeffs, dtype=complex)
+        if not len(stack):
             raise ValueError("need at least one coefficient matrix")
-        n = mats[0].shape[0]
-        for m in mats:
-            if m.shape != (n, n):
-                raise SizeMismatch("coefficient matrices must share a square shape")
-        return cls("numeric", n, lo, mats)
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise SizeMismatch("coefficient matrices must share a square shape")
+        return cls("numeric", stack.shape[1], lo, stack)
 
     @classmethod
     def identity(cls, n: int, kind: str = "exact") -> "LoopMat":
         if kind == "exact":
             return cls("exact", n, 0, [exactmat.eye(n)])
-        return cls("numeric", n, 0, [np.eye(n, dtype=complex)])
+        return cls("numeric", n, 0, np.eye(n, dtype=complex)[None])
 
     @classmethod
     def diag_powers(cls, exponents) -> "LoopMat":
@@ -155,24 +155,26 @@ class LoopMat:
             return exactmat.zeros(self.n)
         return np.zeros((self.n, self.n), dtype=complex)
 
-    def _is_zero_block(self, m) -> bool:
-        if self.kind == "exact":
-            return exactmat.mat_is_zero(m)
-        return not np.any(m)
-
     def _trim(self):
-        if self.kind == "numeric" and self.coeffs:
-            self.coeffs = list(trim_blocks(np.array(self.coeffs)))
-        while len(self.coeffs) > 1 and self._is_zero_block(self.coeffs[-1]):
-            self.coeffs.pop()
-        while len(self.coeffs) > 1 and self._is_zero_block(self.coeffs[0]):
-            self.coeffs.pop(0)
-            self.lo += 1
-        if len(self.coeffs) == 1 and self._is_zero_block(self.coeffs[0]):
-            self.lo = 0
+        """Keep the blocks from the first to the last nonzero one (a zero loop
+        keeps one block, at power 0) by slicing, so the caller's list or
+        array is never edited; numeric blocks are first trimmed by
+        `trim_blocks`, which returns a new stack."""
+        if self.kind == "numeric":
+            self.coeffs = trim_blocks(self.coeffs)
+            nonzero = np.flatnonzero(self.coeffs.any(axis=(1, 2)))
+        else:
+            nonzero = [k for k, m in enumerate(self.coeffs) if not exactmat.mat_is_zero(m)]
+        if not len(nonzero):
+            self.coeffs, self.lo = self.coeffs[:1], 0
+            return
+        first, last = int(nonzero[0]), int(nonzero[-1])
+        self.coeffs, self.lo = self.coeffs[first : last + 1], self.lo + first
 
     def is_zero(self) -> bool:
-        return all(self._is_zero_block(m) for m in self.coeffs)
+        if self.kind == "numeric":
+            return not self.coeffs.any()
+        return all(exactmat.mat_is_zero(m) for m in self.coeffs)
 
     # -- algebra -------------------------------------------------------------
 
@@ -190,7 +192,7 @@ class LoopMat:
         self._check_compatible(other)
         lo = self.lo + other.lo
         if self.kind == "numeric":
-            return LoopMat("numeric", self.n, lo, list(convolve(self.coeffs, other.coeffs)))
+            return LoopMat("numeric", self.n, lo, convolve(self.coeffs, other.coeffs))
         out = [exactmat.zeros(self.n) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -223,14 +225,12 @@ class LoopMat:
 
     def scale(self, c) -> "LoopMat":
         if self.kind == "exact":
-            coeffs = [exactmat.mat_scale(m, c) for m in self.coeffs]
-        else:
-            coeffs = [m * complex(c) for m in self.coeffs]
-        return LoopMat(self.kind, self.n, self.lo, coeffs)
+            return LoopMat("exact", self.n, self.lo, [exactmat.mat_scale(m, c) for m in self.coeffs])
+        return LoopMat("numeric", self.n, self.lo, self.coeffs * complex(c))
 
     def shift(self, s: int) -> "LoopMat":
         """Multiply by the scalar loop lambda^s."""
-        return LoopMat(self.kind, self.n, self.lo + s, [m for m in self.coeffs])
+        return LoopMat(self.kind, self.n, self.lo + s, self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, LoopMat) or self.kind != other.kind:
@@ -248,8 +248,7 @@ class LoopMat:
         must be z-free since the operation conjugates coefficients.
         """
         if self.kind == "numeric":
-            coeffs = [m.conj().T for m in reversed(self.coeffs)]
-            return LoopMat("numeric", self.n, -self.hi, coeffs)
+            return LoopMat("numeric", self.n, -self.hi, self.coeffs[::-1].conj().swapaxes(1, 2))
         if any(not e.is_const() for m in self.coeffs for row in m for e in row):
             raise ExactKindUnsupported(
                 "circle adjoint of an exact loop needs z-free coefficients"
@@ -292,7 +291,7 @@ class LoopMat:
         value = self.evaluate(lam)
         if not (np.isfinite(value).all() and np.linalg.cond(value) <= 1e12):
             raise error(message)
-        return LoopMat("numeric", self.n, 0, [np.linalg.inv(value)])
+        return LoopMat("numeric", self.n, 0, np.linalg.inv(value)[None])
 
     # -- evaluation ------------------------------------------------------------
 
@@ -342,7 +341,7 @@ class LoopMat:
         case of `CompiledLoop.values`, with its PoleAtZ guards."""
         if self.kind == "numeric":
             return self
-        return LoopMat("numeric", self.n, self.lo, list(CompiledLoop(self).values([z])[0]))
+        return LoopMat("numeric", self.n, self.lo, CompiledLoop(self).values([z])[0])
 
     # -- exact entries as polynomials in lambda --------------------------------
 
@@ -378,8 +377,7 @@ class LoopMat:
         return float(np.linalg.norm(gram, axis=(1, 2)).max())
 
     def max_coeff_norm(self) -> float:
-        loop = self if self.kind == "numeric" else self.to_numeric()
-        return float(np.max([np.linalg.norm(m) for m in loop.coeffs]))
+        return float(np.max([np.linalg.norm(m) for m in self.to_numeric().coeffs]))
 
     def __repr__(self):
         return f"LoopMat(kind={self.kind!r}, n={self.n}, powers {self.lo}..{self.hi})"
@@ -444,7 +442,7 @@ class CompiledLoop:
     def __init__(self, loop: LoopMat):
         self.n, self.lo = loop.n, loop.lo
         if loop.kind == "numeric":
-            self._const = np.array(loop.coeffs)
+            self._const = loop.coeffs
             self._where = np.zeros(0, dtype=int)
             return
         const, where, nums, rational, dens = [], [], [], [], []

@@ -35,6 +35,7 @@ __all__ = [
     "differentiate",
     "integrate_rational",
     "hermite_reduce",
+    "solve",
 ]
 
 
@@ -640,20 +641,25 @@ def differentiate(f: RatFun) -> RatFun:
     return _as_ratfun(f).derivative()
 
 
-def _solve(rows, rhs):
-    """Gauss-Jordan solve of a nonsingular square system over Q(i)."""
-    n = len(rhs)
-    a = [list(row) + [b] for row, b in zip(rows, rhs)]
+def solve(rows, rhs):
+    """Gauss-Jordan solve of rows @ x = rhs over an exact field (Q(i) or
+    RatFun): rows is square and rhs a matrix with as many rows, both lists
+    of rows; returns x as a list of rows.  Raises ZeroDivisionError when
+    rows is singular."""
+    n = len(rows)
+    a = [list(row) + list(b) for row, b in zip(rows, rhs)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if not a[r][col].is_zero())
+        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
         a[col], a[piv] = a[piv], a[col]
-        inv = GaussianRational.one() / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        pivot = a[col][col]
+        a[col] = [x / pivot for x in a[col]]
         for r in range(n):
             f = a[r][col]
             if r != col and not f.is_zero():
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n] for row in a]
+    return [row[n:] for row in a]
 
 
 def hermite_reduce(num: Poly, den: Poly):
@@ -683,7 +689,7 @@ def hermite_reduce(num: Poly, den: Poly):
     cols = [p.derivative() * d_star - p * h for p in powers[:m]]
     cols += [p * d_minus for p in powers[: n - m]]
     rows = [[col[i] for col in cols] for i in range(n)]
-    x = _solve(rows, [num[i] for i in range(n)])
+    x = [row[0] for row in solve(rows, [[num[i]] for i in range(n)])]
     residual = RatFun(Poly(x[m:]), d_star)
     return RatFun(Poly(x[:m]), d_minus), residual.num, residual.den
 

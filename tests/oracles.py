@@ -19,15 +19,21 @@ It shares no code path with the production Grassmannian split, which is the
 point: the two routes must agree on their overlap.  `ad_width_by_conjugation`
 reads the width of Ad L off n^2 conjugations by an inverse that the caller
 builds from the factors of L, so it shares no inversion with the package.
+`cstar_flow_reference` is the C*-flow with its scaling written block by
+block, as `cstar_flow` once computed it; the stacked scaling must round the
+same way.
 """
 
+import math
 import re
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
+
 from unitons import exactmat
-from unitons.errors import DegenerateFrame, ExactKindUnsupported, InvalidType
-from unitons.factorization import bruhat_cell
+from unitons.errors import ExactKindUnsupported, InvalidType
+from unitons.factorization import bruhat_cell, unitarize
 from unitons.loops import LoopMat
 from unitons.roots import height_of, level
 from unitons.scalars import GaussianRational, Poly, RatFun, integrate_rational
@@ -178,6 +184,10 @@ def ratfun_complex_value(f, z):
 
 
 # -- closed forms for the full-flag builder -------------------------------------
+
+
+class DegenerateFrame(Exception):
+    """A frame minor needed by the triangular normalization vanishes."""
 
 
 def closed_form_full_flag_C0(n, f_components):
@@ -341,6 +351,22 @@ def flag_unitarize(psi: LoopMat):
         steps += 1
         assert steps <= budget, "projector peeling failed to terminate"
     return unitary, work
+
+
+def cstar_flow_reference(loop: LoopMat, t: float, z=None) -> LoopMat:
+    """Unitary part of the numeric loop with lambda -> exp(-t) lambda, its
+    columns rebalanced block by block: a Python power u**k per block, one
+    1-D norm per block and column, and one product with diag(scale) per
+    block."""
+    u = math.exp(-t)
+    blocks = [np.array(loop.coeff(k)) * u**k for k in range(loop.lo, loop.hi + 1)]
+    scale = np.ones(loop.n)
+    for j in range(loop.n):
+        top = max(np.linalg.norm(b[:, j]) for b in blocks)
+        if top > 0:
+            scale[j] = 1.0 / top
+    d = np.diag(scale)
+    return unitarize(LoopMat.numeric([b @ d for b in blocks], loop.lo), z).unitary_part
 
 
 def ad_width_by_conjugation(loop: LoopMat, inverse: LoopMat) -> int:

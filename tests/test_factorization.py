@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import ad_width_by_conjugation, flag_unitarize
+from oracles import ad_width_by_conjugation, cstar_flow_reference, flag_unitarize
 from unitons import cli, exactmat, factorization, jsonio
 from unitons.errors import (
     ExactKindUnsupported,
@@ -20,6 +20,7 @@ from unitons.errors import (
     NotInvertibleLoop,
     PoleAtZ,
     SingularOnCircle,
+    UnitonsError,
 )
 from unitons.factorization import (
     SINGULAR_TOL,
@@ -722,6 +723,40 @@ def test_flow_out_of_float_range_is_typed_error():
         cstar_flow(veronese_solution(2), -1e308, z=0.3)
     with pytest.raises(PoleAtZ):
         cstar_flow(LoopMat.diag_powers((1, 0)).shift(-1), 1e308)
+
+
+def _flow_or_error(flow, psi, t, z):
+    try:
+        loop = flow(psi, t, z)
+    except UnitonsError as exc:
+        return repr(exc)
+    return loop.lo, loop.coeffs
+
+
+def test_flow_scaling_rounds_as_the_blockwise_reference():
+    # `cstar_flow` scales the whole stack at once; its unitary part must equal
+    # the block-by-block scaling's bit for bit (a norm along an axis of the
+    # stack, or an entrywise product with the scale, moves printed digits)
+    specs = [
+        _u3_build(),
+        build_from_free_functions(
+            4, (3, 2, 1, 0), [Z, Z * Z, ONE + Z, 2 * Z, 3 * Z * Z, RatFun.const(gr(5))]),
+        even_grassmannian_build(4, (3, 2, 1, 0), [Z, Z * Z, RatFun.const(gr(2)), Z]),
+    ] + [veronese_solution(n) for n in range(2, 9)]
+    split = 0
+    for spec in specs:
+        loop = assemble_loop(spec)
+        for z in (complex(0.3, 0.1), complex(-0.45, 0.6), complex(1.2, -0.5)):
+            psi = loop.to_numeric(z)
+            for t in (-10.0, -1.0, 0.0, 0.5, 2.0, 7.0, 30.0):
+                got = _flow_or_error(cstar_flow, psi, t, z)
+                want = _flow_or_error(cstar_flow_reference, psi, t, z)
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                split += 1
+                assert got[0] == want[0] and np.array_equal(got[1], want[1]), (spec.exponents, z, t)
+    assert split >= 200
 
 
 def test_flow_limit_keeps_lambda0_slots_only():

@@ -17,6 +17,7 @@ from unitons.errors import (
     SingularAtMinusOne,
     ZeroLambda,
 )
+from unitons.factorization import unitarize
 from unitons.loops import CompiledLoop, LoopMat, values_at
 from unitons.scalars import GaussianRational, Poly, RatFun
 from unitons.verify import uniton_number_report
@@ -73,6 +74,30 @@ def test_numeric_trim_drops_noise():
     tiny = 1e-15 * np.ones((2, 2))
     loop = LoopMat.numeric([big, tiny])
     assert loop.hi == 0
+
+
+def test_construction_keeps_the_callers_list_and_numeric_coeffs_are_one_stack():
+    # the trim slices off zero end blocks; the list passed in keeps them
+    zero, one = exactmat.zeros(2), exactmat.eye(2)
+    blocks = [zero, one, zero]
+    loop = LoopMat("exact", 2, 0, blocks)
+    assert blocks == [zero, one, zero] and (loop.lo, loop.hi) == (1, 1)
+    mats = [np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))]
+    for loop in (LoopMat("numeric", 2, 0, mats), LoopMat.numeric(mats)):
+        assert len(mats) == 3 and (loop.lo, loop.hi) == (1, 1)
+    stack = np.array([1e-15 * np.eye(2), np.eye(2)])
+    assert LoopMat.numeric(stack).lo == 1 and stack[0, 0, 0] == 1e-15
+    # each numeric loop holds one complex (K, n, n) stack
+    rng = np.random.default_rng(3)
+    a = LoopMat.numeric(rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)), lo=-1)
+    b = frame_loop().to_numeric(0.3)
+    loops = [
+        a, b, LoopMat.identity(2, "numeric"), a @ b, a - b, a.scale(2j),
+        a.circle_adjoint(), unitarize(b).unitary_part,
+    ]
+    for loop in loops:
+        assert isinstance(loop.coeffs, np.ndarray) and loop.coeffs.dtype == complex
+        assert loop.coeffs.shape == (loop.hi - loop.lo + 1, 2, 2)
 
 
 def test_numeric_trim_keeps_nonfinite_blocks():

@@ -16,6 +16,7 @@ from unitons.scalars import (
     differentiate,
     hermite_reduce,
     integrate_rational,
+    solve,
 )
 
 
@@ -427,6 +428,19 @@ def test_hermite_reduce_identity():
     g, r, d_star = hermite_reduce(num, den)
     recon = g.derivative() + RatFun(r, d_star)
     assert recon == RatFun(num, den)
+
+
+def test_solve_takes_a_matrix_rhs_over_either_field_and_refuses_singular_rows():
+    rows = [[G(0), G(2, 1)], [G(1), G(3)]]  # needs a row swap
+    rhs = [[G(1), G(0)], [G(0), G(1)]]
+    x = solve(rows, rhs)
+    assert [[sum((r[k] * x[k][j] for k in range(2)), G(0)) for j in range(2)] for r in rows] == rhs
+    ratfun_rows = [[Z, ONE], [ONE, ONE + Z]]
+    x = solve(ratfun_rows, [[ONE], [Z]])
+    assert [r[0] * x[0][0] + r[1] * x[1][0] for r in ratfun_rows] == [ONE, Z]
+    for singular in ([[G(1), G(2)], [G(2), G(4)]], [[G(0), G(1)], [G(0), G(1)]]):
+        with pytest.raises(ZeroDivisionError, match="singular matrix"):
+            solve(singular, [[G(1)], [G(1)]])
 
 
 def test_hermite_reduce_refuses_improper_input():

@@ -6,14 +6,13 @@ import pytest
 
 from unitons import exactmat, weierstrass
 from unitons.errors import (
-    DegenerateFrame,
     NonRationalAntiderivative,
     NotNilpotent,
     OddSlotData,
 )
 from unitons.factorization import bruhat_cell
 from unitons.loops import LoopMat
-from oracles import closed_form_full_flag_C0, slot_by_slot_build, veronese_frame
+from oracles import DegenerateFrame, closed_form_full_flag_C0, slot_by_slot_build, veronese_frame
 from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
 from unitons.verify import uniton_number_report
 from unitons.weierstrass import (
