@@ -31,7 +31,7 @@ from .factorization import (
     harmonic_map_at,
     uniton_factorize,
 )
-from .loops import CompiledLoop, LoopMat, shift_columns
+from .loops import CompiledLoop, LoopMat
 from .roots import build_root_system, group_max_uniton, symmetric_space_survey
 from .verify import (
     check_extended,
@@ -43,6 +43,7 @@ from .verify import (
 )
 from .weierstrass import (
     assemble_loop,
+    assemble_numeric,
     build_from_free_functions,
     even_grassmannian_build,
     exp_nilpotent,
@@ -122,8 +123,11 @@ def _numeric_matrix(m):
 def _emit(payload, out_path):
     text = jsonio.dumps(payload) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -288,13 +292,13 @@ def cmd_flow(args):
     # Psi = exp(C) gamma and its limit exp(C_0) gamma from one evaluation of
     # exp C: C has no negative powers, so exp C_0 is exp C at lambda = 0
     exp_c = CompiledLoop(exp_nilpotent(spec.c_lambda())).values([z])[0]
-    psi = LoopMat.numeric(shift_columns(exp_c, spec.exponents))
+    psi = assemble_numeric(exp_c, spec.exponents)
     steps = []
     for t in times:
         loop = cstar_flow(psi, t, z)
         steps.append({"t": t, "energy": energy(loop), "loop": jsonio.loop_record(loop)})
     limit = flow_limit(spec)
-    limit_loop = cstar_flow(LoopMat.numeric(shift_columns(exp_c[:1], spec.exponents)), 0.0, z)
+    limit_loop = cstar_flow(assemble_numeric(exp_c[:1], spec.exponents), 0.0, z)
     payload = {
         "z": _complex_pair(z),
         "steps": steps,

@@ -4,12 +4,17 @@ Four pieces live here.  `unitarize` splits an invertible numeric loop into a
 based unitary factor and a disc-holomorphic factor in Segal's Grassmannian
 model: for an algebraic loop (det Psi = c lambda^m) shifted to powers >= 0,
 W = Psi H+ lies between lambda^R H+ and H+, and the unitary factor's columns
-are an orthonormal basis of W - lambda W, read off one SVD of the
-n(R+1) x nR generator matrix of lambda W, whose rank nR - m is known, and
-one QR.  The det's single lambda power, the separation of the singular
-values at that rank, and the split's unitarity and reassembly residuals are
-always checked against the fixed bound 1e-9 (relative where it has a
-scale), and a loop that fails one raises NoConvergence.
+are an orthonormal basis of W - lambda W, read off the n(R+1) x nR
+generator matrix of lambda W, whose rank nR - m is known.  A loop built
+from a spec, exp(C) gamma, carries gamma's exponents k: m = sum k and
+R = max k, and exactly nR - m generator columns are nonzero, so one QR
+gives the basis.  A bare loop reads m off det Psi at circle samples, whose
+single lambda power is checked, and takes the QR too when its count of
+nonzero columns is nR - m, or an SVD whose singular values must be
+separated at that rank.  The split's unitarity and reassembly residuals
+and the map value's unitarity are always checked against the fixed bound
+1e-9 (relative where it has a scale), and a loop that fails a check raises
+NoConvergence.
 `bruhat_cell` recovers the diagonal lambda-exponents of an exact loop by
 Smith reduction over the rational-function field.  `cstar_flow` and
 `flow_limit` implement the lambda -> u*lambda deformation and its u -> 0
@@ -35,12 +40,13 @@ from .errors import (
     PoleAtZ,
     SingularOnCircle,
 )
-from .loops import CompiledLoop, LoopMat, convolve, shift_columns, trim_blocks, values_at
+from .loops import CompiledLoop, LoopMat, convolve, trim_blocks, values_at
 from .roots import exponents_from_marks, marks_from_exponents
 from .weierstrass import (
     ExtendedSolutionSpec,
     WeierstrassData,
     assemble_loop,
+    assemble_numeric,
     exp_nilpotent,
     left_log_derivative,
 )
@@ -184,6 +190,22 @@ def _det_power_and_height(blocks, lo, zs):
     return m, int((m - low.sum(axis=1) + low.max(axis=1)).max())
 
 
+def _power_and_height(blocks, lo, zs, exponents):
+    """(m, R) for `_wandering_blocks`, as `_det_power_and_height` gives them.
+
+    exponents is None for a bare loop, which takes the circle pass.  For a
+    loop Psi = exp(C) gamma built from a spec they are gamma's k: exp C is
+    unipotent at lambda = 0, so column i of Psi starts at lambda^(k_i) with
+    an invertible matrix of lowest coefficients, det Psi = lambda^(sum k)
+    and R = max k, with no circle samples.  That holds while the trim of
+    small blocks keeps the lowest one (lo = 0); a loop trimmed past it
+    takes the circle pass too.
+    """
+    if exponents is None or lo != 0:
+        return _det_power_and_height(blocks, lo, zs)
+    return np.full(len(blocks), sum(exponents)), max(exponents)
+
+
 def _wandering_blocks(blocks, m, height, zs):
     """Blocks 0..R of a unitary Phi with Phi H+ = W = Psi H+, for each loop
     of the (Z, K, n, n) coefficient stack of polynomial loops Psi, given the
@@ -192,11 +214,14 @@ def _wandering_blocks(blocks, m, height, zs):
     Phi's columns are an orthonormal basis of W - lambda W, which lies in
     the polynomials P_R of degree <= R (Beurling-Lax).  Truncated to P_R,
     lambda W is spanned by the columns lambda^j Psi e_i, j = 1..R, of one
-    n(R+1) x nR generator matrix of rank nR - m, known in advance.  Its SVD
-    gives an orthonormal basis of truncated lambda W; Psi's columns less
-    their part in it span W - lambda W, and a QR of them gives Phi.  The
-    singular values on either side of rank nR - m must be separated, the
-    lower at most DEFAULT_TOL times the upper, or NoConvergence names z.
+    n(R+1) x nR generator matrix of rank nR - m, known in advance.  When
+    exactly nR - m of its columns are nonzero at every point, as for every
+    loop built from a spec, they are independent, and one QR of them
+    followed by Psi's columns gives Phi as its last n columns.  Otherwise
+    an SVD gives an orthonormal basis of truncated lambda W; Psi's columns
+    less their part in it span W - lambda W, and a QR of them gives Phi.
+    The singular values on either side of rank nR - m must be separated,
+    the lower at most DEFAULT_TOL times the upper, or NoConvergence names z.
     """
     count, k, n = len(blocks), blocks.shape[1], blocks.shape[-1]
     gen = np.zeros((count, height + 1, n, height + 1, n), dtype=complex)
@@ -204,8 +229,15 @@ def _wandering_blocks(blocks, m, height, zs):
         top = min(k, height + 1 - j)
         gen[:, j : j + top, :, j] = blocks[:, :top]
     gen = gen.reshape(count, (height + 1) * n, (height + 1) * n)
-    u, sing, _ = np.linalg.svd(gen[..., n:], full_matrices=False)
+    psi, shifted = gen[..., :n], gen[..., n:]
     rank = n * height - m
+    nonzero = shifted.any(axis=1)
+    if (nonzero.sum(axis=1) == rank).all() and (rank == rank[0]).all():
+        kept = np.argsort(~nonzero, axis=1, kind="stable")[:, None, : rank[0]]
+        basis = np.take_along_axis(shifted, kept, axis=2)
+        q = np.linalg.qr(np.concatenate([basis, psi], axis=2))[0][..., -n:]
+        return q.reshape(count, height + 1, n, n)
+    u, sing, _ = np.linalg.svd(shifted, full_matrices=False)
     # sigma_0 := sigma_1 and sigma_(nR+1) := 0 at the ends
     sing = np.pad(sing, ((0, 0), (1, 1)))
     sing[:, 0] = sing[:, 1]
@@ -218,7 +250,6 @@ def _wandering_blocks(blocks, m, height, zs):
                 "the loop is too ill-conditioned"
             )
     basis = u * (np.arange(n * height) < rank[:, None])[:, None, :]
-    psi = gen[..., :n]
     q = np.linalg.qr(psi - basis @ (basis.conj().swapaxes(-1, -2) @ psi))[0]
     return q.reshape(count, height + 1, n, n)
 
@@ -235,11 +266,13 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     every loop this package builds is; a det with other powers, a
     generator whose rank nR - m is not separated, a unitarity residual
     above 1e-9 or a split residual above 1e-9 times max(1, max_k ||Psi_k||)
-    raises NoConvergence naming its values, the bound and z.
+    raises NoConvergence naming its values, the bound and z.  A loop built
+    from a spec reads m and R off its exponents, with no circle pass.
     """
     psi = _as_loop(psi).to_numeric(z)
     blocks = psi.coeffs[None]
-    phi = _wandering_blocks(blocks, *_det_power_and_height(blocks, psi.lo, [z]), [z])[0]
+    shape = _power_and_height(blocks, psi.lo, [z], psi.exponents)
+    phi = _wandering_blocks(blocks, *shape, [z])[0]
     phi_one = phi.sum(axis=0)
     unitary = LoopMat.numeric(phi @ np.linalg.inv(phi_one), psi.lo)
     adjoint = phi[::-1].conj().swapaxes(-1, -2)
@@ -273,14 +306,17 @@ def harmonic_map_at(obj, z) -> np.ndarray:
     guards work per z: a pole raises PoleAtZ, a loop singular on the circle
     SingularOnCircle, and a det that is not a lambda monomial, a generator
     rank that is not separated or a value ||phi phi* - I||_F above the 1e-9
-    bound NoConvergence, each naming the first z that fails.
+    bound NoConvergence, each naming the first z that fails.  A loop built
+    from a spec reads m and R off its exponents and skips the circle pass
+    with its guards.
     """
     one_point = np.ndim(z) == 0
     zs = [z] if one_point else z
     loop = obj if isinstance(obj, CompiledLoop) else CompiledLoop(_as_loop(obj))
     # trimmed as a numeric LoopMat is, so each point splits as in `unitarize`
     blocks = trim_blocks(loop.values(zs))
-    phi = _wandering_blocks(blocks, *_det_power_and_height(blocks, loop.lo, zs), zs)
+    shape = _power_and_height(blocks, loop.lo, zs, loop.exponents)
+    phi = _wandering_blocks(blocks, *shape, zs)
     # lambda^lo Phi at lambda = -1 and 1 for each z
     ends = values_at(phi, loop.lo, [-1, 1])
     values = ends[:, 0] @ np.linalg.inv(ends[:, 1])
@@ -314,7 +350,9 @@ def cstar_flow(obj, t: float, z=None) -> LoopMat:
 
     Columns decay like exp(-t*k_j) under the substitution, so before
     factorizing they are rebalanced by a constant diagonal; that is a right
-    Lambda+ factor and leaves the based unitary part untouched.
+    Lambda+ factor and leaves the based unitary part untouched.  Neither
+    step moves a column's lowest power, so the flowed loop keeps the
+    exponents of a loop built from a spec.
     """
     loop = _as_loop(obj).to_numeric(z)
     try:
@@ -329,7 +367,9 @@ def cstar_flow(obj, t: float, z=None) -> LoopMat:
     # differently, which steers the SVD's reflections; both move printed digits
     top = np.array([[np.linalg.norm(b[:, j]) for j in range(loop.n)] for b in blocks]).max(axis=0)
     scale = np.divide(1.0, top, out=np.ones(loop.n), where=top > 0)
-    return unitarize(LoopMat.numeric(blocks @ np.diag(scale), loop.lo), z).unitary_part
+    flowed = LoopMat.numeric(blocks @ np.diag(scale), loop.lo)
+    flowed.exponents = loop.exponents
+    return unitarize(flowed, z).unitary_part
 
 
 def flow_limit(spec: ExtendedSolutionSpec) -> ExtendedSolutionSpec:
@@ -452,7 +492,7 @@ def uniton_factorize(spec: ExtendedSolutionSpec, z):
         if not marks[i]:
             continue
         chain[i] = 1
-        partial = LoopMat.numeric(shift_columns(exp_c, exponents_from_marks(chain)))
+        partial = assemble_numeric(exp_c, exponents_from_marks(chain))
         u = unitarize(partial, z=z).unitary_part
         factors.append(unitary.circle_adjoint() @ u if factors else u)
         unitary = u

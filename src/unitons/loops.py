@@ -98,9 +98,16 @@ def _exact_matrix(m, n: int):
 
 
 class LoopMat:
-    """Matrix-valued Laurent polynomial in lambda."""
+    """Matrix-valued Laurent polynomial in lambda.
 
-    __slots__ = ("kind", "n", "lo", "coeffs")
+    `exponents` is None, or the exponents k of gamma for a loop exp(C) gamma
+    built from a spec (`weierstrass.assemble_loop`): exp C is unipotent at
+    lambda = 0, so det = lambda^(sum k), and the split reads its det power
+    and height off k.  `to_numeric` and `CompiledLoop` keep it; every other
+    operation returns a loop without it.
+    """
+
+    __slots__ = ("kind", "n", "lo", "coeffs", "exponents")
 
     def __init__(self, kind: str, n: int, lo: int, coeffs):
         if kind not in ("exact", "numeric"):
@@ -109,6 +116,7 @@ class LoopMat:
         self.n = n
         self.lo = lo
         self.coeffs = coeffs
+        self.exponents = None
         self._trim()
 
     # -- constructors -------------------------------------------------------
@@ -341,7 +349,9 @@ class LoopMat:
         case of `CompiledLoop.values`, with its PoleAtZ guards."""
         if self.kind == "numeric":
             return self
-        return LoopMat("numeric", self.n, self.lo, CompiledLoop(self).values([z])[0])
+        loop = LoopMat("numeric", self.n, self.lo, CompiledLoop(self).values([z])[0])
+        loop.exponents = self.exponents
+        return loop
 
     # -- exact entries as polynomials in lambda --------------------------------
 
@@ -435,12 +445,13 @@ class CompiledLoop:
     value equals the one Python complex arithmetic gives for the same
     rational function, bit for bit: Horner never ends on -0.0, so dividing
     a polynomial by 1 + 0j, the step skipped here, would return it as is.
+    The loop's `exponents` are kept.
     """
 
-    __slots__ = ("n", "lo", "_const", "_where", "_rational", "_rows")
+    __slots__ = ("n", "lo", "exponents", "_const", "_where", "_rational", "_rows")
 
     def __init__(self, loop: LoopMat):
-        self.n, self.lo = loop.n, loop.lo
+        self.n, self.lo, self.exponents = loop.n, loop.lo, loop.exponents
         if loop.kind == "numeric":
             self._const = loop.coeffs
             self._where = np.zeros(0, dtype=int)

@@ -33,7 +33,7 @@ from .errors import (
     NotNilpotent,
     OddSlotData,
 )
-from .loops import LoopMat
+from .loops import LoopMat, shift_columns
 from .roots import marks_from_exponents
 from .scalars import GaussianRational, RatFun, integrate_rational
 
@@ -187,8 +187,19 @@ def build_from_free_functions(n, exponents, free, even_only=False):
 
 
 def assemble_loop(spec):
-    """The polynomial loop exp(C) * diag(lambda^{k_1}, ..., lambda^{k_n})."""
-    return exp_nilpotent(spec.c_lambda()).times_diag_powers(spec.exponents)
+    """The polynomial loop exp(C) * diag(lambda^{k_1}, ..., lambda^{k_n}),
+    carrying the exponents k."""
+    loop = exp_nilpotent(spec.c_lambda()).times_diag_powers(spec.exponents)
+    loop.exponents = spec.exponents
+    return loop
+
+
+def assemble_numeric(exp_c, exponents):
+    """The numeric twin of `assemble_loop`: exp(C) diag(lambda^k) from the
+    (K, n, n) coefficient stack exp_c of exp C at one z, carrying k."""
+    loop = LoopMat.numeric(shift_columns(exp_c, exponents))
+    loop.exponents = tuple(exponents)
+    return loop
 
 
 def full_flag_exponents(n):

@@ -177,6 +177,18 @@ def test_verify_fails_on_corrupted_solution(tmp_path, capsys):
     assert any(not r["passed"] for r in payload["reports"])
 
 
+def test_verify_veronese5_verdicts_hold_on_the_qr_split(tmp_path):
+    # the same verdicts as the SVD split gave (its residual read 4.4e-9)
+    code, out, err = _call(["verify", veronese_file(tmp_path, 5)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert [r["passed"] for r in payload["reports"]] == [True, True]
+    harmonicity = payload["harmonicity"]
+    assert harmonicity["passed"] is True
+    assert harmonicity["residual"] <= harmonicity["tolerance"]
+
+
 def test_verify_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "verify", "/no/such/file.json")
     assert code == 2 and "cannot read" in err
@@ -241,12 +253,12 @@ def test_factor_veronese4_three_factors(tmp_path, capsys):
 
 
 def test_map_far_from_unitary_is_one_line_error(tmp_path):
-    # Veronese 6 at z = 25: the generator's singular values on either side of
-    # its known rank are not separated, so no value there is certified
-    code, out, err = _call(["map", veronese_file(tmp_path, 6), "--z=25,0"])
+    # Veronese 5 at z = 1000: the split's value is 9.9e-8 from unitary, past
+    # the 1e-9 bound, so it is refused instead of printed
+    code, out, err = _call(["map", veronese_file(tmp_path, 5), "--z=1000,0"])
     assert code == 2 and out == ""
-    assert err.startswith("error: NoConvergence: singular values ") and err.count("\n") == 1, err
-    # Veronese 5 at z = 30 splits to 6.5e-11 from unitary
+    assert err.startswith("error: NoConvergence: map value is ") and err.count("\n") == 1, err
+    # Veronese 5 at z = 30 splits to 9.2e-12 from unitary
     code, out, err = _call(["map", veronese_file(tmp_path, 5), "--z=30,0"])
     assert code == 0 and err == ""
     assert json.loads(out)["unitarity_residual"] <= 1e-9
@@ -261,6 +273,41 @@ def test_u1_spec_builds_and_factors_into_no_factors(tmp_path):
     assert code == 0, err
     payload = json.loads(out)
     assert payload["count"] == 0 and payload["factors"] == []
+
+
+_POLE_BUILD = (("--n", "3", "--exponents", "2,1,0"),
+               {"c1_0[1,2]": {"num": ["0", "1"], "den": ["1"]},
+                "c1_0[2,3]": {"num": ["1"], "den": ["1", "2", "1"]},
+                "c2_1[1,3]": {"num": ["0", "1"], "den": ["1"]}})
+
+
+def test_every_spec_split_takes_the_qr_branch(tmp_path, monkeypatch):
+    # each loop these commands split is built from a spec: m and R come from
+    # its exponents, and exactly nR - m generator columns are nonzero, so no
+    # circle pass (whose det FFT would run) and no SVD runs
+    paths = [veronese_file(tmp_path, n) for n in range(2, 9)]
+    builds = [(name, _BUILDS[name]) for name in ("u3", "u4", "even")]
+    builds += [("pole", _POLE_BUILD), ("u1", (("--n", "1", "--exponents", "0"), {}))]
+    for name, (flags, free) in builds:
+        free_path, spec_path = tmp_path / f"free_{name}.json", tmp_path / f"{name}.json"
+        free_path.write_text(json.dumps(free))
+        code, _, err = _call(["build", *flags, "--free", str(free_path), "--out", str(spec_path)])
+        assert code == 0, err
+        paths.append(str(spec_path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spec-built loop ran the circle pass or the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    commands = [["map", "--z=0.3,0.1"], ["factor", "--z=0.3,0.1"], ["verify"]]
+    commands += [["flow", "--z=0.3,0.1", f"--t={t}"] for t in (-10, -5, -1, 0, 0.5, 2, 7)]
+    for path in paths:
+        for command, *flags in commands:
+            code, _, err = _call([command, path, *flags])
+            # the U_4 and even builds flowed to t = -10 are past the residual bound
+            refused = err.startswith("error: NoConvergence: Iwasawa split residuals exceed")
+            assert code == 0 or (code == 2 and refused), (command, path, flags, err)
 
 
 def _count_exp_builds(monkeypatch):
@@ -361,6 +408,15 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["conjugate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_out_is_one_line_input_error(tmp_path, monkeypatch, target):
+    # a missing directory, and a directory in place of the file
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _call(["demo", "veronese", "--n", "2", "--out", target])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1, err
 
 
 def test_bad_point_is_input_error(tmp_path, capsys):

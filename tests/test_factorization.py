@@ -477,6 +477,46 @@ def test_harmonic_map_far_from_unitary_is_refused():
         harmonic_map_at(family, np.array([1e3, 1e9, 1.0]))
 
 
+def test_spec_values_far_out_match_the_flag_oracle():
+    # the points where the SVD split refused: its gap test at Veronese 6
+    # z = 25 and Veronese 8 z = 15, the circle pass at Veronese 5 z = 45 and
+    # 100.  At z = 100 the columns of exp C are nearly parallel and the value
+    # reads 2.7e-10 from the oracle: within the 1e-9 value bound, not 1e-10
+    for n, z, tol in [(5, 45, 1e-10), (6, 25, 1e-10), (8, 15, 1e-10), (5, 100, 1e-9)]:
+        spec = veronese_solution(n)
+        u_ref, _ = flag_unitarize(assemble_loop(spec).at_z(gr(z)))
+        value = harmonic_map_at(spec, z)
+        assert np.abs(value - u_ref.to_numeric().evaluate(-1.0)).max() <= tol, (n, z)
+
+
+def test_veronese10_values_near_z_10_are_unitary():
+    # the SVD split's gap test flickered here (z = 9 and 10 were refused);
+    # the QR split needs no gap, and the value bound holds
+    spec = veronese_solution(10)
+    for z in (9, 9.5, 10):
+        phi = harmonic_map_at(spec, z)
+        assert np.linalg.norm(phi @ phi.conj().T - np.eye(10)) <= 1e-9
+
+
+def test_bare_loops_keep_the_circle_guards():
+    # only a loop built from a spec carries exponents; a bare loop still takes
+    # the circle pass, and its guards still refuse
+    singular = LoopMat.exact([[[-ONE, ZERO], [ZERO, ONE]], [[ONE, ZERO], [ZERO, ZERO]]])
+    non_monomial = LoopMat.exact([[[ONE + ONE, ZERO], [ZERO, ONE]], [[-ONE, ZERO], [ZERO, ZERO]]])
+    assert singular.exponents is None and non_monomial.exponents is None
+    with pytest.raises(SingularOnCircle, match=r"at z = 0\.5 \(sigma_min = "):
+        harmonic_map_at(singular, 0.5)
+    with pytest.raises(SingularOnCircle):
+        unitarize(singular)
+    message = r"det Psi has lambda powers \[0, 1\]"
+    with pytest.raises(NoConvergence, match=message):
+        harmonic_map_at(non_monomial, 0.5)
+    with pytest.raises(NoConvergence, match=message):
+        map_sampler(non_monomial)(np.array([0.5, 0.25]))
+    with pytest.raises(NoConvergence, match=message):
+        cstar_flow(non_monomial, 1.0)
+
+
 # -- batched harmonic-map values ------------------------------------------------
 
 def _harmonic_specs():
