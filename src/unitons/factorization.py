@@ -8,13 +8,13 @@ are an orthonormal basis of W - lambda W, read off the n(R+1) x nR
 generator matrix of lambda W, whose rank nR - m is known.  A loop built
 from a spec, exp(C) gamma, carries gamma's exponents k: m = sum k and
 R = max k, and exactly nR - m generator columns are nonzero, so one QR
-gives the basis.  A bare loop reads m off det Psi at circle samples, whose
-single lambda power is checked, and takes the QR too when its count of
-nonzero columns is nR - m, or an SVD whose singular values must be
-separated at that rank.  The split's unitarity and reassembly residuals
-and the map value's unitarity are always checked against the fixed bound
-1e-9 (relative where it has a scale), and a loop that fails a check raises
-NoConvergence.
+gives the basis.  A bare loop is sampled on |lambda| = 1, where one SVD
+finds it regular and det Psi gives m, whose single lambda power is
+checked; it takes the QR too when its count of nonzero columns is nR - m,
+or an SVD whose singular values must be separated at that rank.  The
+split's unitarity and reassembly residuals and the map value's unitarity
+are always checked against the fixed bound 1e-9 (relative where it has a
+scale), and a loop that fails a check raises NoConvergence.
 `bruhat_cell` recovers the diagonal lambda-exponents of an exact loop by
 Smith reduction over the rational-function field.  `cstar_flow` and
 `flow_limit` implement the lambda -> u*lambda deformation and its u -> 0
@@ -96,89 +96,59 @@ def _at(z) -> str:
     return "" if z is None else f" at z = {z}"
 
 
-def _circle_values(blocks, zs):
-    """Values at S samples of |lambda| = 1, a (Z, S, n, n) stack, for each
-    loop of the (Z, K, n, n) coefficient stack: S = 64, or the next multiple
-    of 64 above n*(K-1), the degree of det Psi, so that its powers can be
-    read off the samples.  PoleAtZ names the first z whose values there
-    are not finite."""
-    samples = 64 * (blocks.shape[-1] * (blocks.shape[-3] - 1) // 64 + 1)
-    vals = values_at(blocks, 0, np.exp(2j * np.pi * np.arange(samples) / samples))
-    finite = np.isfinite(vals).all(axis=(1, 2, 3))
-    if not finite.all():
-        raise PoleAtZ(
-            f"loop values on |lambda| = 1 are not finite{_at(zs[np.argmin(finite)])}"
-        )
-    return vals
-
-
-def _circle_certified(vals, dets):
-    """True for each loop of the (Z, S, n, n) stack of circle values, with
-    their (Z, S) determinants dets, that is certainly regular:
-    |det A| = prod sigma_i <= sigma_min sigma_max^(n-1) and
-    sigma_max <= ||A||_F give sigma_min >= |det A| / ||A||_F^(n-1) at
-    every sample, and the loop passes when the smallest of these bounds
-    exceeds 2 * SINGULAR_TOL * max(1, largest ||A||_F).  The 2 is room for
-    the rounding of the LU determinant.  An overflowing or underflowing
-    bound (NaN or 0) does not pass."""
-    n = vals.shape[-1]
-    with np.errstate(all="ignore"):
-        fro = np.linalg.norm(vals, axis=(-2, -1))
-        lower = np.abs(dets) / fro ** (n - 1)
-        return lower.min(axis=1) > 2 * SINGULAR_TOL * np.maximum(1.0, fro.max(axis=1))
-
-
-def _circle_min_singular(vals):
-    """Smallest and largest singular value over the samples of |lambda| = 1
-    for each loop of the (Z, S, n, n) stack of circle values, from one
-    stacked SVD: the fallback guard for a stack that `_circle_certified`
-    does not pass."""
-    sing = np.linalg.svd(vals, compute_uv=False)
-    return sing[..., -1].min(axis=1), sing[..., 0].max(axis=1)
-
-
-def _check_circle(blocks, zs):
-    """SingularOnCircle naming the first z whose loop has sigma_min <=
-    SINGULAR_TOL * max(1, sigma_max) over the samples of |lambda| = 1 (PoleAtZ
-    where its values are not finite).  A stack that `_circle_certified`
-    passes is regular without an SVD; any other stack is decided by the
-    SVD of `_circle_min_singular`, so the verdict is the SVD's.  Returns the
-    (Z, S) stack of det Psi at the samples, inf or NaN where it overflows."""
-    vals = _circle_values(blocks, zs)
-    with np.errstate(all="ignore"):
-        dets = np.linalg.det(vals)
-    if _circle_certified(vals, dets).all():
-        return dets
-    for z, smin, smax in zip(zs, *_circle_min_singular(vals)):
-        if not smin > SINGULAR_TOL * max(1.0, smax):
-            raise SingularOnCircle(
-                f"loop is numerically singular on |lambda| = 1{_at(z)} (sigma_min = {smin:.3e})"
-            )
-    return dets
-
-
-def _det_power_and_height(blocks, lo, zs):
+def _power_and_height(blocks, lo, zs, exponents):
     """(m, R) for the (Z, K, n, n) coefficient stack of loops Psi = lambda^lo
     (blocks[0] + blocks[1] lambda + ...), loop i taken at zs[i]: m, an array,
     is each point's power of det(lambda^-lo Psi) = c lambda^m, and R, one
     integer for the stack, a height with lambda^R H+ inside W = Psi H+.
+    PoleAtZ names the first z whose loop values on |lambda| = 1 are not
+    finite.
 
-    m is read off the discrete Fourier transform of det Psi at the circle
-    samples `_check_circle` takes, more than the degree n*(K-1) of det, so
-    no power aliases.  A det with a second power above DEFAULT_TOL times its
-    largest raises NoConvergence naming the powers: the loop is not
-    algebraic.  A non-finite det raises PoleAtZ.  If column j has lowest
+    exponents is None for a bare loop.  For a loop Psi = exp(C) gamma built
+    from a spec they are gamma's k: exp C is unipotent at lambda = 0, so
+    column i of Psi starts at lambda^(k_i) with an invertible matrix of
+    lowest coefficients, det Psi = lambda^(sum k) and R = max k, with no
+    circle samples; its values are finite where its coefficients are.  That
+    holds while the trim of small blocks keeps the lowest one (lo = 0).
+
+    Any other loop is sampled at S points of |lambda| = 1: S = 64, or the
+    next multiple of 64 above n*(K-1), the degree of det Psi, so that no
+    power aliases.  One stacked SVD of the samples raises SingularOnCircle
+    naming the first z with sigma_min <= SINGULAR_TOL * max(1, sigma_max)
+    over them.  m is read off the discrete Fourier transform of det Psi at
+    the samples: a non-finite det raises PoleAtZ, and a det with a second
+    power above DEFAULT_TOL times its largest raises NoConvergence naming
+    the powers, since the loop is not algebraic.  If column j has lowest
     power o_j, then lambda^(m - sum o + max o) Psi^-1 is a polynomial (by
     Cramer's rule on the column-shifted loop), so R is the largest
     m - sum o + max o over the stack; any larger R serves as well.
     """
-    dets = _check_circle(blocks, zs)
+    spec = exponents is not None and lo == 0
+    n = blocks.shape[-1]
+    if spec:
+        vals = blocks
+    else:
+        samples = 64 * (n * (blocks.shape[-3] - 1) // 64 + 1)
+        vals = values_at(blocks, 0, np.exp(2j * np.pi * np.arange(samples) / samples))
+    finite = np.isfinite(vals)
+    if not finite.all():
+        z = zs[np.argmin(finite.all(axis=(1, 2, 3)))]
+        raise PoleAtZ(f"loop values on |lambda| = 1 are not finite{_at(z)}")
+    if spec:
+        return np.full(len(blocks), sum(exponents)), max(exponents)
+    sing = np.linalg.svd(vals, compute_uv=False)
+    for z, smin, smax in zip(zs, sing[..., -1].min(axis=1), sing[..., 0].max(axis=1)):
+        if not smin > SINGULAR_TOL * max(1.0, smax):
+            raise SingularOnCircle(
+                f"loop is numerically singular on |lambda| = 1{_at(z)} (sigma_min = {smin:.3e})"
+            )
+    with np.errstate(all="ignore"):
+        dets = np.linalg.det(vals)
     finite = np.isfinite(dets).all(axis=1)
     if not finite.all():
         raise PoleAtZ(f"det Psi on |lambda| = 1 is not finite{_at(zs[np.argmin(finite)])}")
     coeffs = np.abs(np.fft.fft(dets))
     present = coeffs > DEFAULT_TOL * coeffs.max(axis=1, keepdims=True)
-    n = blocks.shape[-1]
     for z, powers in zip(zs, present):
         if powers.sum() > 1:
             raise NoConvergence(
@@ -188,22 +158,6 @@ def _det_power_and_height(blocks, lo, zs):
     m = coeffs.argmax(axis=1)
     low = (blocks != 0).any(axis=-2).argmax(axis=1)
     return m, int((m - low.sum(axis=1) + low.max(axis=1)).max())
-
-
-def _power_and_height(blocks, lo, zs, exponents):
-    """(m, R) for `_wandering_blocks`, as `_det_power_and_height` gives them.
-
-    exponents is None for a bare loop, which takes the circle pass.  For a
-    loop Psi = exp(C) gamma built from a spec they are gamma's k: exp C is
-    unipotent at lambda = 0, so column i of Psi starts at lambda^(k_i) with
-    an invertible matrix of lowest coefficients, det Psi = lambda^(sum k)
-    and R = max k, with no circle samples.  That holds while the trim of
-    small blocks keeps the lowest one (lo = 0); a loop trimmed past it
-    takes the circle pass too.
-    """
-    if exponents is None or lo != 0:
-        return _det_power_and_height(blocks, lo, zs)
-    return np.full(len(blocks), sum(exponents)), max(exponents)
 
 
 def _wandering_blocks(blocks, m, height, zs):
@@ -308,7 +262,7 @@ def harmonic_map_at(obj, z) -> np.ndarray:
     rank that is not separated or a value ||phi phi* - I||_F above the 1e-9
     bound NoConvergence, each naming the first z that fails.  A loop built
     from a spec reads m and R off its exponents and skips the circle pass
-    with its guards.
+    with its regularity and algebraicity guards.
     """
     one_point = np.ndim(z) == 0
     zs = [z] if one_point else z

@@ -232,6 +232,14 @@ def test_flow_past_the_split_bound_is_one_line_error(tmp_path):
     assert err.startswith("error: NoConvergence: ") and err.count("\n") == 1, err
 
 
+def test_flow_trimmed_past_the_lowest_block_takes_the_circle_verdict(tmp_path):
+    # at t = -30 the trim drops the U_3 loop's lambda^0 block, so the split
+    # reads m off the circle, whose SVD finds the loop singular
+    code, out, err = _call(["flow", _u3_file(tmp_path), "--z=0.3,0.1", "--t=-30"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: SingularOnCircle: ") and err.count("\n") == 1, err
+
+
 def test_flow_at_negative_time_prints_no_noise_blocks(tmp_path, capsys):
     # the unitary factor of the U_3 build has powers 0..2 at every t; the
     # split reads its R + 1 = 3 blocks off W - lambda W, so no rounding

@@ -1,5 +1,6 @@
 """Unitarization, cell recovery, flow, uniton splitting, normalized form."""
 
+import contextlib
 import dataclasses
 import inspect
 import random
@@ -24,11 +25,7 @@ from unitons.errors import (
 )
 from unitons.factorization import (
     SINGULAR_TOL,
-    _check_circle,
-    _circle_certified,
-    _circle_min_singular,
-    _circle_values,
-    _det_power_and_height,
+    _power_and_height,
     _wandering_blocks,
     big_cell_check,
     bruhat_cell,
@@ -46,6 +43,7 @@ from unitons.verify import harmonicity_residual, map_sampler, uniton_number_repo
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
     assemble_loop,
+    assemble_numeric,
     build_from_free_functions,
     even_grassmannian_build,
     exp_nilpotent,
@@ -246,7 +244,7 @@ def test_height_rule_is_the_exponent_span():
         loops = [(assemble_loop(spec), spec.exponents), *_partial_loops(spec)]
         for loop, exponents in loops:
             blocks = trim_blocks(CompiledLoop(loop).values(zs))
-            m, height = _det_power_and_height(blocks, loop.lo, zs)
+            m, height = _power_and_height(blocks, loop.lo, zs, None)
             assert list(m) == [sum(exponents) - loop.n * loop.lo] * len(zs)
             assert height == max(exponents) - min(exponents)
 
@@ -261,7 +259,7 @@ def test_splitting_above_the_height_gives_the_same_values():
     cases += [(_random_exact_loop(rng, 2 + trial % 2), [0.0], 1e-12) for trial in range(8)]
     for loop, points, tol in cases:
         blocks = trim_blocks(CompiledLoop(loop).values(points))
-        m, height = _det_power_and_height(blocks, loop.lo, points)
+        m, height = _power_and_height(blocks, loop.lo, points, None)
         ends = [
             values_at(_wandering_blocks(blocks, m, r, points), loop.lo, [-1, 1])
             for r in (height, height + 3)
@@ -276,15 +274,6 @@ def test_non_algebraic_numeric_loop_raises_no_convergence():
     loop = LoopMat.numeric([np.diag([2.0, 1.0]), np.diag([-1.0, 0.0])])
     with pytest.raises(NoConvergence, match=r"det Psi has lambda powers \[0, 1\]"):
         unitarize(loop)
-
-
-def test_circle_min_singular_matches_per_sample_svd():
-    psi = frame_loop().to_numeric(complex(0.4, -0.8))
-    lams = np.exp(2j * np.pi * np.arange(64) / 64)
-    sing = [np.linalg.svd(psi.evaluate(lam), compute_uv=False) for lam in lams]
-    (smin,), (smax,) = _circle_min_singular(_circle_values(np.array(psi.coeffs)[None], [None]))
-    assert smin == pytest.approx(min(s[-1] for s in sing), rel=1e-12)
-    assert smax == pytest.approx(max(s[0] for s in sing), rel=1e-12)
 
 
 def _column_loops(rng, mats):
@@ -306,15 +295,17 @@ def _with_singular_values(rng, s):
     return u @ np.diag(s) @ v
 
 
-def _certified(vals):
-    """`_circle_certified` with the determinants `_check_circle` computes."""
-    with np.errstate(all="ignore"):
-        return _circle_certified(vals, np.linalg.det(vals))
+def _svd_sigmas(blocks):
+    """Smallest and largest singular value over the 64 samples of |lambda| = 1
+    of each loop of the (Z, K, n, n) stack, one SVD per sample."""
+    vals = values_at(blocks, 0, np.exp(2j * np.pi * np.arange(64) / 64))
+    sing = np.array([[np.linalg.svd(v, compute_uv=False) for v in loop] for loop in vals])
+    return sing[..., -1].min(axis=1), sing[..., 0].max(axis=1)
 
 
 def _svd_verdict(blocks, zs):
-    """The first z the 64-sample SVD fails and its sigma_min, or None."""
-    smin, smax = _circle_min_singular(_circle_values(blocks, zs))
+    """The first z the per-sample SVD fails and its sigma_min, or None."""
+    smin, smax = _svd_sigmas(blocks)
     bad = np.flatnonzero(~(smin > SINGULAR_TOL * np.maximum(1.0, smax)))
     return (zs[bad[0]], smin[bad[0]]) if bad.size else None
 
@@ -322,20 +313,20 @@ def _svd_verdict(blocks, zs):
 def _assert_same_verdict(blocks, zs):
     verdict = _svd_verdict(blocks, zs)
     if verdict is None:
-        _check_circle(blocks, zs)
+        # past the SVD, the det of a loop near the bound may read several powers
+        with contextlib.suppress(NoConvergence):
+            _power_and_height(blocks, 0, zs, None)
         return
     with pytest.raises(SingularOnCircle) as info:
-        _check_circle(blocks, zs)
+        _power_and_height(blocks, 0, zs, None)
     z, smin = verdict
     assert f"at z = {z} (sigma_min = {smin:.3e})" in str(info.value)
 
 
-def test_circle_certificate_never_passes_what_the_svd_fails():
+def test_circle_verdict_is_the_per_sample_svd():
     # near the bound: sigma_min within [0.3, 3] times SINGULAR_TOL * max(1,
     # sigma_max), the other singular values equal up to 25 % around a scale
-    # between 0.1 and 100; so near the bound the certificate passes loops
-    # of small n (for n = 1 it is the SVD's test with the margin), and the
-    # SVD decides the rest
+    # between 0.1 and 100, so each n meets both verdicts
     rng = np.random.default_rng(15)
     seen = set()
     for n in range(1, 7):
@@ -346,33 +337,29 @@ def test_circle_certificate_never_passes_what_the_svd_fails():
                 s[-1] = rng.uniform(0.3, 3) * SINGULAR_TOL * max(1.0, s[:-1].max(initial=0.0))
                 mats.append(_with_singular_values(rng, s))
             blocks = _column_loops(rng, mats)
-            zs = [0.5 * i for i in range(4)]
-            vals = _circle_values(blocks, zs)
-            certified = _certified(vals)
-            smin, smax = _circle_min_singular(vals)
-            bound = SINGULAR_TOL * np.maximum(1.0, smax)
-            # a certified loop clears the SVD bound by the margin of 2
-            assert (smin[certified] > 1.99 * bound[certified]).all()
-            seen.update((n, bool(c), bool(s > b)) for c, s, b in zip(certified, smin, bound))
-            _assert_same_verdict(blocks, zs)
-    for n in range(1, 7):
-        assert {(n, False, True), (n, False, False)} <= seen
-    assert {(1, True, True), (2, True, True)} <= seen
-    # the singular loops of the tests below: det = lambda - 1, and det = z - 1
-    # at z = 1 inside a stack of regular points
+            smin, smax = _svd_sigmas(blocks)
+            seen.update((n, bool(r)) for r in smin > SINGULAR_TOL * np.maximum(1.0, smax))
+            _assert_same_verdict(blocks, [0.5 * i for i in range(4)])
+    assert seen == {(n, r) for n in range(1, 7) for r in (False, True)}
+    # diag(3 + 2 lambda, eps (2 + lambda)): over the circle sigma_max runs
+    # from 1 to 5 and sigma_min from eps to 3 eps, so the verdict needs the
+    # smallest sigma_min against the largest sigma_max
+    for eps in (3e-10, 7e-10):
+        varying = np.array([[np.diag([3.0, 2 * eps]), np.diag([2.0, eps])]], dtype=complex)
+        _assert_same_verdict(varying, [0])
+    # a regular frame loop; the singular loops of the tests below: det =
+    # lambda - 1, and det = z - 1 at z = 1 inside a stack of regular points
+    _assert_same_verdict(frame_loop().to_numeric(complex(0.4, -0.8)).coeffs[None], [None])
     bad = np.array([[np.diag([-1.0, 1.0]), np.diag([1.0, 0.0])]], dtype=complex)
-    assert not _certified(_circle_values(bad, [0])).any()
     _assert_same_verdict(bad, [0])
     loop = LoopMat.exact([[[Z - ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ZERO, ZERO]]])
     zs = [0.25, 1.0, 0.5]
-    blocks = np.array([loop.to_numeric(z).coeffs for z in zs])
-    assert list(_certified(_circle_values(blocks, zs))) == [True, False, True]
-    _assert_same_verdict(blocks, zs)
+    _assert_same_verdict(np.array([loop.to_numeric(z).coeffs for z in zs]), zs)
 
 
-def test_overflowing_certificate_falls_back_to_the_svd_without_warnings():
-    # n = 6 with entries near 1e100: ||A||_F^5 overflows, so the bound is
-    # NaN or 0 and the SVD decides, regular at z = 0 and singular at z = 1
+def test_overflowing_det_is_refused_after_the_svd_without_warnings():
+    # n = 6 with entries near 1e100: the SVD names z = 1 singular, and the
+    # regular point z = 0 alone is refused for its det, which overflows
     rng = np.random.default_rng(6)
     s = rng.uniform(1.0, 2.0, 6)
     regular = _with_singular_values(rng, 1e100 * s)
@@ -380,11 +367,10 @@ def test_overflowing_certificate_falls_back_to_the_svd_without_warnings():
     blocks = _column_loops(rng, [regular, singular])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals = _circle_values(blocks, [0, 1])
-        assert not _certified(vals).any()
-        _check_circle(blocks[:1], [0])
         _assert_same_verdict(blocks, [0, 1])
         assert _svd_verdict(blocks, [0, 1])[0] == 1
+        with pytest.raises(PoleAtZ, match=r"det Psi on \|lambda\| = 1 is not finite at z = 0$"):
+            _power_and_height(blocks[:1], 0, [0], None)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -399,6 +385,20 @@ def test_nonfinite_loop_is_typed_error(top, match):
     bad = LoopMat.numeric([np.eye(2) * max(1.0, np.nanmax(top)), top])
     with pytest.raises(PoleAtZ, match=match):
         unitarize(bad)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_spec_loop_is_typed_error():
+    # a loop built from a spec skips the circle samples, not their finiteness
+    spec = veronese_solution(3)
+    message = r"loop values on \|lambda\| = 1 are not finite at z = 0\.1$"
+    for t in (float("nan"), float("-inf")):
+        with pytest.raises(PoleAtZ, match=message):
+            cstar_flow(spec, t, 0.1)
+    exp_c = CompiledLoop(exp_nilpotent(spec.c_lambda())).values([0.1])[0]
+    exp_c[0, 1, 0] = np.nan
+    with pytest.raises(PoleAtZ, match=message):
+        unitarize(assemble_numeric(exp_c, spec.exponents), 0.1)
 
 
 @pytest.mark.parametrize(
