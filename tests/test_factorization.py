@@ -323,10 +323,22 @@ def _assert_same_verdict(blocks, zs):
     assert f"at z = {z} (sigma_min = {smin:.3e})" in str(info.value)
 
 
-def test_circle_verdict_is_the_per_sample_svd():
-    # near the bound: sigma_min within [0.3, 3] times SINGULAR_TOL * max(1,
-    # sigma_max), the other singular values equal up to 25 % around a scale
-    # between 0.1 and 100, so each n meets both verdicts
+def test_circle_min_singular_matches_per_sample_svd():
+    # diag(3 + 2 lambda, eps (2 + lambda)): over the circle sigma_max runs
+    # from 1 to 5 and sigma_min from eps to 3 eps, so the verdict needs the
+    # smallest sigma_min against the largest sigma_max
+    for eps in (3e-10, 7e-10):
+        varying = np.array([[np.diag([3.0, 2 * eps]), np.diag([2.0, eps])]], dtype=complex)
+        _assert_same_verdict(varying, [0])
+    # a regular frame loop
+    _assert_same_verdict(frame_loop().to_numeric(complex(0.4, -0.8)).coeffs[None], [None])
+
+
+def test_circle_certificate_never_passes_what_the_svd_fails():
+    # the one circle verdict against a per-sample SVD near the bound:
+    # sigma_min within [0.3, 3] times SINGULAR_TOL * max(1, sigma_max), the
+    # other singular values equal up to 25 % around a scale between 0.1 and
+    # 100, so each n meets both verdicts
     rng = np.random.default_rng(15)
     seen = set()
     for n in range(1, 7):
@@ -341,15 +353,8 @@ def test_circle_verdict_is_the_per_sample_svd():
             seen.update((n, bool(r)) for r in smin > SINGULAR_TOL * np.maximum(1.0, smax))
             _assert_same_verdict(blocks, [0.5 * i for i in range(4)])
     assert seen == {(n, r) for n in range(1, 7) for r in (False, True)}
-    # diag(3 + 2 lambda, eps (2 + lambda)): over the circle sigma_max runs
-    # from 1 to 5 and sigma_min from eps to 3 eps, so the verdict needs the
-    # smallest sigma_min against the largest sigma_max
-    for eps in (3e-10, 7e-10):
-        varying = np.array([[np.diag([3.0, 2 * eps]), np.diag([2.0, eps])]], dtype=complex)
-        _assert_same_verdict(varying, [0])
-    # a regular frame loop; the singular loops of the tests below: det =
-    # lambda - 1, and det = z - 1 at z = 1 inside a stack of regular points
-    _assert_same_verdict(frame_loop().to_numeric(complex(0.4, -0.8)).coeffs[None], [None])
+    # the singular loops of the tests below: det = lambda - 1, and det = z - 1
+    # at z = 1 inside a stack of regular points
     bad = np.array([[np.diag([-1.0, 1.0]), np.diag([1.0, 0.0])]], dtype=complex)
     _assert_same_verdict(bad, [0])
     loop = LoopMat.exact([[[Z - ONE, ZERO], [ZERO, ONE]], [[ZERO, ONE], [ZERO, ZERO]]])
