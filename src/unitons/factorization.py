@@ -25,7 +25,7 @@ factors by unitarizing along a chain of partial exponent subsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,11 +117,13 @@ def _power_and_height(blocks, lo, zs, exponents):
     naming the first z with sigma_min <= SINGULAR_TOL * max(1, sigma_max)
     over them.  m is read off the discrete Fourier transform of det Psi at
     the samples: a non-finite det raises PoleAtZ, and a det with a second
-    power above DEFAULT_TOL times its largest raises NoConvergence naming
-    the powers, since the loop is not algebraic.  If column j has lowest
-    power o_j, then lambda^(m - sum o + max o) Psi^-1 is a polynomial (by
-    Cramer's rule on the column-shifted loop), so R is the largest
-    m - sum o + max o over the stack; any larger R serves as well.
+    power above DEFAULT_TOL times its largest raises NoConvergence.  That
+    error names the condition number kappa = max sigma_max / sigma_min over
+    the samples when the det's rounding, n eps kappa, exceeds DEFAULT_TOL,
+    and otherwise the powers, since the loop is not algebraic.  If column j
+    has lowest power o_j, then lambda^(m - sum o + max o) Psi^-1 is a
+    polynomial (by Cramer's rule on the column-shifted loop), so R is the
+    largest m - sum o + max o over the stack; any larger R serves as well.
     """
     spec = exponents is not None and lo == 0
     n = blocks.shape[-1]
@@ -149,12 +151,20 @@ def _power_and_height(blocks, lo, zs, exponents):
         raise PoleAtZ(f"det Psi on |lambda| = 1 is not finite{_at(zs[np.argmin(finite)])}")
     coeffs = np.abs(np.fft.fft(dets))
     present = coeffs > DEFAULT_TOL * coeffs.max(axis=1, keepdims=True)
-    for z, powers in zip(zs, present):
-        if powers.sum() > 1:
+    for z, powers, s in zip(zs, present, sing):
+        if powers.sum() <= 1:
+            continue
+        # the det's relative rounding, about n eps kappa, on the worst sample
+        kappa = (s[:, 0] / s[:, -1]).max()
+        if n * np.finfo(float).eps * kappa > DEFAULT_TOL:
             raise NoConvergence(
-                f"det Psi has lambda powers {(np.flatnonzero(powers) + n * lo).tolist()}{_at(z)}; "
-                "the loop is not algebraic (det Psi = c lambda^m)"
+                f"loop is too ill-conditioned on |lambda| = 1{_at(z)} (condition number "
+                f"{kappa:.3e}) for det Psi to show its lambda powers"
             )
+        raise NoConvergence(
+            f"det Psi has lambda powers {(np.flatnonzero(powers) + n * lo).tolist()}{_at(z)}; "
+            "the loop is not algebraic (det Psi = c lambda^m)"
+        )
     m = coeffs.argmax(axis=1)
     low = (blocks != 0).any(axis=-2).argmax(axis=1)
     return m, int((m - low.sum(axis=1) + low.max(axis=1)).max())
@@ -311,6 +321,8 @@ def cstar_flow(obj, t: float, z=None) -> LoopMat:
     loop = _as_loop(obj).to_numeric(z)
     try:
         u = math.exp(-t)
+        if not math.isfinite(u):  # math.exp(inf) is inf, not an OverflowError
+            raise OverflowError
         powers = np.array([u**k for k in range(loop.lo, loop.hi + 1)])
     except (OverflowError, ZeroDivisionError):
         raise PoleAtZ(f"lambda -> exp(-t) lambda leaves the float range at t = {t!r}") from None
@@ -333,13 +345,7 @@ def flow_limit(spec: ExtendedSolutionSpec) -> ExtendedSolutionSpec:
         for key, mat in spec.c_slots.items()
         if key[0] == 0
     }
-    return ExtendedSolutionSpec(
-        n=spec.n,
-        exponents=spec.exponents,
-        c_slots=kept,
-        even_only=spec.even_only,
-        strict_grading=spec.strict_grading,
-    )
+    return replace(spec, c_slots=kept)
 
 
 def _smith_diagonal(m, n: int):

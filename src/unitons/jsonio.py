@@ -6,8 +6,9 @@ scalars travel as strings like "3/4" or "-1/2+2/3i"; rational functions
 as {"num": [...], "den": [...]} coefficient lists in increasing degree.
 
 Readers refuse, with SchemaError, text nested too deeply for the parser,
-duplicate object keys, spec exponents above MAX_EXPONENT and numeric loop
-entries outside |RE|, |IM| <= MAX_NUMERIC.
+duplicate object keys, spec exponents above MAX_EXPONENT and loop files
+that are not exact: loops are written in both kinds, read in the exact
+kind only.
 """
 
 import json
@@ -17,13 +18,10 @@ from .scalars import GaussianRational, Poly, RatFun
 from .loops import LoopMat
 from .weierstrass import ExtendedSolutionSpec, free_slot_layout
 
-# input limits: a spec of height k assembles loops with k + 1 lambda powers and
+# input limit: a spec of height k assembles loops with k + 1 lambda powers and
 # splits them with a generator matrix of at most n(k + 1) rows, so the height
-# is capped well above every built solution (tests, demos and bench stay
-# <= 4); numeric loop entries stay in the range the CLI allows for points,
-# far from float overflow
+# is capped well above every built solution (tests, demos and bench stay <= 4)
 MAX_EXPONENT = 64
-MAX_NUMERIC = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +112,7 @@ def _get(obj, key, where, kind=None):
         raise SchemaError(f"{where}: missing key {key!r}")
     val = obj[key]
     if kind is not None and not isinstance(val, kind):
-        name = kind.__name__ if isinstance(kind, type) else "/".join(t.__name__ for t in kind)
-        raise SchemaError(f"{where}.{key}: expected {name}, got {type(val).__name__}")
+        raise SchemaError(f"{where}.{key}: expected {kind.__name__}, got {type(val).__name__}")
     return val
 
 
@@ -177,54 +174,28 @@ def loop_record(loop):
     return rec
 
 
-def _parse_numeric_entry(obj, where):
-    _expect(
-        isinstance(obj, list) and len(obj) == 2,
-        where,
-        "numeric entries are [re, im] pairs",
-    )
-    re, im = obj
-    _expect(
-        isinstance(re, (int, float)) and isinstance(im, (int, float)),
-        where,
-        "numeric entries are [re, im] pairs",
-    )
-    _expect(
-        abs(re) <= MAX_NUMERIC and abs(im) <= MAX_NUMERIC,
-        where,
-        f"numeric entries must satisfy |RE|, |IM| <= {MAX_NUMERIC:g}",
-    )
-    return complex(re, im)
-
-
 def parse_loop(obj, where="loop"):
     _no_extra_keys(obj if isinstance(obj, dict) else {}, ("kind", "n", "lo", "coeffs"), where)
     kind = _get(obj, "kind", where, str)
-    _expect(kind in ("exact", "numeric"), where, f"kind must be 'exact' or 'numeric', got {kind!r}")
+    _expect(kind == "exact", where, f"kind must be 'exact', got {kind!r}")
     n = _get(obj, "n", where, int)
     _expect(isinstance(n, int) and not isinstance(n, bool) and n >= 1, where, "n must be a positive integer")
     lo = _get(obj, "lo", where, int)
     _expect(not isinstance(lo, bool), where, "lo must be an integer")
     coeffs_obj = _get(obj, "coeffs", where, list)
     _expect(len(coeffs_obj) >= 1, where, "coeffs must be non-empty")
-    coeffs = []
-    for k, mat in enumerate(coeffs_obj):
-        cw = f"{where}.coeffs[{k}]"
-        coeffs.append(_parse_matrix(mat, n, cw, numeric=(kind == "numeric")))
-    if kind == "numeric":
-        return LoopMat.numeric(coeffs, lo)
+    coeffs = [
+        _parse_matrix(mat, n, f"{where}.coeffs[{k}]") for k, mat in enumerate(coeffs_obj)
+    ]
     return LoopMat.exact(coeffs, lo)
 
 
-def _parse_matrix(mat, n, where, numeric=False):
+def _parse_matrix(mat, n, where):
     _expect(isinstance(mat, list) and len(mat) == n, where, f"expected {n} rows")
     rows = []
     for a, row in enumerate(mat):
         _expect(isinstance(row, list) and len(row) == n, f"{where}[{a}]", f"expected {n} entries")
-        if numeric:
-            rows.append([_parse_numeric_entry(e, f"{where}[{a}][{b}]") for b, e in enumerate(row)])
-        else:
-            rows.append([parse_ratfun(e, f"{where}[{a}][{b}]") for b, e in enumerate(row)])
+        rows.append([parse_ratfun(e, f"{where}[{a}][{b}]") for b, e in enumerate(row)])
     return rows
 
 
@@ -251,7 +222,6 @@ def spec_record(spec):
         "n": spec.n,
         "exponents": list(spec.exponents),
         "even_only": spec.even_only,
-        "strict_grading": spec.strict_grading,
     }
     slots = {}
     for i, j in sorted(spec.c_slots):
@@ -264,7 +234,7 @@ def spec_record(spec):
 def parse_spec(obj, where="spec"):
     _no_extra_keys(
         obj if isinstance(obj, dict) else {},
-        ("n", "exponents", "even_only", "strict_grading", "slots"),
+        ("n", "exponents", "even_only", "slots"),
         where,
     )
     n = _get(obj, "n", where, int)
@@ -283,7 +253,6 @@ def parse_spec(obj, where="spec"):
     )
     _expect(exponents[0] <= MAX_EXPONENT, where, f"exponents must be at most {MAX_EXPONENT}")
     even_only = _get(obj, "even_only", where, bool)
-    strict = _get(obj, "strict_grading", where, bool)
     slots_obj = _get(obj, "slots", where, dict)
     r = exponents[0]
     slots = {}
@@ -297,22 +266,11 @@ def parse_spec(obj, where="spec"):
         exponents=tuple(exponents),
         c_slots=slots,
         even_only=even_only,
-        strict_grading=strict,
     )
 
 
 # ---------------------------------------------------------------------------
 # free-function files: {"c1_0[1,2]": ratfun, ...} with 1-based positions
-
-
-def free_record(spec):
-    rec = {}
-    for i, pos in free_slot_layout(spec.exponents, spec.even_only):
-        m = spec.c_slots.get((i, i + 1))
-        for a, b in pos:
-            entry = m[a][b] if m is not None else RatFun.zero()
-            rec[f"{_slot_name(i, i + 1)}[{a + 1},{b + 1}]"] = ratfun_record(entry)
-    return rec
 
 
 def parse_free(obj, exponents, even_only=False, where="free"):

@@ -252,17 +252,12 @@ class LoopMat:
     def circle_adjoint(self) -> "LoopMat":
         """Adjoint across the unit circle: coefficient A_k goes to A_k^* at -k.
 
-        On |lambda| = 1 this is the pointwise conjugate transpose.  Exact loops
-        must be z-free since the operation conjugates coefficients.
+        On |lambda| = 1 this is the pointwise conjugate transpose.  Numeric
+        loops only: an exact loop would need z-free coefficients to conjugate.
         """
-        if self.kind == "numeric":
-            return LoopMat("numeric", self.n, -self.hi, self.coeffs[::-1].conj().swapaxes(1, 2))
-        if any(not e.is_const() for m in self.coeffs for row in m for e in row):
-            raise ExactKindUnsupported(
-                "circle adjoint of an exact loop needs z-free coefficients"
-            )
-        coeffs = [exactmat.conj_transpose_const(m) for m in reversed(self.coeffs)]
-        return LoopMat("exact", self.n, -self.hi, coeffs)
+        if self.kind != "numeric":
+            raise ExactKindUnsupported("circle adjoint needs a numeric loop")
+        return LoopMat("numeric", self.n, -self.hi, self.coeffs[::-1].conj().swapaxes(1, 2))
 
     def negate_lambda(self) -> "LoopMat":
         """The loop lambda -> L(-lambda)."""

@@ -114,7 +114,6 @@ class ExtendedSolutionSpec:
     exponents: tuple
     c_slots: dict = field(default_factory=dict)  # (i, j) -> RatFun matrix
     even_only: bool = False
-    strict_grading: bool = True
 
     @property
     def height(self):

@@ -367,8 +367,9 @@ def test_cell_numeric_loop_is_input_error(tmp_path, capsys):
     loop = LoopMat.numeric([np.eye(2)], lo=0)
     path = tmp_path / "num.json"
     path.write_text(jsonio.dumps(jsonio.loop_record(loop)))
-    code, _, err = run(capsys, "cell", str(path))
-    assert code == 2 and "ExactKindUnsupported" in err
+    code, out, err = run(capsys, "cell", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: kind must be 'exact', got 'numeric'\n", err
 
 
 def test_cell_nonmonomial_determinant_names_true_powers(tmp_path, capsys):
@@ -399,7 +400,6 @@ def test_big_cell_reports_derivative_matrix(tmp_path, capsys):
 
 def test_big_cell_failure_exits_one(tmp_path, capsys):
     rec = jsonio.spec_record(veronese_solution(2))
-    rec["strict_grading"] = False
     rec["slots"]["c1_0"] = [["0", "0"], ["0", {"num": ["0", "1"], "den": ["1"]}]]
     path = tmp_path / "offgrade.json"
     path.write_text(jsonio.dumps(rec))
@@ -407,6 +407,17 @@ def test_big_cell_failure_exits_one(tmp_path, capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["in_big_cell_form"] is False and "grade" in payload["reason"]
+
+
+def test_spec_with_strict_grading_key_is_input_error(tmp_path, capsys):
+    # the key no longer exists, so it is refused like any other unknown key
+    rec = jsonio.spec_record(veronese_solution(2))
+    rec["strict_grading"] = True
+    path = tmp_path / "old.json"
+    path.write_text(jsonio.dumps(rec))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: unknown keys ['strict_grading']\n", err
 
 
 # -- argument handling ---------------------------------------------------------------------
@@ -560,7 +571,7 @@ def test_fuzzed_arguments_keep_exit_code_contract(veronese2_path, command, data)
 _ZB = {"num": [], "den": ["1"]}  # the zero entry
 _Z = {"num": ["0", "1"], "den": ["1"]}  # the entry z
 _BASE_DOCS = {
-    "spec": {"n": 2, "exponents": [1, 0], "even_only": False, "strict_grading": True,
+    "spec": {"n": 2, "exponents": [1, 0], "even_only": False,
              "slots": {"c1_0": [[_ZB, _Z], [_ZB, _ZB]]}},
     "free": {"c1_0[1,2]": _Z},
     "exact-loop": {"kind": "exact", "n": 2, "lo": 0,
@@ -657,12 +668,9 @@ def test_fuzzed_json_files_keep_exit_code_contract(tmp_path_factory, kind, data)
     "argv, text",
     [
         (["verify"], "[" * 100_000 + "]" * 100_000),
-        (["verify"], '{"n":2,"n":2,"exponents":[1,0],"even_only":false,'
-                     '"strict_grading":true,"slots":{}}'),
-        (["verify"], '{"n":2,"exponents":[2000,0],"even_only":false,'
-                     '"strict_grading":true,"slots":{}}'),
-        (["cell"], '{"n":2,"exponents":[1000000000,0],"even_only":false,'
-                   '"strict_grading":true,"slots":{}}'),
+        (["verify"], '{"n":2,"n":2,"exponents":[1,0],"even_only":false,"slots":{}}'),
+        (["verify"], '{"n":2,"exponents":[2000,0],"even_only":false,"slots":{}}'),
+        (["cell"], '{"n":2,"exponents":[1000000000,0],"even_only":false,"slots":{}}'),
         (["cell"], '{"kind":"numeric","n":1,"lo":0,"coeffs":[[[[1e308,1e308]]]]}'),
         (["map", "--z=0.3,0.1"], json.dumps(_replaced(
             _BASE_DOCS["spec"], ("slots", "c1_0", 0, 1, "num", 1), _HUGE))),
@@ -741,13 +749,13 @@ def _exact_lane_outputs(workdir):
 
 
 _EXACT_DIGESTS = {
-    "demo veronese 2": "0d15a7768099ef32884a5803bb1adf8dcd9526eb659dddc135bf33bfbd5c75d3",
-    "demo veronese 3": "9515070bd1523570afde271eb11d5e0ac29b3a4f19e495f2a6d6e33d25132a89",
-    "demo veronese 4": "b20a2fe0b6835732f6dea76f8ba59f69be62a0ed83808e64dd43802dfb195054",
-    "demo veronese 5": "914a185feb91e4f509203c34a44e883a6c5a1b67dafe6b25b5ae0d0267cea20b",
-    "build u3": "16a1a337179f5f93899dc66995acd20c7178ac62158a92f973f2149edb088d45",
-    "build u4": "11a9bcb76ae5a34302d5efb5c58b9b4f4a160182d3518fba81b5a8462a6bf7f3",
-    "build even": "97082842406220cb0d90ae3d1ca04ab7664d2f6114dc5dd606621822fe582b41",
+    "demo veronese 2": "22f6aff5f211cb8c078190d85bebafb3c3b0be1f7fe99869d378a749bbc5783c",
+    "demo veronese 3": "91815cf8b37041dad2d4c0910e9621845f7dd513775182120bbc9c920137c854",
+    "demo veronese 4": "4fd168a874f65a13b4373d643b10d55826c6b401c95fd08371f5262428426b4e",
+    "demo veronese 5": "e8bf0be9ee51dd033bc624179c14299dc448781e93dbd8b6d5efa0d40b95347b",
+    "build u3": "57dc9558e7d0f923bae85c6d421d8c7619c981000e8c2ca33a8598399bac003e",
+    "build u4": "2e7fc56202972b30abd3c6cb085c5b6dcac7c26c00fee834a4d85c5610345cc2",
+    "build even": "28853d0b376c27a150faeb8f43810ed1ac88491c72de71ef0285ba2c2ed34682",
     "cell veronese2": "6ff6bc4dbd028335daab6804b8139a2d634dfe7109bc4b15c10dd45a1df7df14",
     "big-cell veronese2": "54d1d8e6878585e0854ab1af1d8302124b09a9990cf5e4a8c748c3939882372a",
     "verify veronese2": "c00df8e21f733e2d5cf78fbb15c026883b6051338d2bff0378a383ffa0409531",
@@ -769,7 +777,7 @@ _EXACT_DIGESTS = {
     "cell even": "cab1197c6a33b80be7958b48aed7064d8dd99b2e1353887f6debc66646821e32",
     "big-cell even": "16845c0b0905fcb88f29f1da0b5da92ea7c874f67a2908d4a656db0cb53dafc1",
     "verify even": "90012998296184fdfb7b4f5416ae398ee9427c99b56c64b35936f866a8637547",
-    "build large": "60dbe4ce7fb53cc8c47a46b37bfbbc252c43c5faccad943469411cd9a2caa1a3",
+    "build large": "9c19a49fdbca8ffec009fbe52cb222f71fd385f8982f09fdb6b5d19dd68cf74a",
     "cell large": "a27737f13b00dca6b3d67034ebd6aef132216a47c924d062b0fba788ca32c445",
     "big-cell large": "022098bc71def6d9a67f996037b8a5c67585e87404b2502fa434d13391a503a8",
     "verify large": "b28ec1a5a133f52fc8a7e4e094b5e60ce222e487a581d730ab4f101c9005afdf",

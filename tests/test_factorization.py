@@ -397,13 +397,33 @@ def test_nonfinite_spec_loop_is_typed_error():
     # a loop built from a spec skips the circle samples, not their finiteness
     spec = veronese_solution(3)
     message = r"loop values on \|lambda\| = 1 are not finite at z = 0\.1$"
-    for t in (float("nan"), float("-inf")):
-        with pytest.raises(PoleAtZ, match=message):
-            cstar_flow(spec, t, 0.1)
     exp_c = CompiledLoop(exp_nilpotent(spec.c_lambda())).values([0.1])[0]
     exp_c[0, 1, 0] = np.nan
     with pytest.raises(PoleAtZ, match=message):
         unitarize(assemble_numeric(exp_c, spec.exponents), 0.1)
+
+
+def test_nonfinite_flow_parameter_is_typed_error_without_warnings():
+    # math.exp(inf) is inf, not an OverflowError, and inf * 0 would warn
+    spec = veronese_solution(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (float("nan"), float("-inf")):
+            message = rf"leaves the float range at t = {t!r}$"
+            with pytest.raises(PoleAtZ, match=message):
+                cstar_flow(spec, t, 0.1)
+
+
+def test_ill_conditioned_algebraic_loop_names_its_condition_number():
+    # Psi = M diag(1, lambda, lambda), det Psi = c lambda^2, with M of
+    # singular values 1, 1 and 1e-9: the det's rounding, about 3 eps 1e9,
+    # shows other powers above the 1e-9 threshold
+    rng = np.random.default_rng(3)
+    m = _with_singular_values(rng, np.array([1.0, 1.0, 1e-9]))
+    loop = LoopMat.numeric([m @ np.diag([1.0, 0.0, 0.0]), m @ np.diag([0.0, 1.0, 1.0])])
+    message = r"too ill-conditioned on \|lambda\| = 1 \(condition number 1\.000e\+09\)"
+    with pytest.raises(NoConvergence, match=message):
+        unitarize(loop)
 
 
 @pytest.mark.parametrize(
@@ -1002,8 +1022,6 @@ def test_big_cell_rejects_off_grade_slot():
 
 def test_big_cell_rejects_subset_transform():
     # Veronese 4's slots under the exponents of its last mark alone
-    moved = dataclasses.replace(
-        veronese_solution(4), exponents=(1, 1, 1, 0), strict_grading=False
-    )
+    moved = dataclasses.replace(veronese_solution(4), exponents=(1, 1, 1, 0))
     with pytest.raises(NotInBigCellForm):
         big_cell_check(moved)

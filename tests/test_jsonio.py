@@ -100,16 +100,6 @@ def test_exact_loop_round_trip():
     assert jsonio.dumps(jsonio.loop_record(back)) == jsonio.dumps(rec)
 
 
-def test_numeric_loop_round_trip():
-    rng = np.random.default_rng(7)
-    blocks = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3)]
-    loop = LoopMat.numeric(blocks, lo=-1)
-    rec = jsonio.loop_record(loop)
-    back = jsonio.parse_loop(rec)
-    assert back.lo == loop.lo and back.kind == "numeric"
-    assert (back - loop).max_coeff_norm() == 0.0
-
-
 def test_loop_schema_errors():
     good = jsonio.loop_record(LoopMat.identity(2))
     bad_kind = dict(good, kind="fuzzy")
@@ -123,9 +113,14 @@ def test_loop_schema_errors():
 
 
 def test_numeric_entries_must_be_pairs():
-    rec = {"kind": "numeric", "n": 1, "lo": 0, "coeffs": [[[1.0]]]}
-    with pytest.raises(SchemaError):
-        jsonio.parse_loop(rec)
+    # numeric loops are written as [re, im] pairs, but loop files are exact:
+    # a numeric one is refused, well-formed or not
+    written = jsonio.loop_record(LoopMat.numeric([np.array([[1 + 2j, 0], [0.5, -0.25j]])], lo=-1))
+    assert written == {"kind": "numeric", "n": 2, "lo": -1,
+                       "coeffs": [[[[1.0, 2.0], [0.0, 0.0]], [[0.5, 0.0], [0.0, -0.25]]]]}
+    for rec in (written, {"kind": "numeric", "n": 1, "lo": 0, "coeffs": [[[1.0]]]}):
+        with pytest.raises(SchemaError, match="kind must be 'exact', got 'numeric'"):
+            jsonio.parse_loop(rec)
 
 
 # -- solution specs -----------------------------------------------------------
@@ -173,16 +168,6 @@ def test_spec_rejects_out_of_range_slot():
 
 
 # -- free-function files -------------------------------------------------------
-
-
-def test_free_record_round_trip_rebuilds_spec():
-    spec = u4_spec()
-    rec = jsonio.free_record(spec)
-    assert set(rec) == {
-        "c1_0[1,2]", "c1_0[2,3]", "c1_0[3,4]", "c2_1[1,3]", "c2_1[2,4]", "c3_2[1,4]",
-    }
-    values = jsonio.parse_free(rec, spec.exponents)
-    assert build_from_free_functions(4, spec.exponents, values) == spec
 
 
 def test_free_missing_keys_default_to_zero():

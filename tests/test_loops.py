@@ -250,13 +250,10 @@ def test_compiled_values_name_the_pole():
 # -- circle adjoint ----------------------------------------------------------
 
 def test_circle_adjoint_constant_exact():
+    # numeric loops only, even where an exact loop is z-free
     m = [[GaussianRational(0, 1), 1], [0, 2]]
-    loop = LoopMat.exact([m], lo=1)
-    adj = loop.circle_adjoint()
-    assert adj.lo == adj.hi == -1
-    entry = adj.coeff(-1)
-    assert entry[0][0].const_value() == GaussianRational(0, -1)
-    assert entry[1][0].const_value() == GaussianRational(1)
+    with pytest.raises(ExactKindUnsupported, match="needs a numeric loop"):
+        LoopMat.exact([m], lo=1).circle_adjoint()
 
 
 def test_circle_adjoint_rejects_z_dependence():
