@@ -372,11 +372,13 @@ def _smith_diagonal(m, n: int):
                     row[pj], row[k] = row[k], row[pj]
             p = m[k][k]
             clean = True
+            # a - q * 0 = a: an update skips each entry whose partner in the
+            # pivot row or column is zero
             for i in range(k + 1, n):
                 if m[i][k].is_zero():
                     continue
                 q = m[i][k] // p
-                m[i] = [a - q * b for a, b in zip(m[i], m[k])]
+                m[i] = [a if b.is_zero() else a - q * b for a, b in zip(m[i], m[k])]
                 if not m[i][k].is_zero():
                     clean = False
             for j in range(k + 1, n):
@@ -384,7 +386,8 @@ def _smith_diagonal(m, n: int):
                     continue
                 q = m[k][j] // p
                 for row in m:
-                    row[j] = row[j] - q * row[k]
+                    if not row[k].is_zero():
+                        row[j] = row[j] - q * row[k]
                 if not m[k][j].is_zero():
                     clean = False
             if clean:

@@ -80,11 +80,13 @@ def dumps(obj):
 
 
 def _unique_keys(pairs):
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise SchemaError(f"invalid JSON: duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"invalid JSON: duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 
@@ -150,10 +152,20 @@ def parse_ratfun(obj, where="ratfun"):
     _no_extra_keys(obj if isinstance(obj, dict) else {}, ("num", "den"), where)
     num = _get(obj, "num", where, list)
     den = _get(obj, "den", where, list)
-    num = Poly([parse_scalar(s, f"{where}.num[{k}]") for k, s in enumerate(num)])
-    den = Poly([parse_scalar(s, f"{where}.den[{k}]") for k, s in enumerate(den)])
+    num = _parse_poly(num, f"{where}.num")
+    den = _parse_poly(den, f"{where}.den")
     _expect(not den.is_zero(), where, "zero denominator")
     return RatFun(num, den)
+
+
+def _parse_poly(strs, where):
+    """Poly of a list of scalar strings; the path of a bad entry is built
+    only once one fails."""
+    try:
+        return Poly([GaussianRational.from_string(s) for s in strs])
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    return Poly([parse_scalar(s, f"{where}[{k}]") for k, s in enumerate(strs)])
 
 
 # ---------------------------------------------------------------------------

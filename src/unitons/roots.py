@@ -256,15 +256,16 @@ class SurveyRecord:
 
 
 def _even_simple_system(rs, marks):
+    """Even positive roots that are not a sum of two even positive roots.
+
+    Each root is coded as one integer, its coefficients the digits in a
+    radix above twice the largest coefficient: adding two codes carries no
+    digit, so the code of a sum of roots is the sum of their codes."""
     even = [r for r in rs.positive_roots if level(r, marks) % 2 == 0]
-    members = set(even)
-    sums = set()
-    for a in even:
-        for b in even:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in members:
-                sums.add(s)
-    return [r for r in even if r not in sums]
+    radix = 2 * max(max(r) for r in rs.positive_roots) + 1
+    codes = [sum(c * radix**i for i, c in enumerate(r)) for r in even]
+    sums = {x + y for k, x in enumerate(codes) for y in codes[k:]}
+    return [r for r, c in zip(even, codes) if c not in sums]
 
 
 def _split_components(rs, simples):

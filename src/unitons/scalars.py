@@ -297,13 +297,23 @@ class Poly:
         return self.coeffs[-1]
 
     def _wrap(self, coeffs):
-        return Poly(coeffs, self.field)
+        """Poly of a list computed here: its entries are already elements of
+        the field, so only trailing zeros are stripped, with no coercion."""
+        end = len(coeffs)
+        while end and coeffs[end - 1].is_zero():
+            end -= 1
+        p = _new(Poly)
+        p.coeffs = tuple(coeffs[:end])
+        p.field = self.field
+        return p
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return self._wrap([self[k] + other[k] for k in range(n)])
+        a, b = self.coeffs, other.coeffs
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b):] if len(a) > len(b) else b[len(a):]
+        return self._wrap(out)
 
     def __neg__(self):
         return self._wrap([-c for c in self.coeffs])
@@ -311,19 +321,27 @@ class Poly:
     def __sub__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return self._wrap([self[k] - other[k] for k in range(n)])
+        a, b = self.coeffs, other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
+        return self._wrap(out)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero() or other.is_zero():
-                return Poly.zero(self.field)
-            out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
+            a, b = self.coeffs, other.coeffs
+            if not a or not b:
+                return self._wrap([])
+            # row i adds a_i * b into out[i:]; its last product opens a new slot
+            out = [a[0] * y for y in b]
+            head, last = b[:-1], b[-1]
+            for i in range(1, len(a)):
+                x = a[i]
+                if x.is_zero():
+                    out.append(x)
                     continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
+                for j, y in enumerate(head, i):
+                    out[j] = out[j] + x * y
+                out.append(x * last)
             return self._wrap(out)
         try:
             c = _as_field(other, self.field)
@@ -557,6 +575,9 @@ class RatFun:
         return hash((self.num, self.den))
 
     def derivative(self) -> "RatFun":
+        # a polynomial's derivative is again a polynomial: over 1, canonical
+        if self.den.degree == 0:
+            return RatFun._canonical(self.num.derivative(), self.den)
         return RatFun(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
@@ -619,18 +640,22 @@ def _henrici(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFun:
         g2 = n2.gcd(d1)
         if g2.degree > 0:
             n2, d1 = n2 // g2, d1 // g2
-    return RatFun._canonical(n1 * n2, d1 * d2)
+    # a denominator 1 takes no product
+    den = d1 if d2.degree == 0 else d2 if d1.degree == 0 else d1 * d2
+    return RatFun._canonical(n1 * n2, den)
 
 
 def _cancel(num: Poly, den: Poly):
     if num.is_zero():
         return _POLY_ZERO, _POLY_ONE
-    g = num.gcd(den)
-    if g.degree > 0:
-        num = num // g
-        den = den // g
+    # a nonzero constant shares no factor with anything: no Euclid
+    if num.degree > 0 and den.degree > 0:
+        g = num.gcd(den)
+        if g.degree > 0:
+            num = num // g
+            den = den // g
     lead = den.lead()
-    if not (lead - GaussianRational.one()).is_zero():
+    if lead != GaussianRational.one():
         num = num * (GaussianRational.one() / lead)
         den = den.monic()
     return num, den

@@ -5,7 +5,10 @@ parts, each operation a handful of Fraction operations with their own gcds;
 the production class keeps one integer triple per value and must agree with
 it on every operation and printed form, and `parse_gaussian_reference`
 reads the strings `GaussianRational.from_string` reads, each part through
-Fraction.  `ratfun_reference` is canonical
+Fraction.  `poly_sum_reference`, `poly_product_reference` and
+`poly_derivative_reference` are polynomial arithmetic the long way: index by
+index over the full length, through the public constructor, which coerces
+and strips every result.  `ratfun_reference` is canonical
 form the long way: one gcd of the whole numerator and denominator;
 `ratfun_complex_value` evaluates one rational function at one point with
 Python complex numbers.  The frame and root-system formulas are closed
@@ -158,6 +161,25 @@ def parse_gaussian_reference(text):
         raise ValueError(f"cannot parse Gaussian rational {text!r}")
     re_part, im_part = Fraction(m.group("re") or 0), Fraction(m.group("im") or 0)
     return GaussianRationalReference(re_part, -im_part if m.group("sign") == "-" else im_part)
+
+
+def poly_sum_reference(p, q, sign=1):
+    """p + sign * q, one index at a time over the longer length."""
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly([p[k] + q[k] * sign for k in range(n)], p.field)
+
+
+def poly_product_reference(p, q):
+    """p * q as the full double sum over pairs of indices."""
+    out = [p.field.zero()] * max(0, len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(out, p.field)
+
+
+def poly_derivative_reference(p):
+    return Poly([c * k for k, c in enumerate(p.coeffs)][1:], p.field)
 
 
 def ratfun_reference(num, den):

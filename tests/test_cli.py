@@ -691,8 +691,10 @@ def test_hostile_json_file_is_input_error(tmp_path, argv, text):
 # -- pinned exact-lane bytes ------------------------------------------------------------------
 # sha256 of exact-lane outputs as recorded before the uniton number was read off
 # degrees and the Bruhat cell off the Smith diagonal; those of the `large` build,
-# before Gaussian rationals became integer triples.  The outputs hold only
-# strings and integers, so the digests hold on every platform and Python version.
+# before Gaussian rationals became integer triples; those of the bare loops,
+# before polynomial results skipped the coercion and gcds of the constructors.
+# The outputs hold only strings and integers, so the digests hold on every
+# platform and Python version.
 
 
 def _poly(*coeffs):
@@ -715,6 +717,29 @@ _BUILDS = {
                "c1_0[2,3]": _poly("3/1000003", 1), "c2_1[1,3]": _poly(0, 1)}),
 }
 _SYMMETRIC_RANKS = {"A": 3, "B": 3, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
+# bare loops for `cell`: U diag(lambda^k) V with U, V products of shears
+# I + c lambda^p E_ab, each (a, b, p, c), as the benchmark dresses them
+_DRESSED = {
+    "dressed3": (3, (2, 1, 0), [(0, 1, 1, "2"), (1, 2, 2, "-1+1i")],
+                 [(1, 0, 0, "1-1i"), (2, 1, 3, "2")]),
+    "dressed4": (4, (3, 1, 1, 0), [(1, 2, 1, "1"), (2, 3, 2, "-2"), (0, 3, 1, "1i")],
+                 [(2, 1, 0, "-1"), (3, 2, 3, "1+1i"), (1, 0, 2, "2")]),
+}
+# [[lambda^2, lambda], [f lambda^2, 1 + f lambda]] with f = 2z / (2 + 2z) written
+# as it stands, not in canonical form: det = lambda^2
+_F = {"num": ["0", "2"], "den": ["2", "2"]}
+_ZFRAC = {"kind": "exact", "n": 2, "lo": 0,
+          "coeffs": [[["0", "0"], ["0", "1"]], [["0", "1"], ["0", _F]], [["1", "0"], [_F, "0"]]]}
+
+
+def _shears(n, shears):
+    loop = LoopMat.identity(n)
+    for a, b, p, c in shears:
+        blocks = [[["1" if i == j else "0" for j in range(n)] for i in range(n)]]
+        blocks += [[["0"] * n for _ in range(n)] for _ in range(p)]
+        blocks[p][a][b] = c
+        loop = loop @ jsonio.parse_loop({"kind": "exact", "n": n, "lo": 0, "coeffs": blocks})
+    return loop
 
 
 def _exact_lane_outputs(workdir):
@@ -741,6 +766,14 @@ def _exact_lane_outputs(workdir):
         texts[f"verify {name}"] = json.dumps(
             {key: payload[key] for key in ("reports", "uniton_numbers")}, sort_keys=True
         )
+    loops = {name: jsonio.loop_record(_shears(n, left) @ LoopMat.diag_powers(ks) @ _shears(n, right))
+             for name, (n, ks, left, right) in _DRESSED.items()}
+    loops["zfrac"] = _ZFRAC
+    for name, rec in loops.items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(rec))
+        code, out, _ = _call(["cell", str(path)])
+        texts[f"cell {name}"] = f"{code}\n{out}"
     _, texts["tables groups"], _ = _call(["tables", "groups"])
     for letter, rank in _SYMMETRIC_RANKS.items():
         argv = ["tables", "symmetric", "--type", letter, "--rank", str(rank)]
@@ -781,6 +814,9 @@ _EXACT_DIGESTS = {
     "cell large": "a27737f13b00dca6b3d67034ebd6aef132216a47c924d062b0fba788ca32c445",
     "big-cell large": "022098bc71def6d9a67f996037b8a5c67585e87404b2502fa434d13391a503a8",
     "verify large": "b28ec1a5a133f52fc8a7e4e094b5e60ce222e487a581d730ab4f101c9005afdf",
+    "cell dressed3": "a27737f13b00dca6b3d67034ebd6aef132216a47c924d062b0fba788ca32c445",
+    "cell dressed4": "01569df17040681b9de004163585cedc779a04491bf7ec1acd898812a629a3d5",
+    "cell zfrac": "631fa541039001023ed54f9e6343f43a336aa045da92eb7a93f935256a1e4178",
     "tables groups": "7154e4345c6a7a2b078d36dbb515a26f794d649c34e8aa17ef5632aafb5c0fa5",
     "tables symmetric A": "16568377a31d84b60034946608b93c1fe4cb5c746ae8464f9cca4497c8cf7dcd",
     "tables symmetric B": "5022e946b00c272e57ddde057cf180ad7dfabdbed2cd74dd932049a20372b219",

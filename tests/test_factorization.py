@@ -681,6 +681,32 @@ def test_cell_invariant_under_unimodular_multiplication():
         assert bruhat_cell(left @ base @ right).exponents == (2, 1, 0)
 
 
+def test_cell_with_zero_rows_and_columns_in_the_pivot_block():
+    # shears inside two 2 x 2 blocks and a permutation leave each pivot row and
+    # column of the reduction mostly zero
+    rng = random.Random(23)
+    within = [(0, 1), (1, 0), (2, 3), (3, 2)]
+
+    def sheared():
+        loop = LoopMat.identity(4)
+        for _ in range(3):
+            a, b = rng.choice(within)
+            c = RatFun.const(gr(rng.randint(1, 2), rng.randint(-1, 1)))
+            loop = loop @ _elementary(4, a, b, rng.randint(0, 2), c)
+        return loop
+
+    perm = LoopMat.exact([[[ONE if j == (i + 2) % 4 else ZERO for j in range(4)] for i in range(4)]])
+    for planted in ((3, 0, 2, 1), (2, 2, 0, 1), (0, 4, 1, 0)):
+        base = LoopMat.diag_powers(planted)
+        expected = tuple(sorted(planted, reverse=True))
+        for loop in (perm @ base, sheared() @ base @ perm, perm @ sheared() @ base @ sheared()):
+            assert bruhat_cell(loop).exponents == expected, planted
+    # [[0, lambda^2], [1, 0]]: the pivot's row and column are zero but for the pivot
+    loop = LoopMat.exact([[[ZERO, ZERO], [ONE, ZERO]], [[ZERO, ZERO], [ZERO, ZERO]],
+                          [[ZERO, ONE], [ZERO, ZERO]]])
+    assert bruhat_cell(loop).exponents == (2, 0)
+
+
 def test_cell_singular_loop_is_not_invertible():
     loop = LoopMat.exact([[[ONE, ONE], [ONE, ONE]], [[Z, ZERO], [Z, ZERO]]])
     with pytest.raises(NotInvertibleLoop, match="loop determinant is identically zero"):

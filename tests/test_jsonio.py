@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import ratfun_reference
 from unitons import jsonio
 from unitons.errors import SchemaError
 from unitons.scalars import GaussianRational, Poly, RatFun
@@ -82,6 +83,41 @@ def test_ratfun_rejects_zero_denominator():
 def test_scalar_with_zero_denominator_names_the_problem(text):
     with pytest.raises(SchemaError, match=r"^f\.den\[0\]: zero denominator in '.*'$"):
         jsonio.parse_scalar(text, "f.den[0]")
+
+
+@pytest.mark.parametrize("num", [
+    ["1", "2"], ["0", "1/2+3i", "0"], ["0/3", "5", "0/3", "0"], ["0", "0/3"], [], ["-7/2i"],
+])
+@pytest.mark.parametrize("den", [["1"], ["2"], ["1/3-1i", "0"], ["0", "1"], ["1", "2", "1"]])
+def test_parsed_ratfun_matches_the_public_constructors_and_the_reference(num, den):
+    got = jsonio.parse_ratfun({"num": num, "den": den})
+    p, q = (Poly([GaussianRational.from_string(s) for s in part]) for part in (num, den))
+    expected = RatFun(p, q)
+    assert (got.num, got.den) == (expected.num, expected.den) == ratfun_reference(p, q)
+    assert got.den.lead() == GaussianRational(1)
+    assert not got.num.coeffs or not got.num.coeffs[-1].is_zero()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("x", "cannot parse Gaussian rational 'x'"),
+    (3, "expected a string, got int"),
+    ("1/0", "zero denominator in '1/0'"),
+    (None, "expected a string, got NoneType"),
+])
+@pytest.mark.parametrize("part", ["num", "den"])
+def test_bad_coefficient_error_names_its_index(bad, message, part):
+    rec = {"num": ["1", "2", "3"], "den": ["1", "0", "1"]}
+    rec[part][2] = bad
+    with pytest.raises(SchemaError) as info:
+        jsonio.parse_ratfun(rec, "loop.coeffs[0][1][0]")
+    text = str(info.value)
+    assert text == f"loop.coeffs[0][1][0].{part}[2]: {message}" and "\n" not in text
+
+
+def test_duplicate_key_names_the_first_repeat():
+    with pytest.raises(SchemaError, match=r"^invalid JSON: duplicate key 'b'$"):
+        jsonio.loads('{"a": 1, "b": 2, "c": {"d": 1}, "b": 3, "a": 4}')
+    assert jsonio.loads('{"a": {"a": 1}, "b": [{"a": 2}]}') == {"a": {"a": 1}, "b": [{"a": 2}]}
 
 
 def test_ratfun_rejects_unknown_keys():

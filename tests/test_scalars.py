@@ -7,7 +7,14 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import GaussianRationalReference, parse_gaussian_reference, ratfun_reference
+from oracles import (
+    GaussianRationalReference,
+    parse_gaussian_reference,
+    poly_derivative_reference,
+    poly_product_reference,
+    poly_sum_reference,
+    ratfun_reference,
+)
 from unitons.errors import NonRationalAntiderivative, PoleAtZ
 from unitons.scalars import (
     GaussianRational,
@@ -343,6 +350,59 @@ def test_polynomial_fast_paths_skip_gcd(monkeypatch):
     assert p + f == p_plus_f and f + p == p_plus_f
     assert (p - p).is_zero() and (p * RatFun.zero()).is_zero()
     assert RatFun.zero() == zero and RatFun.one() == one
+
+
+# -- shortcuts against the general path --------------------------------------
+# Results computed inside Poly and RatFun are wrapped without the coercion
+# and gcds of the public constructors; they must equal the long way.
+
+
+def _stripped(p):
+    return not p.coeffs or not p.coeffs[-1].is_zero()
+
+
+@given(polys, polys, st.lists(gauss, max_size=3))
+def test_poly_ops_match_the_dense_reference(p, q, low):
+    # above the low coefficients q_plus is -p and q_minus is p, so
+    # p + q_plus and p - q_minus lose their top coefficients
+    top = list(p.coeffs[len(low):])
+    q_plus, q_minus = Poly(low + [-c for c in top]), Poly(low + top)
+    cases = [
+        (p + q, poly_sum_reference(p, q)),
+        (p - q, poly_sum_reference(p, q, -1)),
+        (q - p, poly_sum_reference(q, p, -1)),
+        (p + q_plus, poly_sum_reference(p, q_plus)),
+        (p - q_minus, poly_sum_reference(p, q_minus, -1)),
+        (p * q, poly_product_reference(p, q)),
+        (q_plus * p, poly_product_reference(q_plus, p)),
+        (-p, poly_sum_reference(Poly.zero(), p, -1)),
+    ]
+    for got, expected in cases:
+        assert got.coeffs == expected.coeffs and _stripped(got)
+
+
+@given(st.lists(factored, max_size=3), st.lists(factored, max_size=3))
+@settings(max_examples=30)
+def test_poly_over_ratfun_ops_match_the_dense_reference(ps, qs):
+    p, q = Poly(ps, field=RatFun), Poly(qs, field=RatFun)
+    for got, expected in (
+        (p + q, poly_sum_reference(p, q)),
+        (p - q, poly_sum_reference(p, q, -1)),
+        (p * q, poly_product_reference(p, q)),
+    ):
+        assert got.coeffs == expected.coeffs and _stripped(got)
+
+
+@given(st.one_of(polynomials, factored, ratfuns))
+def test_ratfun_derivative_matches_the_full_gcd_reference(f):
+    num = poly_sum_reference(
+        poly_product_reference(poly_derivative_reference(f.num), f.den),
+        poly_product_reference(f.num, poly_derivative_reference(f.den)),
+        -1,
+    )
+    h = f.derivative()
+    assert (h.num, h.den) == ratfun_reference(num, poly_product_reference(f.den, f.den))
+    assert h.den.lead() == G(1) and _stripped(h.num) and _stripped(h.den)
 
 
 @given(ratfuns, ratfuns)
