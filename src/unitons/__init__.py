@@ -34,7 +34,6 @@ from .scalars import (
     GaussianRational,
     Poly,
     RatFun,
-    differentiate,
     integrate_rational,
 )
 from .loops import LoopMat
@@ -47,7 +46,6 @@ from .roots import (
     group_max_uniton,
     height_of,
     marks_from_exponents,
-    max_uniton_for_space,
     symmetric_space_survey,
 )
 from .weierstrass import (
@@ -57,7 +55,6 @@ from .weierstrass import (
     even_grassmannian_build,
     free_slot_layout,
     left_log_derivative,
-    two_projector_frame,
     veronese_solution,
 )
 from .factorization import (
@@ -82,7 +79,6 @@ from .verify import (
     check_T_invariant,
     harmonicity_residual,
     map_sampler,
-    non_harmonic_control,
     uniton_number_report,
 )
 

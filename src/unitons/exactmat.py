@@ -20,8 +20,6 @@ __all__ = [
     "mat_is_zero",
     "mat_eq",
     "mat_inv",
-    "conj_transpose_const",
-    "projector_const",
 ]
 
 
@@ -96,26 +94,3 @@ def mat_inv(a):
     """Inverse of a matrix of RatFun entries, `scalars.solve` against the
     identity.  Raises ZeroDivisionError when the matrix is singular."""
     return solve(a, eye(len(a)))
-
-
-def conj_transpose_const(a):
-    """Conjugate transpose of a matrix of z-free RatFun entries."""
-    n, m = len(a), len(a[0])
-    out = zeros(m, n)
-    for i in range(n):
-        for j in range(m):
-            out[j][i] = a[i][j].conjugate_coefficients()
-    return out
-
-
-def projector_const(columns):
-    """Hermitian projector onto the span of exact constant column vectors.
-
-    `columns` is a list of length-n lists of z-free RatFun entries; returns
-    the n x n projector B (B* B)^-1 B*.  Columns must be independent.
-    """
-    n = len(columns[0])
-    b = [[columns[j][i] for j in range(len(columns))] for i in range(n)]
-    bstar = conj_transpose_const(b)
-    gram = mat_mul(bstar, b)
-    return mat_mul(mat_mul(b, mat_inv(gram)), bstar)

@@ -260,41 +260,31 @@ class LoopMat:
         return LoopMat("numeric", self.n, -self.hi, self.coeffs[::-1].conj().swapaxes(1, 2))
 
     def negate_lambda(self) -> "LoopMat":
-        """The loop lambda -> L(-lambda)."""
-        def neg(m):
-            if self.kind == "numeric":
-                return -m
-            return [[-x for x in row] for row in m]
-
+        """The exact loop lambda -> L(-lambda)."""
+        if self.kind != "exact":
+            raise ExactKindUnsupported("lambda -> -lambda needs an exact loop")
         coeffs = [
-            m if k % 2 == 0 else neg(m)
+            m if k % 2 == 0 else [[-x for x in row] for row in m]
             for k, m in zip(range(self.lo, self.hi + 1), self.coeffs)
         ]
-        return LoopMat(self.kind, self.n, self.lo, coeffs)
+        return LoopMat("exact", self.n, self.lo, coeffs)
 
     def twist_T(self) -> "LoopMat":
-        """T(L)(lambda) = L(-lambda) L(-1)^(-1)."""
+        """T(L)(lambda) = L(-lambda) L(-1)^(-1) of an exact loop."""
         return self.negate_lambda() @ self._inverse_at(-1, SingularAtMinusOne)
 
     def based(self) -> "LoopMat":
-        """Right-normalize to the based loop L(lambda) L(1)^(-1)."""
+        """Right-normalize an exact loop to the based loop L(lambda) L(1)^(-1)."""
         return self @ self._inverse_at(1, NotInvertibleLoop)
 
     def _inverse_at(self, lam: int, error) -> "LoopMat":
-        """The constant loop L(lam)^-1; raises error when L(lam) is singular:
-        exactly for exact loops, past condition number 1e12 or at a NaN or
-        inf entry for numeric ones."""
-        message = f"loop value at lambda = {lam} is singular"
-        if self.kind == "exact":
-            try:
-                inv = exactmat.mat_inv(self.evaluate_exact(GaussianRational(lam)))
-            except ZeroDivisionError:
-                raise error(message) from None
-            return LoopMat("exact", self.n, 0, [inv])
-        value = self.evaluate(lam)
-        if not (np.isfinite(value).all() and np.linalg.cond(value) <= 1e12):
-            raise error(message)
-        return LoopMat("numeric", self.n, 0, np.linalg.inv(value)[None])
+        """The constant exact loop L(lam)^-1; raises error when L(lam) is
+        singular."""
+        try:
+            inv = exactmat.mat_inv(self.evaluate_exact(GaussianRational(lam)))
+        except ZeroDivisionError:
+            raise error(f"loop value at lambda = {lam} is singular") from None
+        return LoopMat("exact", self.n, 0, [inv])
 
     # -- evaluation ------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Positive roots are generated from the Cartan matrix by the standard
 closure algorithm and stored as coefficient vectors over the simple
-roots.  Gradings, height bounds and the inner-symmetric-space survey
+roots.  Root levels, height bounds and the inner-symmetric-space survey
 are all computed from that table.  Marks vectors are coefficients of an element of the
 integer coweight lattice on the dual fundamental basis, so a root
 alpha = sum m_i alpha_i pairs with xi as sum m_i xi_i.
@@ -191,17 +191,6 @@ def group_max_uniton(rs):
     return sum(rs.highest_root)
 
 
-def grading(rs, marks):
-    """Map i -> dim g^xi_i of the integer grading defined by the marks."""
-    marks = _check_marks(rs, marks)
-    dims = {0: rs.rank}
-    for r in rs.positive_roots:
-        v = level(r, marks)
-        dims[v] = dims.get(v, 0) + 1
-        dims[-v] = dims.get(-v, 0) + 1
-    return dims
-
-
 def canonical_reduce(rs, marks):
     marks = _check_marks(rs, marks)
     return tuple(1 if m > 0 else 0 for m in marks)
@@ -249,10 +238,6 @@ class SurveyRecord:
     center_dim: int
     height: int
     names: tuple  # classical names of the symmetric space, may be empty
-
-    @property
-    def signature(self):
-        return (self.components, self.center_dim)
 
 
 def _even_simple_system(rs, marks):
@@ -338,13 +323,3 @@ def symmetric_space_survey(rs):
             )
         )
     return records
-
-
-def max_uniton_for_space(records, components, center_dim):
-    """r(N) = max height among survey records with the requested even-part
-    signature (sorted component labels plus center dimension)."""
-    key = (tuple(sorted(components)), center_dim)
-    heights = [r.height for r in records if r.signature == key]
-    if not heights:
-        raise UnrecognizedSubsystem(f"no survey record with signature {key}")
-    return max(heights)

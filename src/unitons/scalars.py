@@ -32,7 +32,6 @@ __all__ = [
     "GaussianRational",
     "Poly",
     "RatFun",
-    "differentiate",
     "integrate_rational",
     "hermite_reduce",
     "solve",
@@ -659,11 +658,6 @@ def _cancel(num: Poly, den: Poly):
         num = num * (GaussianRational.one() / lead)
         den = den.monic()
     return num, den
-
-
-def differentiate(f: RatFun) -> RatFun:
-    """d/dz of a rational function."""
-    return _as_ratfun(f).derivative()
 
 
 def solve(rows, rhs):

@@ -3,7 +3,7 @@
 Everything here re-derives its verdict from scratch: the graded conditions
 are recomputed from the assembled potential, harmonicity is tested by
 Richardson-extrapolated finite differences on the extracted map, and
-T-invariance is checked on the loop itself.  Failures become report
+T-invariance is checked on the exact loop itself.  Failures become report
 entries, not exceptions, so negative controls can be exercised.
 """
 
@@ -239,23 +239,6 @@ def map_sampler(spec_or_loop):
     return sample
 
 
-def non_harmonic_control():
-    """Sampler for diag(e^{i|z|^2}, 1): unitary-valued but not harmonic.
-
-    phi^-1 phi_z = i zbar E_11, so the residual is identically 2.  Used
-    to calibrate that the finite-difference residual actually detects
-    failure, not just rounding noise.
-    """
-
-    def sample(zs):
-        out = np.zeros((len(zs), 2, 2), dtype=complex)
-        out[:, 0, 0] = np.exp(1j * np.abs(np.asarray(zs)) ** 2)
-        out[:, 1, 1] = 1.0
-        return out
-
-    return sample
-
-
 def _stencil(z0, h: float):
     """The 20 points `_fd_residual` reads at step h, in its order: for each
     ring point w = z0 + h, z0 - h, z0 + ih, z0 - ih, the points w, w + h,
@@ -322,32 +305,19 @@ def harmonicity_residual(sampler, grid, h: float = 1e-3) -> float:
     return float(np.max(node_residuals, initial=0.0))
 
 
-def check_T_invariant(loop: LoopMat, tol: float = 1e-9) -> VerificationReport:
-    """Is the based loop fixed by lambda -> -lambda up to re-basing?
+def check_T_invariant(loop: LoopMat) -> VerificationReport:
+    """Is the exact based loop fixed by lambda -> -lambda up to re-basing?
 
-    Checks twist_T(loop) == loop (exactly for exact loops, to tol for
-    numeric ones); when fixed, the value at lambda = -1 must square to the
-    identity, which places the extracted map in an inner symmetric space.
+    Checks twist_T(loop) == loop exactly; when fixed, the value at
+    lambda = -1 must square to the identity, which places the extracted map
+    in an inner symmetric space.  A numeric loop raises ExactKindUnsupported.
     """
-    twisted = loop.twist_T()
-    if loop.kind == "exact":
-        fixed = twisted == loop
-        ev_fixed = "exact equality" if fixed else "twist changes the loop"
-    else:
-        diff = (twisted - loop).max_coeff_norm()
-        fixed = diff <= tol
-        ev_fixed = f"max coefficient difference {diff:.3e}"
+    fixed = loop.twist_T() == loop
+    ev_fixed = "exact equality" if fixed else "twist changes the loop"
     checks = [CheckEntry("fixed by the twist", fixed, ev_fixed)]
     if fixed:
-        if loop.kind == "exact":
-            phi = loop.evaluate_exact(-1)
-            sq = exactmat.mat_mul(phi, phi)
-            ok = exactmat.mat_eq(sq, exactmat.eye(loop.n))
-            ev = "phi(-1)^2 = I exactly" if ok else "phi(-1)^2 differs from I"
-        else:
-            phi = loop.evaluate(-1)
-            d = float(np.linalg.norm(phi @ phi - np.eye(loop.n)))
-            ok = d <= tol
-            ev = f"|phi(-1)^2 - I| = {d:.3e}"
+        phi = loop.evaluate_exact(-1)
+        ok = exactmat.mat_eq(exactmat.mat_mul(phi, phi), exactmat.eye(loop.n))
+        ev = "phi(-1)^2 = I exactly" if ok else "phi(-1)^2 differs from I"
         checks.append(CheckEntry("value at -1 is an involution", ok, ev))
     return VerificationReport("twist invariance", tuple(checks))

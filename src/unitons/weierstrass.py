@@ -217,25 +217,6 @@ def veronese_solution(n):
     return build_from_free_functions(n, exponents, free)
 
 
-def two_projector_frame():
-    """Exact frame (p + (1/lambda) p_perp)(pi + lambda pi_perp) in U_2.
-
-    p projects onto the first coordinate line, pi onto span(1, z); the
-    Gram factor 1 + z^2 is kept formal so the entries stay rational.
-    The product has lambda-width 2 even though the underlying harmonic
-    map admits a width-1 representative.
-    """
-    one, zero, z = RatFun.one(), RatFun.zero(), RatFun.x()
-    p = exactmat.projector_const([[one, zero]])
-    p_perp = exactmat.mat_sub(exactmat.eye(2), p)
-    left = LoopMat("exact", 2, -1, [p_perp, p])
-    gram = one + z * z
-    pi = [[one / gram, z / gram], [z / gram, z * z / gram]]
-    pi_perp = exactmat.mat_sub(exactmat.eye(2), pi)
-    right = LoopMat("exact", 2, 0, [pi, pi_perp])
-    return left @ right
-
-
 def even_grassmannian_build(n, exponents, free):
     """T-invariant build: only even lambda powers carry data.
 

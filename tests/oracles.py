@@ -24,7 +24,10 @@ reads the width of Ad L off n^2 conjugations by an inverse that the caller
 builds from the factors of L, so it shares no inversion with the package.
 `cstar_flow_reference` is the C*-flow with its scaling written block by
 block, as `cstar_flow` once computed it; the stacked scaling must round the
-same way.
+same way.  `projector_const` and `two_projector_frame` build exact test
+loops from Hermitian projectors, `non_harmonic_control` is a map the
+harmonicity residual must reject, and `grading` and
+`max_uniton_for_space` read dimensions and heights off the root tables.
 """
 
 import math
@@ -35,7 +38,7 @@ from math import factorial
 import numpy as np
 
 from unitons import exactmat
-from unitons.errors import ExactKindUnsupported, InvalidType
+from unitons.errors import ExactKindUnsupported, InvalidType, UnrecognizedSubsystem
 from unitons.factorization import bruhat_cell, unitarize
 from unitons.loops import LoopMat
 from unitons.roots import height_of, level
@@ -297,6 +300,17 @@ def slot_by_slot_build(n, exponents, free, even_only=False):
 # -- index formulas over a root system (marks are non-negative integers) ------------
 
 
+def grading(rs, marks):
+    """Map i -> dim g^xi_i of the integer grading defined by the marks."""
+    dims = {0: rs.rank}
+    for r in rs.positive_roots:
+        v = level(r, marks)
+        dims[v] = dims.get(v, 0) + 1
+        dims[-v] = dims.get(-v, 0) + 1
+    return dims
+
+
+
 def morse_index(rs, marks):
     return sum(
         level(r, marks) - 1 for r in rs.positive_roots if level(r, marks) != 0
@@ -316,6 +330,22 @@ def free_function_count(rs, marks):
 
 def odd_canonical_reduce(rs, marks):
     return tuple(int(m) % 2 for m in marks)
+
+
+def signature(record):
+    """Even-part signature of a survey record: sorted component labels plus
+    center dimension."""
+    return (record.components, record.center_dim)
+
+
+def max_uniton_for_space(records, components, center_dim):
+    """r(N) = max height among survey records with the requested even-part
+    signature."""
+    key = (tuple(sorted(components)), center_dim)
+    heights = [r.height for r in records if signature(r) == key]
+    if not heights:
+        raise UnrecognizedSubsystem(f"no survey record with signature {key}")
+    return max(heights)
 
 
 # -- exact Iwasawa split by projector peeling -------------------------------------
@@ -362,7 +392,7 @@ def flag_unitarize(psi: LoopMat):
         cols = column_space_basis(work.coeff(work.lo))
         if len(cols) == n:
             break
-        pi = exactmat.projector_const(cols)
+        pi = projector_const(cols)
         pi_perp = exactmat.mat_sub(exactmat.eye(n), pi)
         factor = LoopMat("exact", n, 0, [pi, pi_perp])
         # (pi + lambda pi_perp)^-1 = pi + lambda^-1 pi_perp; the lambda^-1
@@ -409,3 +439,65 @@ def ad_width_by_conjugation(loop: LoopMat, inverse: LoopMat) -> int:
             image = loop @ LoopMat("exact", n, 0, [e]) @ inverse
             width = max(width, abs(image.lo), abs(image.hi))
     return width
+
+
+# -- exact projector loops and a non-harmonic map ----------------------------------
+
+
+def conj_transpose_const(a):
+    """Conjugate transpose of a matrix of z-free RatFun entries."""
+    n, m = len(a), len(a[0])
+    out = exactmat.zeros(m, n)
+    for i in range(n):
+        for j in range(m):
+            out[j][i] = a[i][j].conjugate_coefficients()
+    return out
+
+
+def projector_const(columns):
+    """Hermitian projector onto the span of exact constant column vectors.
+
+    `columns` is a list of length-n lists of z-free RatFun entries; returns
+    the n x n projector B (B* B)^-1 B*.  Columns must be independent.
+    """
+    n = len(columns[0])
+    b = [[columns[j][i] for j in range(len(columns))] for i in range(n)]
+    bstar = conj_transpose_const(b)
+    gram = exactmat.mat_mul(bstar, b)
+    return exactmat.mat_mul(exactmat.mat_mul(b, exactmat.mat_inv(gram)), bstar)
+
+
+def two_projector_frame():
+    """Exact frame (p + (1/lambda) p_perp)(pi + lambda pi_perp) in U_2.
+
+    p projects onto the first coordinate line, pi onto span(1, z); the
+    Gram factor 1 + z^2 is kept formal so the entries stay rational.
+    The product has lambda-width 2 even though the underlying harmonic
+    map admits a width-1 representative.
+    """
+    one, zero, z = RatFun.one(), RatFun.zero(), RatFun.x()
+    p = projector_const([[one, zero]])
+    p_perp = exactmat.mat_sub(exactmat.eye(2), p)
+    left = LoopMat("exact", 2, -1, [p_perp, p])
+    gram = one + z * z
+    pi = [[one / gram, z / gram], [z / gram, z * z / gram]]
+    pi_perp = exactmat.mat_sub(exactmat.eye(2), pi)
+    right = LoopMat("exact", 2, 0, [pi, pi_perp])
+    return left @ right
+
+
+def non_harmonic_control():
+    """Sampler for diag(e^{i|z|^2}, 1): unitary-valued but not harmonic.
+
+    phi^-1 phi_z = i zbar E_11, so the residual is identically 2.  Used
+    to calibrate that the finite-difference residual actually detects
+    failure, not just rounding noise.
+    """
+
+    def sample(zs):
+        out = np.zeros((len(zs), 2, 2), dtype=complex)
+        out[:, 0, 0] = np.exp(1j * np.abs(np.asarray(zs)) ** 2)
+        out[:, 1, 1] = 1.0
+        return out
+
+    return sample

@@ -14,7 +14,12 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import flag_unitarize
+from oracles import (
+    flag_unitarize,
+    non_harmonic_control,
+    projector_const,
+    two_projector_frame,
+)
 
 from unitons import exactmat
 from unitons.cli import main as cli_main
@@ -36,14 +41,12 @@ from unitons.verify import (
     check_T_invariant,
     harmonicity_residual,
     map_sampler,
-    non_harmonic_control,
     uniton_number_report,
 )
 from unitons.weierstrass import (
     assemble_loop,
     build_from_free_functions,
     even_grassmannian_build,
-    two_projector_frame,
     veronese_solution,
 )
 
@@ -171,7 +174,7 @@ def test_03_u4_potential_demo():
 
 def _projector_factor(column):
     n = len(column)
-    pi = exactmat.projector_const([column])
+    pi = projector_const([column])
     perp = exactmat.mat_sub(exactmat.eye(n), pi)
     return LoopMat("exact", n, 0, [pi, perp])
 

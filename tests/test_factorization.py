@@ -10,7 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import ad_width_by_conjugation, cstar_flow_reference, flag_unitarize
+from oracles import (
+    ad_width_by_conjugation,
+    cstar_flow_reference,
+    flag_unitarize,
+    projector_const,
+    two_projector_frame,
+)
 from unitons import cli, exactmat, factorization, jsonio
 from unitons.errors import (
     ExactKindUnsupported,
@@ -38,7 +44,7 @@ from unitons.factorization import (
 )
 from unitons.loops import CompiledLoop, LoopMat, trim_blocks, values_at
 from unitons.roots import exponents_from_marks, marks_from_exponents
-from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
+from unitons.scalars import GaussianRational, Poly, RatFun
 from unitons.verify import harmonicity_residual, map_sampler, uniton_number_report
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
@@ -47,7 +53,6 @@ from unitons.weierstrass import (
     build_from_free_functions,
     even_grassmannian_build,
     exp_nilpotent,
-    two_projector_frame,
     veronese_solution,
 )
 
@@ -67,7 +72,7 @@ def gr(re, im=0):
 def projector_factor(column):
     """pi + lambda*(1 - pi) for pi onto the span of one exact column."""
     n = len(column)
-    pi = exactmat.projector_const([column])
+    pi = projector_const([column])
     perp = exactmat.mat_sub(exactmat.eye(n), pi)
     return LoopMat("exact", n, 0, [pi, perp])
 
@@ -755,7 +760,7 @@ def test_ad_width_matches_conjugation_oracle():
     # (p + lambda^-1 p_perp)(pi + lambda pi_perp) has inverse
     # (pi + lambda^-1 pi_perp)(p + lambda p_perp)
     gram = ONE + Z * Z
-    p = exactmat.projector_const([[ONE, ZERO]])
+    p = projector_const([[ONE, ZERO]])
     pi = [[ONE / gram, Z / gram], [Z / gram, Z * Z / gram]]
     p_perp, pi_perp = (exactmat.mat_sub(exactmat.eye(2), m) for m in (p, pi))
     frame_inv = LoopMat("exact", 2, -1, [pi_perp, pi]) @ LoopMat("exact", 2, 0, [p, p_perp])
@@ -1014,7 +1019,7 @@ def test_big_cell_u2_reads_off_derivative():
     alpha = poly(0, 0, 1)  # z^2
     spec = build_from_free_functions(2, (1, 0), [alpha])
     wd = big_cell_check(spec)
-    assert wd.V[0][1] == differentiate(alpha)
+    assert wd.V[0][1] == alpha.derivative()
     assert wd.V[1][0].is_zero() and wd.V[0][0].is_zero()
 
 
@@ -1024,12 +1029,12 @@ def test_big_cell_u4_pattern():
     spec = u4_build(a1, a2, a3, d1, d2, f1)
     wd = big_cell_check(spec)
     v = wd.matrix()
-    assert v[0][1] == differentiate(a1)
-    assert v[1][2] == differentiate(a2)
-    assert v[2][3] == differentiate(a3)
-    assert v[0][2] == differentiate(d1)
-    assert v[1][3] == differentiate(d2)
-    assert v[0][3] == differentiate(f1)
+    assert v[0][1] == a1.derivative()
+    assert v[1][2] == a2.derivative()
+    assert v[2][3] == a3.derivative()
+    assert v[0][2] == d1.derivative()
+    assert v[1][3] == d2.derivative()
+    assert v[0][3] == f1.derivative()
     for a in range(4):
         for b in range(a + 1):
             assert v[a][b].is_zero()

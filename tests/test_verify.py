@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import non_harmonic_control, two_projector_frame
 from unitons import exactmat
-from unitons.errors import NotS1Invariant, PoleAtZ, StepBelowResolution
+from unitons.errors import ExactKindUnsupported, NotS1Invariant, PoleAtZ, StepBelowResolution
 from unitons.factorization import bruhat_cell, flow_limit, unitarize
 from unitons.loops import LoopMat
 from unitons.scalars import GaussianRational, Poly, RatFun
@@ -18,7 +19,6 @@ from unitons.verify import (
     check_T_invariant,
     harmonicity_residual,
     map_sampler,
-    non_harmonic_control,
     uniton_number_report,
 )
 from unitons.weierstrass import (
@@ -28,7 +28,6 @@ from unitons.weierstrass import (
     even_grassmannian_build,
     exp_nilpotent,
     graded_positions,
-    two_projector_frame,
     veronese_solution,
 )
 
@@ -373,10 +372,24 @@ def test_twist_negative_control():
     assert not report.entry("fixed by the twist").passed
 
 
-def test_twist_numeric_unitary_part_of_even_build():
-    fac = unitarize(assemble_loop(even_spec()), z=complex(0.4, 0.3))
-    report = check_T_invariant(fac.unitary_part, tol=1e-8)
-    assert report.passed
+@pytest.mark.parametrize(
+    "make",
+    [
+        # I -+ lambda diag(1, 0), singular at lambda = -+1
+        lambda: LoopMat.numeric([np.eye(2), np.diag([1, 0])]),
+        lambda: LoopMat.numeric([np.eye(2), np.diag([-1, 0])]),
+        lambda: LoopMat.numeric([np.eye(2), np.full((2, 2), np.nan)]),
+        lambda: LoopMat.numeric([np.eye(2), np.full((2, 2), np.inf)]),
+        lambda: unitarize(assemble_loop(even_spec()), z=complex(0.4, 0.3)).unitary_part,
+    ],
+    ids=["singular-at-minus-one", "singular-at-one", "nan", "inf", "unitary-part-of-even-build"],
+)
+def test_twist_refuses_numeric_loops(make):
+    # the twist is an exact statement about exp(C) gamma: the numeric lane has none
+    loop = make()
+    for call in (loop.twist_T, loop.based, lambda: check_T_invariant(loop)):
+        with pytest.raises(ExactKindUnsupported, match=r"^[^\n]+ needs an exact loop$"):
+            call()
 
 
 def test_even_height_two_is_lambda_free():

@@ -13,7 +13,7 @@ from unitons.errors import (
 from unitons.factorization import bruhat_cell
 from unitons.loops import LoopMat
 from oracles import DegenerateFrame, closed_form_full_flag_C0, slot_by_slot_build, veronese_frame
-from unitons.scalars import GaussianRational, Poly, RatFun, differentiate
+from unitons.scalars import GaussianRational, Poly, RatFun
 from unitons.verify import uniton_number_report
 from unitons.weierstrass import (
     assemble_loop,
@@ -71,7 +71,7 @@ def test_exp_nilpotent_rejects_invertible():
 def test_left_log_derivative_commuting_case():
     c = upper(2, {(0, 1): Z * Z})
     out = left_log_derivative(LoopMat.exact([c]))
-    assert out.coeff(0)[0][1] == differentiate(Z * Z)
+    assert out.coeff(0)[0][1] == (Z * Z).derivative()
 
 
 def test_left_log_derivative_zero():
@@ -116,12 +116,12 @@ def test_u4_forced_ode_for_corner_of_C1():
     spec = u4_build(a1, a2, a3, d1, d2, f1)
     e1 = spec.slot(1, 3)[0][3]
     rhs = (
-        a1 * differentiate(d2)
-        - differentiate(a1) * d2
-        + d1 * differentiate(a3)
-        - differentiate(d1) * a3
+        a1 * d2.derivative()
+        - a1.derivative() * d2
+        + d1 * a3.derivative()
+        - d1.derivative() * a3
     ) / RatFun.const(2)
-    assert differentiate(e1) == rhs
+    assert e1.derivative() == rhs
 
 
 def test_u4_zero_free_functions_give_homomorphism():
@@ -145,9 +145,9 @@ def test_u4_extended_conditions_hold_exactly():
 def test_u4_closed_form_delta_entry():
     alpha, beta, gamma = poly(0, 0, 0, 1), poly(0, 0, 1), poly(0, 1)
     u = closed_form_full_flag_C0(4, [alpha, beta, gamma, ONE])
-    da = differentiate(alpha) / differentiate(gamma)
-    db = differentiate(beta) / differentiate(gamma)
-    delta = differentiate(da) / differentiate(db)
+    da = alpha.derivative() / gamma.derivative()
+    db = beta.derivative() / gamma.derivative()
+    delta = da.derivative() / db.derivative()
     assert u[0][1] == delta
     assert u[0][2] == da and u[1][2] == db
     assert u[0][3] == alpha and u[1][3] == beta and u[2][3] == gamma
@@ -158,7 +158,7 @@ def test_u4_closed_form_delta_entry():
 def test_u3_closed_form_matches_display():
     alpha, beta = poly(0, 0, 1), poly(0, 1, 2)
     u = closed_form_full_flag_C0(3, [alpha, beta, ONE])
-    assert u[0][1] == differentiate(alpha) / differentiate(beta)
+    assert u[0][1] == alpha.derivative() / beta.derivative()
     assert u[0][2] == alpha and u[1][2] == beta
 
 
@@ -176,7 +176,7 @@ def test_closed_form_degenerate_frame():
 def test_builder_closed_form_consistency_u3():
     # free data (alpha'/beta', beta, gamma) reproduces the closed form
     alpha, beta = poly(0, 0, 1), poly(0, 1)
-    p = differentiate(alpha) / differentiate(beta)
+    p = alpha.derivative() / beta.derivative()
     spec = build_from_free_functions(3, (2, 1, 0), [p, beta, poly(7)])
     e = exp_nilpotent(LoopMat.exact([spec.c_lambda().coeff(0)]))
     u = closed_form_full_flag_C0(3, [alpha, beta, ONE])
