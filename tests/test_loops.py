@@ -316,6 +316,19 @@ def test_singular_value_at_plus_minus_one_is_typed_error(lam, error):
         loop.twist_T() if lam == -1 else loop.based()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("lam, error", [(-1, SingularAtMinusOne), (1, NotInvertibleLoop)])
+def test_non_finite_value_at_plus_minus_one_is_typed_error(bad, lam, error):
+    # the singular-value check at lambda = +-1 is exact-only: a numeric loop
+    # with a non-finite value there is refused before any arithmetic on it
+    loop = LoopMat.numeric([np.eye(2), np.full((2, 2), bad)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExactKindUnsupported, match=r"^[^\n]+ needs an exact loop$") as info:
+            loop.twist_T() if lam == -1 else loop.based()
+    assert not isinstance(info.value, error)
+
+
 def test_inf_block_reaches_the_checks_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
