@@ -4,17 +4,24 @@ Four pieces live here.  `unitarize` splits an invertible numeric loop into a
 based unitary factor and a disc-holomorphic factor in Segal's Grassmannian
 model: for an algebraic loop (det Psi = c lambda^m) shifted to powers >= 0,
 W = Psi H+ lies between lambda^R H+ and H+, and the unitary factor's columns
-are an orthonormal basis of W - lambda W, read off the n(R+1) x nR
-generator matrix of lambda W, whose rank nR - m is known.  A loop built
-from a spec, exp(C) gamma, carries gamma's exponents k: m = sum k and
-R = max k, and exactly nR - m generator columns are nonzero, so one QR
-gives the basis.  A bare loop is sampled on |lambda| = 1, where one SVD
-finds it regular and det Psi gives m, whose single lambda power is
-checked; it takes the QR too when its count of nonzero columns is nR - m,
-or an SVD whose singular values must be separated at that rank.  The
-split's unitarity and reassembly residuals and the map value's unitarity
-are always checked against the fixed bound 1e-9 (relative where it has a
-scale), and a loop that fails a check raises NoConvergence.
+are an orthonormal basis of W - lambda W.  A loop built from a lambda-free
+spec, exp(C) gamma with C free of lambda, has column b = (exp C) e_b
+lambda^(k_b) alone, so W is fixed by the flag F_j = exp C span{e_b : k_b <= j}
+(the twistor lift of Eells & Wood): one n x n QR of exp C, its columns in
+increasing k, gives Phi = sum_j lambda^j P_j, P_j the projection onto
+F_j - F_(j-1).  That flag is read off untrimmed values, since the trim of
+small blocks drops the low-k columns that fix it.  Any other loop is split
+through the n(R+1) x nR generator matrix of lambda W, whose rank nR - m is
+known.  Any other loop built from a spec carries gamma's exponents k:
+m = sum k and R = max k, and exactly nR - m generator columns are
+nonzero, so one QR gives the basis.  A bare loop is sampled on
+|lambda| = 1, where one SVD finds it regular and det Psi gives m, whose
+single lambda power is checked; it takes the QR too when its count of
+nonzero columns is nR - m, or an SVD whose singular values must be
+separated at that rank.  The split's unitarity and reassembly residuals and
+the map value's unitarity are always checked against the fixed bound 1e-9
+(relative where it has a scale), and a loop that fails a check raises
+NoConvergence.
 `bruhat_cell` recovers the diagonal lambda-exponents of an exact loop by
 Smith reduction over the rational-function field.  `cstar_flow` and
 `flow_limit` implement the lambda -> u*lambda deformation and its u -> 0
@@ -170,10 +177,48 @@ def _power_and_height(blocks, lo, zs, exponents):
     return m, int((m - low.sum(axis=1) + low.max(axis=1)).max())
 
 
+def _flag_blocks(blocks, lo, exponents):
+    """Blocks 0..R, R = max k, of the unitary Phi = sum_j lambda^j P_j with
+    Phi H+ = Psi H+ for each loop of the (Z, K, n, n) stack of untrimmed
+    coefficients of loops Psi = lambda^lo (blocks[0] + blocks[1] lambda + ...)
+    with exponents k; None unless the stack is finite, lo = 0 and column b of
+    every loop has exactly one nonzero block, block k_b.
+
+    Those are the loops exp(C) gamma of a lambda-free spec, their flowed
+    loops and their partial loops: Psi = A diag(lambda^k) with A = exp C
+    (times a constant diagonal), so W = Psi H+ is fixed by the flag
+    F_j = A span{e_b : k_b <= j}.  With A's columns stably sorted by k,
+    A = QR gives Psi = Q diag(lambda^k) (diag(lambda^-k) R diag(lambda^k)),
+    the last factor in Lambda+ and invertible at lambda = 0 (its constant
+    term is R's diagonal blocks of equal k), so Phi = Q diag(lambda^k) Q*,
+    and P_j projects onto the Q columns with k = j.  exp C is unipotent, so
+    no column of A is zero; a stack in which block k_b of column b is zero
+    has been trimmed, and its flag is lost (the trim drops small low-k
+    columns at large |z|, and a QR of a zero column returns a unitary but
+    wrong Phi), so it gets None too.
+    """
+    if exponents is None or lo != 0 or blocks.shape[-3] != max(exponents) + 1:
+        return None
+    k = np.asarray(exponents)
+    one_block = np.arange(blocks.shape[-3])[:, None] == k
+    if not (np.isfinite(blocks).all() and (blocks.any(axis=-2) == one_block).all()):
+        return None
+    order = np.argsort(k, kind="stable")
+    sorted_k = k[order]
+    # column b of A is block k_b of column b; the gather puts the column axis first
+    q = np.linalg.qr(np.moveaxis(blocks[:, sorted_k, :, order], 0, -1))[0]
+    phi = np.zeros_like(blocks)
+    for j in set(exponents):
+        cols = q[..., sorted_k == j]
+        phi[:, j] = cols @ cols.conj().swapaxes(-1, -2)
+    return phi
+
+
 def _wandering_blocks(blocks, m, height, zs):
     """Blocks 0..R of a unitary Phi with Phi H+ = W = Psi H+, for each loop
     of the (Z, K, n, n) coefficient stack of polynomial loops Psi, given the
-    powers m of their dets and a height R with lambda^R H+ inside W.
+    powers m of their dets and a height R with lambda^R H+ inside W; the
+    split of every loop that `_flag_blocks` does not take.
 
     Phi's columns are an orthonormal basis of W - lambda W, which lies in
     the polynomials P_R of degree <= R (Beurling-Lax).  Truncated to P_R,
@@ -231,12 +276,19 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     generator whose rank nR - m is not separated, a unitarity residual
     above 1e-9 or a split residual above 1e-9 times max(1, max_k ||Psi_k||)
     raises NoConvergence naming its values, the bound and z.  A loop built
-    from a spec reads m and R off its exponents, with no circle pass.
+    from a spec reads m and R off its exponents, with no circle pass.  A
+    loop of a lambda-free spec (or its flowed or partial loop) splits by one
+    QR of exp C instead (`_flag_blocks`); a numeric LoopMat has trimmed its
+    small blocks, and one whose trim zeroed a column's only block, at large
+    |z|, takes the generator split, because its flag is lost.
     """
     psi = _as_loop(psi).to_numeric(z)
     blocks = psi.coeffs[None]
-    shape = _power_and_height(blocks, psi.lo, [z], psi.exponents)
-    phi = _wandering_blocks(blocks, *shape, [z])[0]
+    phi = _flag_blocks(blocks, psi.lo, psi.exponents)
+    if phi is None:
+        shape = _power_and_height(blocks, psi.lo, [z], psi.exponents)
+        phi = _wandering_blocks(blocks, *shape, [z])
+    phi = phi[0]
     phi_one = phi.sum(axis=0)
     unitary = LoopMat.numeric(phi @ np.linalg.inv(phi_one), psi.lo)
     adjoint = phi[::-1].conj().swapaxes(-1, -2)
@@ -272,15 +324,22 @@ def harmonic_map_at(obj, z) -> np.ndarray:
     rank that is not separated or a value ||phi phi* - I||_F above the 1e-9
     bound NoConvergence, each naming the first z that fails.  A loop built
     from a spec reads m and R off its exponents and skips the circle pass
-    with its regularity and algebraicity guards.
+    with its regularity and algebraicity guards.  A loop of a lambda-free
+    spec splits by one n x n QR of exp C (`_flag_blocks`), read off the
+    untrimmed values: at large |z| the trim drops the small low-k columns
+    that fix the flag, so this split works over the whole input range,
+    where the generator split of the trimmed stack is refused.
     """
     one_point = np.ndim(z) == 0
     zs = [z] if one_point else z
     loop = obj if isinstance(obj, CompiledLoop) else CompiledLoop(_as_loop(obj))
-    # trimmed as a numeric LoopMat is, so each point splits as in `unitarize`
-    blocks = trim_blocks(loop.values(zs))
-    shape = _power_and_height(blocks, loop.lo, zs, loop.exponents)
-    phi = _wandering_blocks(blocks, *shape, zs)
+    coeffs = loop.values(zs)
+    phi = _flag_blocks(coeffs, loop.lo, loop.exponents)
+    if phi is None:
+        # trimmed as a numeric LoopMat is, so each point splits as in `unitarize`
+        blocks = trim_blocks(coeffs)
+        shape = _power_and_height(blocks, loop.lo, zs, loop.exponents)
+        phi = _wandering_blocks(blocks, *shape, zs)
     # lambda^lo Phi at lambda = -1 and 1 for each z
     ends = values_at(phi, loop.lo, [-1, 1])
     values = ends[:, 0] @ np.linalg.inv(ends[:, 1])

@@ -28,6 +28,9 @@ same way.  `projector_const` and `two_projector_frame` build exact test
 loops from Hermitian projectors, `non_harmonic_control` is a map the
 harmonicity residual must reject, and `grading` and
 `max_uniton_for_space` read dimensions and heights off the root tables.
+`twistor_value` is the exact map value of a lambda-free spec read off the
+flag of exp C by exact projectors, for points where the flag unitarizer's
+exact arithmetic is too slow.
 """
 
 import math
@@ -45,6 +48,7 @@ from unitons.roots import height_of, level
 from unitons.scalars import GaussianRational, Poly, RatFun, integrate_rational
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
+    exp_nilpotent,
     free_slot_layout,
     graded_positions,
     left_log_derivative,
@@ -405,11 +409,30 @@ def flag_unitarize(psi: LoopMat):
     return unitary, work
 
 
+def twistor_value(spec: ExtendedSolutionSpec, z):
+    """Exact phi = sum_j (-1)^j (Pi_j - Pi_(j-1)) of a lambda-free spec at a
+    Gaussian-rational z, Pi_j the projector onto the flag
+    F_j = exp C span{e_b : k_b <= j} (Pi_(-1) = 0): the twistor formula,
+    with no loop split and no floats."""
+    assert all(i == 0 for i, _ in spec.c_slots), "the spec is not lambda-free"
+    a = exp_nilpotent(spec.c_lambda()).at_z(z).coeffs[0]
+    n = spec.n
+    phi, below = exactmat.zeros(n), exactmat.zeros(n)
+    for j in sorted(set(spec.exponents)):
+        cols = [[a[i][b] for i in range(n)] for b in range(n) if spec.exponents[b] <= j]
+        upto = projector_const(cols)
+        step = exactmat.mat_sub(upto, below)
+        phi = (exactmat.mat_add if j % 2 == 0 else exactmat.mat_sub)(phi, step)
+        below = upto
+    return phi
+
+
 def cstar_flow_reference(loop: LoopMat, t: float, z=None) -> LoopMat:
     """Unitary part of the numeric loop with lambda -> exp(-t) lambda, its
     columns rebalanced block by block: a Python power u**k per block, one
     1-D norm per block and column, and one product with diag(scale) per
-    block."""
+    block.  The rebuilt loop keeps the exponents of a loop built from a
+    spec, as `cstar_flow`'s does, so that both split it the same way."""
     u = math.exp(-t)
     blocks = [np.array(loop.coeff(k)) * u**k for k in range(loop.lo, loop.hi + 1)]
     scale = np.ones(loop.n)
@@ -418,7 +441,9 @@ def cstar_flow_reference(loop: LoopMat, t: float, z=None) -> LoopMat:
         if top > 0:
             scale[j] = 1.0 / top
     d = np.diag(scale)
-    return unitarize(LoopMat.numeric([b @ d for b in blocks], loop.lo), z).unitary_part
+    flowed = LoopMat.numeric([b @ d for b in blocks], loop.lo)
+    flowed.exponents = loop.exponents
+    return unitarize(flowed, z).unitary_part
 
 
 def ad_width_by_conjugation(loop: LoopMat, inverse: LoopMat) -> int:

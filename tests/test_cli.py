@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import flag_unitarize
 from unitons import cli, factorization, jsonio, weierstrass
 from unitons.cli import main
 from unitons.loops import LoopMat
-from unitons.weierstrass import veronese_solution
+from unitons.scalars import RatFun
+from unitons.weierstrass import even_grassmannian_build, veronese_solution
 
 
 def _call(argv):
@@ -216,9 +218,9 @@ def test_flow_veronese3_energy_is_constant(tmp_path, capsys):
     assert abs(payload["limit"]["energy"] - 5.0) <= 1e-6
 
 
-def _u3_file(tmp_path):
-    flags, free = _BUILDS["u3"]
-    free_path, spec_path = tmp_path / "free.json", tmp_path / "u3.json"
+def _build_file(tmp_path, name):
+    flags, free = _BUILDS[name]
+    free_path, spec_path = tmp_path / f"free_{name}.json", tmp_path / f"{name}.json"
     free_path.write_text(json.dumps(free))
     assert _call(["build", *flags, "--free", str(free_path), "--out", str(spec_path)])[0] == 0
     return str(spec_path)
@@ -227,7 +229,7 @@ def _u3_file(tmp_path):
 def test_flow_past_the_split_bound_is_one_line_error(tmp_path):
     # the column rebalancing cannot follow the U_3 build to t = -20; the split
     # there is 6e-8 from unitary, so flow refuses it instead of printing it
-    code, out, err = _call(["flow", _u3_file(tmp_path), "--z=0.3,0.1", "--t=-20"])
+    code, out, err = _call(["flow", _build_file(tmp_path, "u3"), "--z=0.3,0.1", "--t=-20"])
     assert code == 2 and out == ""
     assert err.startswith("error: NoConvergence: ") and err.count("\n") == 1, err
 
@@ -235,7 +237,7 @@ def test_flow_past_the_split_bound_is_one_line_error(tmp_path):
 def test_flow_trimmed_past_the_lowest_block_takes_the_circle_verdict(tmp_path):
     # at t = -30 the trim drops the U_3 loop's lambda^0 block, so the split
     # reads m off the circle, whose SVD finds the loop singular
-    code, out, err = _call(["flow", _u3_file(tmp_path), "--z=0.3,0.1", "--t=-30"])
+    code, out, err = _call(["flow", _build_file(tmp_path, "u3"), "--z=0.3,0.1", "--t=-30"])
     assert code == 2 and out == ""
     assert err.startswith("error: SingularOnCircle: ") and err.count("\n") == 1, err
 
@@ -244,7 +246,7 @@ def test_flow_at_negative_time_prints_no_noise_blocks(tmp_path, capsys):
     # the unitary factor of the U_3 build has powers 0..2 at every t; the
     # split reads its R + 1 = 3 blocks off W - lambda W, so no rounding
     # noise above lambda^2 reaches the printed loop
-    code, out, _ = run(capsys, "flow", _u3_file(tmp_path), "--z=0.5,0.0", "--t=-5,0,5")
+    code, out, _ = run(capsys, "flow", _build_file(tmp_path, "u3"), "--z=0.5,0.0", "--t=-5,0,5")
     assert code == 0
     for step in json.loads(out)["steps"]:
         assert step["loop"]["lo"] == 0 and len(step["loop"]["coeffs"]) == 3
@@ -261,15 +263,48 @@ def test_factor_veronese4_three_factors(tmp_path, capsys):
 
 
 def test_map_far_from_unitary_is_one_line_error(tmp_path):
-    # Veronese 5 at z = 1000: the split's value is 9.9e-8 from unitary, past
-    # the 1e-9 bound, so it is refused instead of printed
-    code, out, err = _call(["map", veronese_file(tmp_path, 5), "--z=1000,0"])
+    # the lambda-dependent even (3,2,1,0) build at z = 1000: the generator
+    # split's value is 4.6e-7 from unitary, past the 1e-9 bound, so it is
+    # refused instead of printed
+    code, out, err = _call(["map", _build_file(tmp_path, "even"), "--z=1000,0"])
     assert code == 2 and out == ""
     assert err.startswith("error: NoConvergence: map value is ") and err.count("\n") == 1, err
-    # Veronese 5 at z = 30 splits to 9.2e-12 from unitary
+    # Veronese 5 at z = 30 splits by the flag of exp C, 4.7e-16 from unitary
     code, out, err = _call(["map", veronese_file(tmp_path, 5), "--z=30,0"])
     assert code == 0 and err == ""
     assert json.loads(out)["unitarity_residual"] <= 1e-9
+
+
+def test_map_veronese5_far_out_prints_the_oracle_value(tmp_path):
+    # the flag of exp C reads the exact value to rounding at z = 1000, where
+    # a generator split's value is 9.9e-8 from unitary and refused
+    code, out, err = _call(["map", veronese_file(tmp_path, 5), "--z=1000,0"])
+    assert code == 0 and err == ""
+    phi = np.array([[complex(*entry) for entry in row] for row in json.loads(out)["matrix"]])
+    u_ref, _ = flag_unitarize(weierstrass.assemble_loop(veronese_solution(5)).at_z(1000))
+    assert np.abs(phi - u_ref.to_numeric().evaluate(-1.0)).max() <= 1e-14
+
+
+def test_factor_lambda_free_specs_prints_two_blocks_per_factor(tmp_path):
+    # each partial loop of a lambda-free spec splits by its flag, so every
+    # factor is pi + lambda (1 - pi) with no rounding-noise lambda^-1 block,
+    # which a generator split leaves at Veronese 5 z = 30
+    z, one = RatFun.x(), RatFun.one()
+    specs = {
+        "even110": even_grassmannian_build(3, (1, 1, 0), [z, one]),
+        "even2110": even_grassmannian_build(4, (2, 1, 1, 0), [z, z * z, one, -z]),
+    }
+    paths = [veronese_file(tmp_path, 5)]
+    for name, spec in specs.items():
+        paths.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(jsonio.dumps(jsonio.spec_record(spec)) + "\n")
+    for path in paths:
+        code, out, err = _call(["factor", path, "--z=30,0"])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["count"] > 0
+        for rec in payload["factors"]:
+            assert (rec["lo"], len(rec["coeffs"])) == (0, 2), path
 
 
 def test_u1_spec_builds_and_factors_into_no_factors(tmp_path):
@@ -290,9 +325,10 @@ _POLE_BUILD = (("--n", "3", "--exponents", "2,1,0"),
 
 
 def test_every_spec_split_takes_the_qr_branch(tmp_path, monkeypatch):
-    # each loop these commands split is built from a spec: m and R come from
-    # its exponents, and exactly nR - m generator columns are nonzero, so no
-    # circle pass (whose det FFT would run) and no SVD runs
+    # each loop these commands split is built from a spec: a lambda-free one
+    # splits by one QR of exp C, and any other takes m and R from its
+    # exponents, with exactly nR - m nonzero generator columns, so no circle
+    # pass (whose det FFT would run) and no SVD runs
     paths = [veronese_file(tmp_path, n) for n in range(2, 9)]
     builds = [(name, _BUILDS[name]) for name in ("u3", "u4", "even")]
     builds += [("pole", _POLE_BUILD), ("u1", (("--n", "1", "--exponents", "0"), {}))]

@@ -15,6 +15,7 @@ from oracles import (
     cstar_flow_reference,
     flag_unitarize,
     projector_const,
+    twistor_value,
     two_projector_frame,
 )
 from unitons import cli, exactmat, factorization, jsonio
@@ -508,15 +509,107 @@ def test_harmonic_map_far_from_unitary_is_refused():
 
 
 def test_spec_values_far_out_match_the_flag_oracle():
-    # the points where the SVD split refused: its gap test at Veronese 6
-    # z = 25 and Veronese 8 z = 15, the circle pass at Veronese 5 z = 45 and
-    # 100.  At z = 100 the columns of exp C are nearly parallel and the value
-    # reads 2.7e-10 from the oracle: within the 1e-9 value bound, not 1e-10
-    for n, z, tol in [(5, 45, 1e-10), (6, 25, 1e-10), (8, 15, 1e-10), (5, 100, 1e-9)]:
+    # a lambda-free spec splits by one QR of exp C, read off untrimmed
+    # values, over the whole input range.  Read after the trim, which drops
+    # the small low-k columns, the flag is 8.0e-6 off at Veronese 5 z = 1e6
+    # and still unitary
+    cases = [(5, z) for z in (30, 45, 100, 1000, 10**4, 10**6)]
+    cases += [(6, 25), (8, 15), (8, 40), (9, 30)]
+    for n, z in cases:
         spec = veronese_solution(n)
         u_ref, _ = flag_unitarize(assemble_loop(spec).at_z(gr(z)))
-        value = harmonic_map_at(spec, z)
-        assert np.abs(value - u_ref.to_numeric().evaluate(-1.0)).max() <= tol, (n, z)
+        value = harmonic_map_at(spec, float(z))
+        assert np.abs(value - u_ref.to_numeric().evaluate(-1.0)).max() <= 1e-12, (n, z)
+    # the flag unitarizer takes about a minute at Veronese 14 z = 1e4, so the
+    # exact twistor formula stands in; the two agree exactly where both run
+    spec = veronese_solution(5)
+    u_ref, _ = flag_unitarize(assemble_loop(spec).at_z(gr(1000)))
+    assert u_ref.evaluate_exact(gr(-1)) == twistor_value(spec, gr(1000))
+    # the columns of exp C are nearly parallel there: the QR's rounding puts
+    # the value 1.2e-11 from the exact one, inside the 1e-10 accuracy bound
+    spec = veronese_solution(14)
+    exact = twistor_value(spec, gr(10**4))
+    want = np.array([[complex(x.const_value()) for x in row] for row in exact])
+    assert np.abs(harmonic_map_at(spec, 1e4) - want).max() <= 1e-10
+
+
+def _lambda_free_specs():
+    """Every lambda-free spec the suite builds: Veronese 2-9, the lambda-free
+    even builds and the flow limits of the U_3 and U_4 builds."""
+    specs = [veronese_solution(n) for n in range(2, 10)]
+    specs.append(even_grassmannian_build(3, (1, 1, 0), [Z, ONE]))
+    specs.append(even_grassmannian_build(4, (2, 1, 1, 0), [Z, Z * Z, ONE, -Z]))
+    specs.append(flow_limit(_u3_build()))
+    specs.append(flow_limit(u4_build(Z, Z * Z, ONE + Z, 2 * Z, 3 * Z * Z, RatFun.const(gr(5)))))
+    return specs
+
+
+def _flag_spy(monkeypatch):
+    """A list that records, per call of `_flag_blocks`, whether it split."""
+    taken = []
+    original = factorization._flag_blocks
+
+    def spy(*args):
+        phi = original(*args)
+        taken.append(phi is not None)
+        return phi
+
+    monkeypatch.setattr(factorization, "_flag_blocks", spy)
+    return taken
+
+
+_NEAR_POINTS = [complex(0.3, 0.1), complex(-0.45, 0.6), complex(0.7, -0.1)]
+
+
+def test_flag_split_agrees_with_the_generator_split(monkeypatch):
+    # the same loop without its exponents takes the generator split
+    taken = _flag_spy(monkeypatch)
+    zs = np.array(_NEAR_POINTS)
+    for spec in _lambda_free_specs():
+        loop = assemble_loop(spec)
+        bare = LoopMat("exact", loop.n, loop.lo, loop.coeffs)
+        flag = harmonic_map_at(loop, zs)
+        assert taken == [True], spec.exponents
+        assert np.abs(flag - harmonic_map_at(bare, zs)).max() <= 1e-13, spec.exponents
+        for z in _NEAR_POINTS:
+            taken.clear()
+            flag = unitarize(loop, z).unitary_part.circle_values(16)
+            assert taken == [True], (spec.exponents, z)
+            gen = unitarize(bare, z).unitary_part.circle_values(16)
+            assert taken == [True, False], (spec.exponents, z)
+            assert np.abs(flag - gen).max() <= 1e-13, (spec.exponents, z)
+        taken.clear()
+
+
+def test_lambda_dependent_specs_never_take_the_flag_split(monkeypatch):
+    # their map values, flowed loops and partial loops keep the generator split
+    taken = _flag_spy(monkeypatch)
+    z = _NEAR_POINTS[0]
+    specs = [
+        _u3_build(),
+        u4_build(Z, Z * Z, ONE + Z, 2 * Z, 3 * Z * Z, RatFun.const(gr(5))),
+        even_grassmannian_build(4, (3, 2, 1, 0), [Z, Z * Z, RatFun.const(gr(2)), Z]),
+        build_from_free_functions(3, (2, 1, 0), [Z, ONE / ((ONE + Z) * (ONE + Z)), Z]),
+    ]
+    for spec in specs:
+        harmonic_map_at(spec, np.array(_NEAR_POINTS))
+        psi = assemble_loop(spec).to_numeric(z)
+        for t in (-1.0, 0.0, 2.0):
+            cstar_flow(psi, t, z)
+        uniton_factorize(spec, z)
+    assert taken and not any(taken)
+
+
+def test_unitarize_splits_lambda_free_loops_by_the_flag(monkeypatch):
+    taken = _flag_spy(monkeypatch)
+    for spec in _lambda_free_specs():
+        for z in _NEAR_POINTS:
+            psi = assemble_loop(spec).to_numeric(z)
+            parts = unitarize(psi, z)
+            assert parts.plus_part.lo >= 0
+            assert parts.residual_unitarity <= 1e-9
+            assert parts.residual_split <= 1e-9 * max(1.0, psi.max_coeff_norm())
+    assert taken and all(taken)
 
 
 def test_veronese10_values_near_z_10_are_unitary():
