@@ -9,7 +9,7 @@ Subcommands
     map                      evaluate the harmonic map at a point
     flow                     deform a solution along the scaling flow
     factor                   split the unitary frame into projector factors
-    cell                     Birkhoff exponents of an exact loop
+    cell                     Birkhoff exponents of an exact loop or of a spec
     big-cell                 check the potential's normal form, report V
 
 All output is deterministic JSON on stdout (or --out FILE).  Exit codes:
@@ -330,14 +330,29 @@ def cmd_factor(args):
     return 0
 
 
+def _spec_cell(spec):
+    """The cell of Psi = exp(C) gamma: gamma's exponents, which a spec holds
+    non-increasing.  For C nilpotent, exp C is a unit of Q(i)(z)[lambda]^(n x n)
+    with inverse exp(-C), so Psi has the Smith form of gamma.  A strictly
+    upper triangular C is nilpotent; every built spec's is, since a grade
+    k_a - k_b >= 1 puts a < b.  Any other C runs the exp series, which
+    raises NotNilpotent when C is not nilpotent."""
+    n = spec.n
+    upper = all(
+        m[a][b].is_zero() for m in spec.c_slots.values() for a in range(n) for b in range(a + 1)
+    )
+    if not upper:
+        exp_nilpotent(spec.c_lambda())
+    return spec.exponents
+
+
 def cmd_cell(args):
     obj = _read_json(args.loop)
     if isinstance(obj, dict) and "slots" in obj:
-        target = assemble_loop(jsonio.parse_spec(obj, where=args.loop))
+        exponents = _spec_cell(jsonio.parse_spec(obj, where=args.loop))
     else:
-        target = jsonio.parse_loop(obj, where=args.loop)
-    cell = bruhat_cell(target)
-    _emit({"exponents": list(cell.exponents)}, args.out)
+        exponents = bruhat_cell(jsonio.parse_loop(obj, where=args.loop)).exponents
+    _emit({"exponents": list(exponents)}, args.out)
     return 0
 
 

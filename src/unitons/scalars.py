@@ -487,7 +487,7 @@ class RatFun:
         return cls(Poly.const(_as_gauss(c)))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.coeffs
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()

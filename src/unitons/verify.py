@@ -18,7 +18,7 @@ from .errors import NotS1Invariant, StepBelowResolution
 from .factorization import _as_loop, bruhat_cell, harmonic_map_at
 from .loops import CompiledLoop, LoopMat
 from .roots import build_root_system, canonical_reduce, height_of, marks_from_exponents
-from .weierstrass import ExtendedSolutionSpec, exp_nilpotent, left_log_derivative
+from .weierstrass import ExtendedSolutionSpec, _exp_pair, left_log_derivative
 
 __all__ = [
     "CheckEntry",
@@ -147,18 +147,27 @@ class UnitonNumbers:
     within_group_bound: bool
 
 
-def _spec_inverse_powers(spec: ExtendedSolutionSpec):
-    """Lowest and highest lambda powers of Psi^-1 for Psi = exp(C) gamma.
-    Psi^-1 = gamma^-1 exp(-C), whose row a is row a of exp(-C) moved down
-    k_a powers, so no determinant is needed."""
-    inv = exp_nilpotent(spec.c_lambda().scale(-1))
+def _spec_powers(spec: ExtendedSolutionSpec):
+    """Lowest and highest lambda powers of Psi = exp(C) gamma and of
+    Psi^-1 = gamma^-1 exp(-C), with exp C and exp(-C) from one series of
+    powers of C.  Column b of Psi is column b of exp C moved up k_b powers
+    and row a of Psi^-1 is row a of exp(-C) moved down k_a powers, so
+    neither Psi nor a determinant is needed."""
+    exp_c, inv = _exp_pair(spec.c_lambda())
+    k, n = spec.exponents, spec.n
     powers = [
-        k - spec.exponents[a]
-        for k, m in zip(range(inv.lo, inv.hi + 1), inv.coeffs)
+        p + k[b]
+        for p, m in enumerate(exp_c.coeffs, exp_c.lo)
+        for b in range(n)
+        if not all(m[a][b].is_zero() for a in range(n))
+    ]
+    inv_powers = [
+        p - k[a]
+        for p, m in enumerate(inv.coeffs, inv.lo)
         for a, row in enumerate(m)
         if not all(e.is_zero() for e in row)
     ]
-    return min(powers), max(powers)
+    return (min(powers), max(powers)), (min(inv_powers), max(inv_powers))
 
 
 def _loop_inverse_powers(loop: LoopMat):
@@ -191,11 +200,14 @@ def uniton_number_report(obj) -> UnitonNumbers:
     the top exponent; for any n x n loop it is bounded by the width of the
     full-flag geodesic, n - 1.
     """
-    spec = obj if isinstance(obj, ExtendedSolutionSpec) else None
-    loop = _as_loop(obj)
-    lo_inv, hi_inv = _loop_inverse_powers(loop) if spec is None else _spec_inverse_powers(spec)
-    w = max(loop.hi + hi_inv, -(loop.lo + lo_inv))
-    n = loop.n
+    if isinstance(obj, ExtendedSolutionSpec):
+        spec, n = obj, obj.n
+        (lo, hi), (lo_inv, hi_inv) = _spec_powers(spec)
+    else:
+        spec, loop = None, _as_loop(obj)
+        n, lo, hi = loop.n, loop.lo, loop.hi
+        lo_inv, hi_inv = _loop_inverse_powers(loop)
+    w = max(hi + hi_inv, -(lo + lo_inv))
     if n >= 2:
         rs = build_root_system("A", n - 1)
         bound = height_of(rs, (1,) * (n - 1))

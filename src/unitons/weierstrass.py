@@ -60,16 +60,32 @@ def left_log_derivative(c):
     raise NotNilpotent("ad-C series did not terminate")
 
 
+def _exp_terms(c):
+    """The nonzero terms C^k / k!, k >= 1, of exp C for a nilpotent exact
+    loop C; NotNilpotent when C^(2n) is not zero."""
+    terms = []
+    power = LoopMat.identity(c.n)
+    for k in range(1, 2 * c.n + 1):
+        power = power @ c
+        if power.is_zero():
+            return terms
+        terms.append(power.scale(RatFun.const(GaussianRational(Fraction(1, factorial(k))))))
+    raise NotNilpotent("matrix is not nilpotent")
+
+
 def exp_nilpotent(c):
     """exp C as the finite series sum_k C^k / k! of a nilpotent exact loop C."""
-    result = term = LoopMat.identity(c.n)
-    for k in range(1, 2 * c.n + 1):
-        term = term @ c
-        if term.is_zero():
-            return result
-        inv_fact = RatFun.const(GaussianRational(Fraction(1, factorial(k))))
-        result = result + term.scale(inv_fact)
-    raise NotNilpotent("matrix is not nilpotent")
+    return sum(_exp_terms(c), LoopMat.identity(c.n))
+
+
+def _exp_pair(c):
+    """exp C and its inverse exp(-C) from one series of powers of a nilpotent
+    exact loop C: the terms of exp(-C) are those of exp C, odd ones negated."""
+    exp_c = inverse = LoopMat.identity(c.n)
+    for k, term in enumerate(_exp_terms(c), 1):
+        exp_c = exp_c + term
+        inverse = inverse - term if k % 2 else inverse + term
+    return exp_c, inverse
 
 
 # -- extended solution specifications ------------------------------------------

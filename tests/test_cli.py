@@ -5,6 +5,7 @@ import copy
 import hashlib
 import io
 import json
+import random
 import warnings
 
 import numpy as np
@@ -13,11 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import flag_unitarize
+from test_verify import _seeded_free_poly
 from unitons import cli, factorization, jsonio, weierstrass
 from unitons.cli import main
+from unitons.factorization import bruhat_cell
 from unitons.loops import LoopMat
 from unitons.scalars import RatFun
-from unitons.weierstrass import even_grassmannian_build, veronese_solution
+from unitons.weierstrass import (
+    assemble_loop,
+    build_from_free_functions,
+    even_grassmannian_build,
+    veronese_solution,
+)
 
 
 def _call(argv):
@@ -423,6 +431,70 @@ def test_cell_bool_lo_is_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "cell", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _off_grade_records():
+    """Spec files off the grading that `build` keeps: Veronese 4's slots under
+    exponents (1,1,1,0), where C stays strictly upper triangular; Veronese 2
+    with a strictly lower c1_0, nilpotent but not upper triangular; and
+    Veronese 2 with z on the diagonal of c1_0, not nilpotent."""
+    z = {"num": ["0", "1"], "den": ["1"]}
+    flat = jsonio.spec_record(veronese_solution(4))
+    flat["exponents"] = [1, 1, 1, 0]
+    lower = jsonio.spec_record(veronese_solution(2))
+    lower["slots"]["c1_0"] = [["0", "0"], [z, "0"]]
+    diagonal = jsonio.spec_record(veronese_solution(2))
+    diagonal["slots"]["c1_0"] = [["0", "0"], ["0", z]]
+    return {"flat1110": flat, "lower": lower}, diagonal
+
+
+def _suite_spec_files(tmp_path):
+    """A file for every spec the suite builds: Veronese 2-8, the seeded U_3 and
+    U_4 builds of test_verify, the three even builds, the CLI builds and the
+    nilpotent off-grade files."""
+    z, one = RatFun.x(), RatFun.one()
+    specs = {f"veronese{n}": veronese_solution(n) for n in range(2, 9)}
+    for seed in (1, 2, 3, 31, 9001):
+        rng = random.Random(seed)
+        for n, exps, count in ((4, (3, 2, 1, 0), 6), (3, (2, 1, 0), 3)):
+            free = [_seeded_free_poly(rng, 1 + k % 3) for k in range(count)]
+            specs[f"seed{seed}_u{n}"] = build_from_free_functions(n, exps, free)
+    specs["even110"] = even_grassmannian_build(3, (1, 1, 0), [z, one])
+    specs["even2110"] = even_grassmannian_build(4, (2, 1, 1, 0), [z, z * z, one, -z])
+    specs["even3210"] = even_grassmannian_build(4, (3, 2, 1, 0), [z, z * z, one + one, z])
+    records = {name: jsonio.spec_record(spec) for name, spec in specs.items()}
+    records.update(_off_grade_records()[0])
+    paths = []
+    for name, rec in records.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(jsonio.dumps(rec) + "\n")
+    builds = dict(_BUILDS, pole=_POLE_BUILD, u1=(("--n", "1", "--exponents", "0"), {}))
+    for name, (flags, free) in builds.items():
+        free_path = tmp_path / f"free_{name}.json"
+        free_path.write_text(json.dumps(free))
+        paths.append(tmp_path / f"build_{name}.json")
+        code, _, err = _call(["build", *flags, "--free", str(free_path), "--out", str(paths[-1])])
+        assert code == 0, err
+    return paths
+
+
+def test_cell_of_a_spec_is_the_smith_cell_of_its_loop(tmp_path):
+    # exp C is a unit, so cell prints the exponents without a Smith reduction;
+    # pinned against the reduction of the assembled loop
+    for path in _suite_spec_files(tmp_path):
+        spec = jsonio.parse_spec(json.loads(path.read_text()))
+        expected = bruhat_cell(assemble_loop(spec)).exponents
+        code, out, err = _call(["cell", str(path)])
+        assert (code, err) == (0, ""), (path, err)
+        assert out == jsonio.dumps({"exponents": list(expected)}) + "\n", path
+
+
+def test_cell_of_a_spec_whose_c_is_not_nilpotent_is_one_line_error(tmp_path):
+    path = tmp_path / "diagonal.json"
+    path.write_text(jsonio.dumps(_off_grade_records()[1]))
+    code, out, err = _call(["cell", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: NotNilpotent: matrix is not nilpotent\n", err
 
 
 def test_big_cell_reports_derivative_matrix(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import inspect
+import json
 import random
 import warnings
 from fractions import Fraction
@@ -18,7 +19,7 @@ from oracles import (
     twistor_value,
     two_projector_frame,
 )
-from unitons import cli, exactmat, factorization, jsonio
+from unitons import cli, exactmat, factorization, jsonio, weierstrass
 from unitons.errors import (
     ExactKindUnsupported,
     NoConvergence,
@@ -877,6 +878,43 @@ def test_cell_with_rational_function_entries():
     # [[1, 1/(2z)], [lambda*z, 1]]: det = 1 - lambda/2, not monomial
     with pytest.raises(NonMonomialDeterminant):
         bruhat_cell(loop)
+
+
+def test_cell_of_a_built_spec_runs_no_reduction_and_no_exp_series(tmp_path, monkeypatch, capsys):
+    # a built spec's C is strictly upper triangular, so nilpotent: cell prints
+    # its exponents and builds neither exp C nor the Smith form
+    exp_calls = []
+
+    def refuse(*args):
+        raise AssertionError("cell on a spec ran the Smith reduction")
+
+    def counted(c):
+        exp_calls.append(c)
+        return exp_nilpotent(c)
+
+    monkeypatch.setattr(factorization, "_smith_diagonal", refuse)
+    for module in (weierstrass, factorization, cli):
+        monkeypatch.setattr(module, "exp_nilpotent", counted, raising=False)
+    specs = [
+        veronese_solution(8),
+        build_from_free_functions(
+            4, (3, 2, 1, 0), [poly(0, 1), poly(0, 0, 1), poly(1, 1), poly(0, 2), poly(0, 0, 3), poly(5)]
+        ),
+        even_grassmannian_build(4, (3, 2, 1, 0), [Z, Z * Z, RatFun.const(gr(2)), Z]),
+    ]
+    path = tmp_path / "spec.json"
+    for spec in specs:
+        path.write_text(jsonio.dumps(jsonio.spec_record(spec)))
+        assert cli.main(["cell", str(path)]) == 0
+        assert capsys.readouterr().out == jsonio.dumps({"exponents": list(spec.exponents)}) + "\n"
+    assert exp_calls == []
+    # a strictly lower C is nilpotent too, but only its exp series tells
+    rec = jsonio.spec_record(veronese_solution(2))
+    rec["slots"]["c1_0"] = [["0", "0"], [{"num": ["0", "1"], "den": ["1"]}, "0"]]
+    path.write_text(jsonio.dumps(rec))
+    assert cli.main(["cell", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"exponents": [1, 0]}
+    assert len(exp_calls) == 1
 
 
 # -- flow ---------------------------------------------------------------------

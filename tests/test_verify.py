@@ -23,6 +23,7 @@ from unitons.verify import (
 )
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
+    _exp_pair,
     assemble_loop,
     build_from_free_functions,
     even_grassmannian_build,
@@ -158,7 +159,9 @@ def test_uniton_numbers_su2_example():
 
 
 # the specs the suite builds: Veronese 2-6, the U_3, U_4 and large CLI
-# builds, the even builds and their flow limits, and U_1
+# builds, the even builds and their flow limits, and U_1; and one off-grade
+# spec, C = lambda^3 z E_21 under exponents (1, 0), whose width 7 is set by
+# the top powers, hi(Phi) + hi(Phi^-1) = 4 + 3, and not by its height
 _LARGE = RatFun.const(GaussianRational.from_string("123456789/987654321+5/7i"))
 _EVEN_BUILDS = {
     "even-3210": lambda: even_grassmannian_build(4, (3, 2, 1, 0), [Z, poly(0, 0, 1), poly(2), Z]),
@@ -175,6 +178,7 @@ _BUILT_SPECS = {
     **_EVEN_BUILDS,
     **{f"{name}-limit": (lambda b=b: flow_limit(b())) for name, b in _EVEN_BUILDS.items()},
     "u1": lambda: build_from_free_functions(1, (0,), []),
+    "offgrade": lambda: ExtendedSolutionSpec(2, (1, 0), {(3, 1): [[ZERO, ZERO], [Z, ZERO]]}),
 }
 
 
@@ -184,8 +188,11 @@ def test_spec_width_matches_bare_loop_width(name):
     spec = _BUILT_SPECS[name]()
     width = uniton_number_report(spec).ad_width
     assert width == uniton_number_report(assemble_loop(spec)).ad_width
+    assert width == (7 if name == "offgrade" else spec.height)
     c = spec.c_lambda()
     assert exp_nilpotent(c) @ exp_nilpotent(c.scale(-1)) == LoopMat.identity(spec.n)
+    # the report's pair, from one series of powers of C
+    assert _exp_pair(c) == (exp_nilpotent(c), exp_nilpotent(c.scale(-1)))
 
 
 def test_uniton_numbers_veronese14_is_quick():
