@@ -4,8 +4,9 @@ The height-3 potential C = C_0 + lambda C_1 + lambda^2 C_2 has six free
 entries (three in C_0, two in C_1, one in C_2); every other entry is a
 single rational integration.  The script builds a spec from a concrete
 choice, shows the forced entry e_1 and the differential it integrates,
-runs the exact extended-solution check, and prints the normal-form
-derivative matrix V with Phi^-1 Phi_z = (1/lambda) V.
+runs the exact extended-solution check, reports the uniton number (the
+conjugation width of Phi, which attains the height 3 = r(U_4)), and prints
+the normal-form derivative matrix V with Phi^-1 Phi_z = (1/lambda) V.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from unitons import (
     big_cell_check,
     build_from_free_functions,
     check_extended,
+    uniton_number_report,
 )
 
 
@@ -45,6 +47,10 @@ def main():
     print("extended-solution conditions:", "pass" if report.passed else "FAIL")
     for entry in report.checks:
         print(f"  {entry.name}: {entry.evidence}")
+
+    numbers = uniton_number_report(spec)
+    print(f"uniton number (ad width) {numbers.ad_width}, height {numbers.height},"
+          f" group bound {numbers.group_bound}")
 
     v = big_cell_check(spec).V
     print("derivative matrix V (nonzero entries):")

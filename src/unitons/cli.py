@@ -34,15 +34,15 @@ from .factorization import (
 from .loops import CompiledLoop, LoopMat
 from .roots import build_root_system, group_max_uniton, symmetric_space_survey
 from .verify import (
+    _spec_numbers,
     check_extended,
     check_superhorizontal,
     check_T_invariant,
     harmonicity_residual,
     map_sampler,
-    uniton_number_report,
 )
 from .weierstrass import (
-    assemble_loop,
+    _assemble_with_inverse,
     assemble_numeric,
     build_from_free_functions,
     even_grassmannian_build,
@@ -228,7 +228,7 @@ def cmd_verify(args):
         _check_coords(reach, f"grid point {_complex_pair(w)} +- 2h (h = {args.h!r})")
     spec = _load_spec(args.solution)
     reports = [check_extended(spec)]
-    loop = assemble_loop(spec)
+    loop, inverse = _assemble_with_inverse(spec)
 
     lambda_free = all(i == 0 for i, _ in spec.c_slots)
     if lambda_free:
@@ -236,7 +236,7 @@ def cmd_verify(args):
     if spec.even_only:
         reports.append(check_T_invariant(loop.based()))
 
-    numbers = uniton_number_report(spec)
+    numbers = _spec_numbers(spec, loop, inverse)
 
     sampler = map_sampler(loop)
     residual = harmonicity_residual(sampler, grid, h=args.h)
@@ -330,29 +330,13 @@ def cmd_factor(args):
     return 0
 
 
-def _spec_cell(spec):
-    """The cell of Psi = exp(C) gamma: gamma's exponents, which a spec holds
-    non-increasing.  For C nilpotent, exp C is a unit of Q(i)(z)[lambda]^(n x n)
-    with inverse exp(-C), so Psi has the Smith form of gamma.  A strictly
-    upper triangular C is nilpotent; every built spec's is, since a grade
-    k_a - k_b >= 1 puts a < b.  Any other C runs the exp series, which
-    raises NotNilpotent when C is not nilpotent."""
-    n = spec.n
-    upper = all(
-        m[a][b].is_zero() for m in spec.c_slots.values() for a in range(n) for b in range(a + 1)
-    )
-    if not upper:
-        exp_nilpotent(spec.c_lambda())
-    return spec.exponents
-
-
 def cmd_cell(args):
     obj = _read_json(args.loop)
     if isinstance(obj, dict) and "slots" in obj:
-        exponents = _spec_cell(jsonio.parse_spec(obj, where=args.loop))
+        target = jsonio.parse_spec(obj, where=args.loop)
     else:
-        exponents = bruhat_cell(jsonio.parse_loop(obj, where=args.loop)).exponents
-    _emit({"exponents": list(exponents)}, args.out)
+        target = jsonio.parse_loop(obj, where=args.loop)
+    _emit({"exponents": list(bruhat_cell(target).exponents)}, args.out)
     return 0
 
 

@@ -23,9 +23,9 @@ the map value's unitarity are always checked against the fixed bound 1e-9
 (relative where it has a scale), and a loop that fails a check raises
 NoConvergence.
 `bruhat_cell` recovers the diagonal lambda-exponents of an exact loop by
-Smith reduction over the rational-function field.  `cstar_flow` and
-`flow_limit` implement the lambda -> u*lambda deformation and its u -> 0
-limit.  `uniton_factorize` splits a built solution into affine projector
+Smith reduction over the rational-function field, and reads a spec's off
+its exponents.  `cstar_flow` and `flow_limit` implement the
+lambda -> u*lambda deformation and its u -> 0 limit.  `uniton_factorize` splits a built solution into affine projector
 factors by unitarizing along a chain of partial exponent subsets.
 """
 
@@ -467,6 +467,19 @@ def monomial_power(det, shift: int) -> int:
     return support[0]
 
 
+def _spec_cell(spec: ExtendedSolutionSpec) -> BruhatCell:
+    """The cell of Psi = exp(C) gamma: gamma's exponents, in decreasing order.
+    For C nilpotent, exp C is a unit of Q(i)(z)[lambda]^(n x n) with inverse
+    exp(-C), so Psi has the Smith form of gamma.  A strictly upper
+    triangular C is nilpotent; every built spec's is, since a grade
+    k_a - k_b >= 1 puts a < b.  Any other C runs the exp series, which
+    raises NotNilpotent when C is not nilpotent."""
+    c = spec.c_lambda()
+    if not all(m[a][b].is_zero() for m in c.coeffs for a in range(c.n) for b in range(a + 1)):
+        exp_nilpotent(c)
+    return BruhatCell(tuple(sorted(spec.exponents, reverse=True)))
+
+
 def bruhat_cell(obj) -> BruhatCell:
     """Diagonal lambda-exponents of an exact loop under two-sided reduction.
 
@@ -474,8 +487,11 @@ def bruhat_cell(obj) -> BruhatCell:
     rational-function coefficients, so the answer is the generic-z cell.
     The determinant, read off the reduced diagonal, must be a nonzero lambda
     monomial (NotInvertibleLoop, NonMonomialDeterminant otherwise).  Numeric
-    loops are refused: rank decisions over floats are ill-posed.
+    loops are refused: rank decisions over floats are ill-posed.  A spec
+    needs no reduction: its cell is its exponents once C is known nilpotent.
     """
+    if isinstance(obj, ExtendedSolutionSpec):
+        return _spec_cell(obj)
     obj = _as_loop(obj)
     if obj.kind != "exact":
         raise ExactKindUnsupported("cell recovery needs an exact loop")

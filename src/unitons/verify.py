@@ -18,7 +18,7 @@ from .errors import NotS1Invariant, StepBelowResolution
 from .factorization import _as_loop, bruhat_cell, harmonic_map_at
 from .loops import CompiledLoop, LoopMat
 from .roots import build_root_system, canonical_reduce, height_of, marks_from_exponents
-from .weierstrass import ExtendedSolutionSpec, _exp_pair, left_log_derivative
+from .weierstrass import ExtendedSolutionSpec, _assemble_with_inverse, left_log_derivative
 
 __all__ = [
     "CheckEntry",
@@ -147,29 +147,6 @@ class UnitonNumbers:
     within_group_bound: bool
 
 
-def _spec_powers(spec: ExtendedSolutionSpec):
-    """Lowest and highest lambda powers of Psi = exp(C) gamma and of
-    Psi^-1 = gamma^-1 exp(-C), with exp C and exp(-C) from one series of
-    powers of C.  Column b of Psi is column b of exp C moved up k_b powers
-    and row a of Psi^-1 is row a of exp(-C) moved down k_a powers, so
-    neither Psi nor a determinant is needed."""
-    exp_c, inv = _exp_pair(spec.c_lambda())
-    k, n = spec.exponents, spec.n
-    powers = [
-        p + k[b]
-        for p, m in enumerate(exp_c.coeffs, exp_c.lo)
-        for b in range(n)
-        if not all(m[a][b].is_zero() for a in range(n))
-    ]
-    inv_powers = [
-        p - k[a]
-        for p, m in enumerate(inv.coeffs, inv.lo)
-        for a, row in enumerate(m)
-        if not all(e.is_zero() for e in row)
-    ]
-    return (min(powers), max(powers)), (min(inv_powers), max(inv_powers))
-
-
 def _loop_inverse_powers(loop: LoopMat):
     """Lowest and highest lambda powers of L^-1 for a bare exact loop L,
     read off two cell reductions.
@@ -188,26 +165,9 @@ def _loop_inverse_powers(loop: LoopMat):
     return -max(bruhat_cell(loop).exponents), max(bruhat_cell(reversed_loop).exponents)
 
 
-def uniton_number_report(obj) -> UnitonNumbers:
-    """Conjugation width of the loop against the structural bounds.
-
-    The width of X -> L X L^-1 in lambda powers is
-    max(hi L + hi L^-1, -(lo L + lo L^-1)): entry (i,j,r,s) of the lambda^k
-    coefficient of Ad L is the lambda^k coefficient of L_ij (L^-1)_rs, and
-    over the field Q(i)(z) a product of nonzero Laurent polynomials keeps
-    the extreme powers of its factors.  It is computed exactly with z
-    symbolic, so it is the generic value.  For built specs it must equal
-    the top exponent; for any n x n loop it is bounded by the width of the
-    full-flag geodesic, n - 1.
-    """
-    if isinstance(obj, ExtendedSolutionSpec):
-        spec, n = obj, obj.n
-        (lo, hi), (lo_inv, hi_inv) = _spec_powers(spec)
-    else:
-        spec, loop = None, _as_loop(obj)
-        n, lo, hi = loop.n, loop.lo, loop.hi
-        lo_inv, hi_inv = _loop_inverse_powers(loop)
-    w = max(hi + hi_inv, -(lo + lo_inv))
+def _numbers(loop: LoopMat, lo_inv: int, hi_inv: int, spec=None) -> UnitonNumbers:
+    w = max(loop.hi + hi_inv, -(loop.lo + lo_inv))
+    n = loop.n
     if n >= 2:
         rs = build_root_system("A", n - 1)
         bound = height_of(rs, (1,) * (n - 1))
@@ -230,6 +190,37 @@ def uniton_number_report(obj) -> UnitonNumbers:
         attains_height=attains,
         within_group_bound=w <= bound,
     )
+
+
+def _spec_numbers(spec: ExtendedSolutionSpec, psi: LoopMat, inverse: LoopMat) -> UnitonNumbers:
+    """The report for Psi = exp(C) gamma, from Psi and exp(-C) as
+    `_assemble_with_inverse` gives them.  Row a of Psi^-1 = gamma^-1 exp(-C)
+    is row a of exp(-C) moved down k_a powers, so no determinant is needed."""
+    powers = [
+        p - spec.exponents[a]
+        for p, m in enumerate(inverse.coeffs, inverse.lo)
+        for a, row in enumerate(m)
+        if not all(e.is_zero() for e in row)
+    ]
+    return _numbers(psi, min(powers), max(powers), spec)
+
+
+def uniton_number_report(obj) -> UnitonNumbers:
+    """Conjugation width of the loop against the structural bounds.
+
+    The width of X -> L X L^-1 in lambda powers is
+    max(hi L + hi L^-1, -(lo L + lo L^-1)): entry (i,j,r,s) of the lambda^k
+    coefficient of Ad L is the lambda^k coefficient of L_ij (L^-1)_rs, and
+    over the field Q(i)(z) a product of nonzero Laurent polynomials keeps
+    the extreme powers of its factors.  It is computed exactly with z
+    symbolic, so it is the generic value.  For built specs it must equal
+    the top exponent; for any n x n loop it is bounded by the width of the
+    full-flag geodesic, n - 1.
+    """
+    if isinstance(obj, ExtendedSolutionSpec):
+        return _spec_numbers(obj, *_assemble_with_inverse(obj))
+    loop = _as_loop(obj)
+    return _numbers(loop, *_loop_inverse_powers(loop))
 
 
 def map_sampler(spec_or_loop):

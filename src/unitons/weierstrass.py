@@ -78,16 +78,6 @@ def exp_nilpotent(c):
     return sum(_exp_terms(c), LoopMat.identity(c.n))
 
 
-def _exp_pair(c):
-    """exp C and its inverse exp(-C) from one series of powers of a nilpotent
-    exact loop C: the terms of exp(-C) are those of exp C, odd ones negated."""
-    exp_c = inverse = LoopMat.identity(c.n)
-    for k, term in enumerate(_exp_terms(c), 1):
-        exp_c = exp_c + term
-        inverse = inverse - term if k % 2 else inverse + term
-    return exp_c, inverse
-
-
 # -- extended solution specifications ------------------------------------------
 
 def _check_exponents(n, exponents):
@@ -201,12 +191,26 @@ def build_from_free_functions(n, exponents, free, even_only=False):
     return spec
 
 
+def _times_gamma(exp_c, exponents):
+    loop = exp_c.times_diag_powers(exponents)
+    loop.exponents = exponents
+    return loop
+
+
 def assemble_loop(spec):
     """The polynomial loop exp(C) * diag(lambda^{k_1}, ..., lambda^{k_n}),
     carrying the exponents k."""
-    loop = exp_nilpotent(spec.c_lambda()).times_diag_powers(spec.exponents)
-    loop.exponents = spec.exponents
-    return loop
+    return _times_gamma(exp_nilpotent(spec.c_lambda()), spec.exponents)
+
+
+def _assemble_with_inverse(spec):
+    """`assemble_loop(spec)` and exp(-C) = gamma Psi^-1, from one series of
+    powers of C: the terms of exp(-C) are those of exp C, odd ones negated."""
+    exp_c = inverse = LoopMat.identity(spec.n)
+    for k, term in enumerate(_exp_terms(spec.c_lambda()), 1):
+        exp_c = exp_c + term
+        inverse = inverse - term if k % 2 else inverse + term
+    return _times_gamma(exp_c, spec.exponents), inverse
 
 
 def assemble_numeric(exp_c, exponents):

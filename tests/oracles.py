@@ -14,7 +14,7 @@ form the long way: one gcd of the whole numerator and denominator;
 Python complex numbers.  The frame and root-system formulas are closed
 forms that the builders and tables must agree with; `slot_by_slot_build`
 is the builder the long way, one whole log-derivative series per forced
-slot.  The flag unitarizer splits an invertible exact loop into its based
+slot, and `seeded_free_poly` draws its free data from a seeded generator.  The flag unitarizer splits an invertible exact loop into its based
 unitary factor and a disc-holomorphic factor by peeling one affine projector
 per step: the image of the lowest lambda coefficient determines the next
 projector, and the peel lowers the determinant winding, so the process stops.
@@ -299,6 +299,20 @@ def slot_by_slot_build(n, exponents, free, even_only=False):
             if not exactmat.mat_is_zero(m):
                 spec.c_slots[(i, j)] = m
     return spec
+
+
+def seeded_free_poly(rng, deg):
+    """Polynomial of degree deg, Gaussian-rational coefficients with parts
+    a/b, |a| <= 3, b in {1, 2}, and a nonzero leading coefficient."""
+    def coeff():
+        return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                                Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+
+    coeffs = [coeff() for _ in range(deg)]
+    lead = coeff()
+    while lead == GaussianRational(0):
+        lead = coeff()
+    return RatFun(Poly(coeffs + [lead]))
 
 
 # -- index formulas over a root system (marks are non-negative integers) ------------

@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import flag_unitarize
-from test_verify import _seeded_free_poly
+from oracles import flag_unitarize, seeded_free_poly
 from unitons import cli, factorization, jsonio, weierstrass
 from unitons.cli import main
 from unitons.factorization import bruhat_cell
 from unitons.loops import LoopMat
 from unitons.scalars import RatFun
+from unitons.verify import uniton_number_report
 from unitons.weierstrass import (
+    ExtendedSolutionSpec,
     assemble_loop,
     build_from_free_functions,
     even_grassmannian_build,
@@ -457,7 +458,7 @@ def _suite_spec_files(tmp_path):
     for seed in (1, 2, 3, 31, 9001):
         rng = random.Random(seed)
         for n, exps, count in ((4, (3, 2, 1, 0), 6), (3, (2, 1, 0), 3)):
-            free = [_seeded_free_poly(rng, 1 + k % 3) for k in range(count)]
+            free = [seeded_free_poly(rng, 1 + k % 3) for k in range(count)]
             specs[f"seed{seed}_u{n}"] = build_from_free_functions(n, exps, free)
     specs["even110"] = even_grassmannian_build(3, (1, 1, 0), [z, one])
     specs["even2110"] = even_grassmannian_build(4, (2, 1, 1, 0), [z, z * z, one, -z])
@@ -495,6 +496,25 @@ def test_cell_of_a_spec_whose_c_is_not_nilpotent_is_one_line_error(tmp_path):
     code, out, err = _call(["cell", str(path)])
     assert (code, out) == (2, "")
     assert err == "error: NotNilpotent: matrix is not nilpotent\n", err
+
+
+def test_verify_reports_the_library_uniton_numbers(tmp_path):
+    # verify sums the exp C series once for its loop and the report; pinned
+    # against uniton_number_report on every spec file and on C = lambda z E_31
+    # under (2, 1, 0), whose width 4 = hi Psi + hi Psi^-1 is not its height
+    c = [[RatFun.zero()] * 3 for _ in range(3)]
+    c[2][0] = RatFun.x()
+    offgrade = ExtendedSolutionSpec(3, (2, 1, 0), {(1, 2): c})
+    paths = _suite_spec_files(tmp_path)
+    paths.append(tmp_path / "offgrade.json")
+    paths[-1].write_text(jsonio.dumps(jsonio.spec_record(offgrade)))
+    for path in paths:
+        spec = jsonio.parse_spec(json.loads(path.read_text()))
+        code, out, err = _call(["verify", str(path)])
+        assert (code, err) == (0, ""), (path, err)
+        expected = jsonio.uniton_numbers_record(uniton_number_report(spec))
+        assert json.loads(out)["uniton_numbers"] == expected, path
+    assert expected["ad_width"] == 4
 
 
 def test_big_cell_reports_derivative_matrix(tmp_path, capsys):

@@ -27,6 +27,7 @@ from unitons.errors import (
     NotCanonical,
     NotInBigCellForm,
     NotInvertibleLoop,
+    NotNilpotent,
     PoleAtZ,
     SingularOnCircle,
     UnitonsError,
@@ -725,6 +726,21 @@ def test_cell_veronese():
     assert bruhat_cell(veronese_solution(4)).exponents == (3, 2, 1, 0)
 
 
+def test_cell_of_a_spec_matches_the_reduction_of_its_loop():
+    # a spec's cell is read off its exponents, sorted decreasing, once C is
+    # known nilpotent; the Smith form of the assembled loop agrees
+    lower = [[ZERO, ZERO], [Z, ZERO]]
+    for spec in (
+        veronese_solution(4),
+        ExtendedSolutionSpec(3, (0, 2, 1), {}),
+        ExtendedSolutionSpec(2, (1, 0), {(0, 1): lower}),
+        ExtendedSolutionSpec(3, (1, 2, 0), {(2, 1): [[ZERO, Z, ZERO], [ZERO, ZERO, ZERO], [ZERO, ONE, ZERO]]}),
+    ):
+        assert bruhat_cell(spec) == bruhat_cell(assemble_loop(spec)), spec
+    with pytest.raises(NotNilpotent):
+        bruhat_cell(ExtendedSolutionSpec(2, (1, 0), {(0, 1): [[ZERO, ZERO], [ZERO, Z]]}))
+
+
 def test_cell_negative_powers():
     assert bruhat_cell(LoopMat.diag_powers((1, 0)).shift(-1)).exponents == (0, -1)
 
@@ -904,6 +920,7 @@ def test_cell_of_a_built_spec_runs_no_reduction_and_no_exp_series(tmp_path, monk
     ]
     path = tmp_path / "spec.json"
     for spec in specs:
+        assert bruhat_cell(spec).exponents == spec.exponents
         path.write_text(jsonio.dumps(jsonio.spec_record(spec)))
         assert cli.main(["cell", str(path)]) == 0
         assert capsys.readouterr().out == jsonio.dumps({"exponents": list(spec.exponents)}) + "\n"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import non_harmonic_control, two_projector_frame
+from oracles import non_harmonic_control, seeded_free_poly, two_projector_frame
 from unitons import exactmat
 from unitons.errors import ExactKindUnsupported, NotS1Invariant, PoleAtZ, StepBelowResolution
 from unitons.factorization import bruhat_cell, flow_limit, unitarize
@@ -23,7 +23,7 @@ from unitons.verify import (
 )
 from unitons.weierstrass import (
     ExtendedSolutionSpec,
-    _exp_pair,
+    _assemble_with_inverse,
     assemble_loop,
     build_from_free_functions,
     even_grassmannian_build,
@@ -192,7 +192,9 @@ def test_spec_width_matches_bare_loop_width(name):
     c = spec.c_lambda()
     assert exp_nilpotent(c) @ exp_nilpotent(c.scale(-1)) == LoopMat.identity(spec.n)
     # the report's pair, from one series of powers of C
-    assert _exp_pair(c) == (exp_nilpotent(c), exp_nilpotent(c.scale(-1)))
+    psi, inverse = _assemble_with_inverse(spec)
+    assert (psi, inverse) == (assemble_loop(spec), exp_nilpotent(c.scale(-1)))
+    assert psi.exponents == spec.exponents
 
 
 def test_uniton_numbers_veronese14_is_quick():
@@ -297,20 +299,6 @@ def test_u3_build_is_harmonic_at_the_verify_defaults():
     assert harmonicity_residual(map_sampler(spec), grid, h=1e-3) <= 1e-8
 
 
-def _seeded_free_poly(rng, deg):
-    """Polynomial of degree deg, Gaussian-rational coefficients with parts
-    a/b, |a| <= 3, b in {1, 2}, and a nonzero leading coefficient."""
-    def coeff():
-        return GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
-                                Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-
-    coeffs = [coeff() for _ in range(deg)]
-    lead = coeff()
-    while lead == GaussianRational(0):
-        lead = coeff()
-    return RatFun(Poly(coeffs + [lead]))
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3, 31, 9001])
 def test_lambda_dependent_builds_pass_at_the_verify_tolerance(seed):
     # the h^2 step error of plain central differences read up to 2.9e-2 on
@@ -318,7 +306,7 @@ def test_lambda_dependent_builds_pass_at_the_verify_tolerance(seed):
     rng = random.Random(seed)
     for n, exps, count in ((4, (3, 2, 1, 0), 6), (3, (2, 1, 0), 3)):
         spec = build_from_free_functions(
-            n, exps, [_seeded_free_poly(rng, 1 + k % 3) for k in range(count)])
+            n, exps, [seeded_free_poly(rng, 1 + k % 3) for k in range(count)])
         nodes = [complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)) for _ in range(3)]
         assert harmonicity_residual(map_sampler(spec), nodes, h=1e-3) <= 1e-5, (n, nodes)
 
