@@ -41,8 +41,6 @@ from .roots import (
     RootSystem,
     SurveyRecord,
     build_root_system,
-    canonical_reduce,
-    exponents_from_marks,
     group_max_uniton,
     height_of,
     marks_from_exponents,

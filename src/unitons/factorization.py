@@ -4,29 +4,29 @@ Four pieces live here.  `unitarize` splits an invertible numeric loop into a
 based unitary factor and a disc-holomorphic factor in Segal's Grassmannian
 model: for an algebraic loop (det Psi = c lambda^m) shifted to powers >= 0,
 W = Psi H+ lies between lambda^R H+ and H+, and the unitary factor's columns
-are an orthonormal basis of W - lambda W.  A loop built from a lambda-free
-spec, exp(C) gamma with C free of lambda, has column b = (exp C) e_b
-lambda^(k_b) alone, so W is fixed by the flag F_j = exp C span{e_b : k_b <= j}
-(the twistor lift of Eells & Wood): one n x n QR of exp C, its columns in
-increasing k, gives Phi = sum_j lambda^j P_j, P_j the projection onto
-F_j - F_(j-1).  That flag is read off untrimmed values, since the trim of
-small blocks drops the low-k columns that fix it.  Any other loop is split
-through the n(R+1) x nR generator matrix of lambda W, whose rank nR - m is
-known.  Any other loop built from a spec carries gamma's exponents k:
-m = sum k and R = max k, and exactly nR - m generator columns are
-nonzero, so one QR gives the basis.  A bare loop is sampled on
-|lambda| = 1, where one SVD finds it regular and det Psi gives m, whose
-single lambda power is checked; it takes the QR too when its count of
-nonzero columns is nR - m, or an SVD whose singular values must be
-separated at that rank.  The split's unitarity and reassembly residuals and
-the map value's unitarity are always checked against the fixed bound 1e-9
-(relative where it has a scale), and a loop that fails a check raises
-NoConvergence.
+are an orthonormal basis of W - lambda W.  A loop built from a spec,
+Psi = exp(C) gamma with exp C unipotent at lambda = 0, has column b starting
+at block k_b, and splits by one of two QR routes.  A lambda-free spec has
+column b = (exp C) e_b lambda^(k_b) alone, so W is fixed by the flag
+F_j = exp C span{e_b : k_b <= j} (the twistor lift of Eells & Wood): one
+n x n QR of exp C, its columns in increasing k, gives Phi = sum_j lambda^j
+P_j, P_j the projection onto F_j - F_(j-1).  Any other spec loop splits by
+its uniton chain (Uhlenbeck; Burstall & Guest): Phi = prod_j (pi_j +
+lambda (I - pi_j)), each pi_j one QR of lambda^0 columns, each step dividing
+one uniton out of Psi.  Both read untrimmed values, since the trim of small
+blocks drops the low-k blocks that fix them.  Any other loop, bare or
+trimmed past its shape, is sampled on |lambda| = 1, where one SVD finds it
+regular and det Psi gives m, whose single lambda power is checked; its
+split is an SVD of the n(R+1) x nR generator matrix of lambda W, whose
+singular values must be separated at the known rank nR - m.  The split's
+unitarity and reassembly residuals and the map value's unitarity are
+always checked against the fixed bound 1e-9 (relative where it has a
+scale), and a loop that fails a check raises NoConvergence.
 `bruhat_cell` recovers the diagonal lambda-exponents of an exact loop by
 Smith reduction over the rational-function field, and reads a spec's off
 its exponents.  `cstar_flow` and `flow_limit` implement the
-lambda -> u*lambda deformation and its u -> 0 limit.  `uniton_factorize` splits a built solution into affine projector
-factors by unitarizing along a chain of partial exponent subsets.
+lambda -> u*lambda deformation and its u -> 0 limit.  `uniton_factorize`
+reads a built solution's affine projector factors off its uniton chain.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .errors import (
     PoleAtZ,
     SingularOnCircle,
 )
-from .loops import CompiledLoop, LoopMat, convolve, trim_blocks, values_at
-from .roots import exponents_from_marks, marks_from_exponents
+from .loops import CompiledLoop, LoopMat, convolve, shift_columns, trim_blocks, values_at
+from .roots import marks_from_exponents
 from .weierstrass import (
     ExtendedSolutionSpec,
     WeierstrassData,
@@ -103,27 +103,19 @@ def _at(z) -> str:
     return "" if z is None else f" at z = {z}"
 
 
-def _power_and_height(blocks, lo, zs, exponents):
+def _power_and_height(blocks, lo, zs):
     """(m, R) for the (Z, K, n, n) coefficient stack of loops Psi = lambda^lo
     (blocks[0] + blocks[1] lambda + ...), loop i taken at zs[i]: m, an array,
     is each point's power of det(lambda^-lo Psi) = c lambda^m, and R, one
     integer for the stack, a height with lambda^R H+ inside W = Psi H+.
-    PoleAtZ names the first z whose loop values on |lambda| = 1 are not
-    finite.
 
-    exponents is None for a bare loop.  For a loop Psi = exp(C) gamma built
-    from a spec they are gamma's k: exp C is unipotent at lambda = 0, so
-    column i of Psi starts at lambda^(k_i) with an invertible matrix of
-    lowest coefficients, det Psi = lambda^(sum k) and R = max k, with no
-    circle samples; its values are finite where its coefficients are.  That
-    holds while the trim of small blocks keeps the lowest one (lo = 0).
-
-    Any other loop is sampled at S points of |lambda| = 1: S = 64, or the
-    next multiple of 64 above n*(K-1), the degree of det Psi, so that no
-    power aliases.  One stacked SVD of the samples raises SingularOnCircle
-    naming the first z with sigma_min <= SINGULAR_TOL * max(1, sigma_max)
-    over them.  m is read off the discrete Fourier transform of det Psi at
-    the samples: a non-finite det raises PoleAtZ, and a det with a second
+    The loops are sampled at S points of |lambda| = 1: S = 64, or the next
+    multiple of 64 above n*(K-1), the degree of det Psi, so that no power
+    aliases.  PoleAtZ names the first z whose samples are not finite.  One
+    stacked SVD of the samples raises SingularOnCircle naming the first z
+    with sigma_min <= SINGULAR_TOL * max(1, sigma_max) over them.  m is read
+    off the discrete Fourier transform of det Psi at the samples: a
+    non-finite det raises PoleAtZ, and a det with a second
     power above DEFAULT_TOL times its largest raises NoConvergence.  That
     error names the condition number kappa = max sigma_max / sigma_min over
     the samples when the det's rounding, n eps kappa, exceeds DEFAULT_TOL,
@@ -132,19 +124,13 @@ def _power_and_height(blocks, lo, zs, exponents):
     polynomial (by Cramer's rule on the column-shifted loop), so R is the
     largest m - sum o + max o over the stack; any larger R serves as well.
     """
-    spec = exponents is not None and lo == 0
     n = blocks.shape[-1]
-    if spec:
-        vals = blocks
-    else:
-        samples = 64 * (n * (blocks.shape[-3] - 1) // 64 + 1)
-        vals = values_at(blocks, 0, np.exp(2j * np.pi * np.arange(samples) / samples))
+    samples = 64 * (n * (blocks.shape[-3] - 1) // 64 + 1)
+    vals = values_at(blocks, 0, np.exp(2j * np.pi * np.arange(samples) / samples))
     finite = np.isfinite(vals)
     if not finite.all():
         z = zs[np.argmin(finite.all(axis=(1, 2, 3)))]
         raise PoleAtZ(f"loop values on |lambda| = 1 are not finite{_at(z)}")
-    if spec:
-        return np.full(len(blocks), sum(exponents)), max(exponents)
     sing = np.linalg.svd(vals, compute_uv=False)
     for z, smin, smax in zip(zs, sing[..., -1].min(axis=1), sing[..., 0].max(axis=1)):
         if not smin > SINGULAR_TOL * max(1.0, smax):
@@ -184,8 +170,8 @@ def _flag_blocks(blocks, lo, exponents):
     with exponents k; None unless the stack is finite, lo = 0 and column b of
     every loop has exactly one nonzero block, block k_b.
 
-    Those are the loops exp(C) gamma of a lambda-free spec, their flowed
-    loops and their partial loops: Psi = A diag(lambda^k) with A = exp C
+    Those are the loops exp(C) gamma of a lambda-free spec and their flowed
+    loops: Psi = A diag(lambda^k) with A = exp C
     (times a constant diagonal), so W = Psi H+ is fixed by the flag
     F_j = A span{e_b : k_b <= j}.  With A's columns stably sorted by k,
     A = QR gives Psi = Q diag(lambda^k) (diag(lambda^-k) R diag(lambda^k)),
@@ -214,23 +200,61 @@ def _flag_blocks(blocks, lo, exponents):
     return phi
 
 
+def _uniton_chain(blocks, lo, exponents):
+    """The (Z, r, n, n) stack of projections pi_0 .. pi_(r-1), r = max k,
+    with Phi = prod_j (pi_j + lambda (I - pi_j)) the unitary of Phi H+ =
+    Psi H+ for each loop of the (Z, K, n, n) stack of untrimmed coefficients
+    of loops Psi = lambda^lo (blocks[0] + blocks[1] lambda + ...) with
+    exponents k; None unless the stack is finite, lo = 0 and column b of
+    every loop starts at block k_b.
+
+    Those are the loops exp(C) gamma of a spec and their flowed loops: exp C
+    is unipotent at lambda = 0.  Each step splits off one uniton (Uhlenbeck;
+    Burstall & Guest): with X_0 = Psi, pi_j projects onto the span of the
+    lambda^0 columns b of X_j with k_b <= j, and X_(j+1) = (pi_j +
+    lambda^-1 (I - pi_j)) X_j, whose block i is X_j[i+1] + pi_j (X_j[i] -
+    X_j[i+1]).  Column b of X_j is exactly zero below block k_b - j, so the
+    columns of X_j[0] with k_b > j are zero, those with k_b <= j lie in the
+    range of pi_j, and X_(j+1) has no lambda^-1 part.  pi_j reads X_0's
+    blocks 0..j alone, so X_j is kept to blocks 0..r-1-j.
+    """
+    if exponents is None or lo != 0 or not np.isfinite(blocks).all():
+        return None
+    k = np.asarray(exponents)
+    nonzero = blocks.any(axis=-2)  # (Z, K, n): block i of column b is nonzero
+    if not (nonzero.any(axis=1).all() and (nonzero.argmax(axis=1) == k).all()):
+        return None
+    x = blocks[:, : k.max()]
+    projections = []
+    for j in range(k.max()):
+        q = np.linalg.qr(x[:, 0][..., k <= j])[0]
+        pi = q @ q.conj().swapaxes(-1, -2)
+        # Hermitian to the last bit, so the printed diagonal is real
+        pi = (pi + pi.conj().swapaxes(-1, -2)) / 2
+        projections.append(pi)
+        x = x[:, 1:] + pi[:, None] @ (x[:, :-1] - x[:, 1:])
+    return np.stack(projections, axis=1) if projections else blocks[:, :0]
+
+
+def _affine_blocks(projections):
+    """Coefficient stacks (..., 2, n, n) of pi + lambda (I - pi), pi in projections."""
+    return np.stack([projections, np.eye(projections.shape[-1]) - projections], axis=-3)
+
+
 def _wandering_blocks(blocks, m, height, zs):
     """Blocks 0..R of a unitary Phi with Phi H+ = W = Psi H+, for each loop
     of the (Z, K, n, n) coefficient stack of polynomial loops Psi, given the
     powers m of their dets and a height R with lambda^R H+ inside W; the
-    split of every loop that `_flag_blocks` does not take.
+    split of every loop that `_flag_blocks` and `_uniton_chain` do not take.
 
     Phi's columns are an orthonormal basis of W - lambda W, which lies in
     the polynomials P_R of degree <= R (Beurling-Lax).  Truncated to P_R,
     lambda W is spanned by the columns lambda^j Psi e_i, j = 1..R, of one
-    n(R+1) x nR generator matrix of rank nR - m, known in advance.  When
-    exactly nR - m of its columns are nonzero at every point, as for every
-    loop built from a spec, they are independent, and one QR of them
-    followed by Psi's columns gives Phi as its last n columns.  Otherwise
-    an SVD gives an orthonormal basis of truncated lambda W; Psi's columns
-    less their part in it span W - lambda W, and a QR of them gives Phi.
-    The singular values on either side of rank nR - m must be separated,
-    the lower at most DEFAULT_TOL times the upper, or NoConvergence names z.
+    n(R+1) x nR generator matrix of rank nR - m, known in advance.  An SVD
+    gives an orthonormal basis of truncated lambda W; Psi's columns less
+    their part in it span W - lambda W, and a QR of them gives Phi.  The
+    singular values on either side of rank nR - m must be separated, the
+    lower at most DEFAULT_TOL times the upper, or NoConvergence names z.
     """
     count, k, n = len(blocks), blocks.shape[1], blocks.shape[-1]
     gen = np.zeros((count, height + 1, n, height + 1, n), dtype=complex)
@@ -240,12 +264,6 @@ def _wandering_blocks(blocks, m, height, zs):
     gen = gen.reshape(count, (height + 1) * n, (height + 1) * n)
     psi, shifted = gen[..., :n], gen[..., n:]
     rank = n * height - m
-    nonzero = shifted.any(axis=1)
-    if (nonzero.sum(axis=1) == rank).all() and (rank == rank[0]).all():
-        kept = np.argsort(~nonzero, axis=1, kind="stable")[:, None, : rank[0]]
-        basis = np.take_along_axis(shifted, kept, axis=2)
-        q = np.linalg.qr(np.concatenate([basis, psi], axis=2))[0][..., -n:]
-        return q.reshape(count, height + 1, n, n)
     u, sing, _ = np.linalg.svd(shifted, full_matrices=False)
     # sigma_0 := sigma_1 and sigma_(nR+1) := 0 at the ends
     sing = np.pad(sing, ((0, 0), (1, 1)))
@@ -276,18 +294,25 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     generator whose rank nR - m is not separated, a unitarity residual
     above 1e-9 or a split residual above 1e-9 times max(1, max_k ||Psi_k||)
     raises NoConvergence naming its values, the bound and z.  A loop built
-    from a spec reads m and R off its exponents, with no circle pass.  A
-    loop of a lambda-free spec (or its flowed or partial loop) splits by one
-    QR of exp C instead (`_flag_blocks`); a numeric LoopMat has trimmed its
-    small blocks, and one whose trim zeroed a column's only block, at large
-    |z|, takes the generator split, because its flag is lost.
+    from a spec needs no circle pass and no generator: a lambda-free spec's
+    loop (or its flowed loop) splits by one QR of exp C (`_flag_blocks`),
+    and any other by its uniton chain (`_uniton_chain`), whose factors
+    multiply to Phi's blocks.  A numeric LoopMat has trimmed its small
+    blocks; one whose trim zeroed the lowest block of a column, at large |z|
+    or far down the flow, has lost its shape and takes the circle pass and
+    the generator split.
     """
     psi = _as_loop(psi).to_numeric(z)
     blocks = psi.coeffs[None]
     phi = _flag_blocks(blocks, psi.lo, psi.exponents)
     if phi is None:
-        shape = _power_and_height(blocks, psi.lo, [z], psi.exponents)
-        phi = _wandering_blocks(blocks, *shape, [z])
+        projections = _uniton_chain(blocks, psi.lo, psi.exponents)
+        if projections is None:
+            phi = _wandering_blocks(blocks, *_power_and_height(blocks, psi.lo, [z]), [z])
+        else:
+            phi = np.eye(psi.n, dtype=complex)[None, None]
+            for factor in _affine_blocks(projections[0]):
+                phi = convolve(phi, factor)
     phi = phi[0]
     phi_one = phi.sum(axis=0)
     unitary = LoopMat.numeric(phi @ np.linalg.inv(phi_one), psi.lo)
@@ -323,26 +348,35 @@ def harmonic_map_at(obj, z) -> np.ndarray:
     SingularOnCircle, and a det that is not a lambda monomial, a generator
     rank that is not separated or a value ||phi phi* - I||_F above the 1e-9
     bound NoConvergence, each naming the first z that fails.  A loop built
-    from a spec reads m and R off its exponents and skips the circle pass
-    with its regularity and algebraicity guards.  A loop of a lambda-free
-    spec splits by one n x n QR of exp C (`_flag_blocks`), read off the
-    untrimmed values: at large |z| the trim drops the small low-k columns
-    that fix the flag, so this split works over the whole input range,
-    where the generator split of the trimmed stack is refused.
+    from a spec skips the circle pass with its regularity and algebraicity
+    guards, and splits its untrimmed values: a lambda-free spec's by one
+    n x n QR of exp C (`_flag_blocks`), any other's by its uniton chain
+    (`_uniton_chain`), whose value Phi(-1) = prod_j (2 pi_j - I) is built
+    from the projections alone.  The trim drops the small low-k blocks that
+    fix both, so read untrimmed they work over the whole input range, where
+    the generator split of the trimmed stack is refused.  A chain value is
+    a product of reflections, so the unitarity guard can fail only on a
+    loop that takes the generator split.
     """
     one_point = np.ndim(z) == 0
     zs = [z] if one_point else z
     loop = obj if isinstance(obj, CompiledLoop) else CompiledLoop(_as_loop(obj))
     coeffs = loop.values(zs)
     phi = _flag_blocks(coeffs, loop.lo, loop.exponents)
-    if phi is None:
+    projections = None if phi is not None else _uniton_chain(coeffs, loop.lo, loop.exponents)
+    if phi is None and projections is None:
         # trimmed as a numeric LoopMat is, so each point splits as in `unitarize`
         blocks = trim_blocks(coeffs)
-        shape = _power_and_height(blocks, loop.lo, zs, loop.exponents)
-        phi = _wandering_blocks(blocks, *shape, zs)
-    # lambda^lo Phi at lambda = -1 and 1 for each z
-    ends = values_at(phi, loop.lo, [-1, 1])
-    values = ends[:, 0] @ np.linalg.inv(ends[:, 1])
+        phi = _wandering_blocks(blocks, *_power_and_height(blocks, loop.lo, zs), zs)
+    if projections is None:
+        # lambda^lo Phi at lambda = -1 and 1 for each z
+        ends = values_at(phi, loop.lo, [-1, 1])
+        values = ends[:, 0] @ np.linalg.inv(ends[:, 1])
+    else:
+        # Phi(1) = I and Phi(-1) = prod_j (2 pi_j - I)
+        values = np.repeat(np.eye(loop.n, dtype=complex)[None], len(zs), axis=0)
+        for pi in projections.swapaxes(0, 1):
+            values = values @ (2 * pi - np.eye(loop.n))
     resid = np.linalg.norm(values @ values.conj().transpose(0, 2, 1) - np.eye(loop.n), axis=(1, 2))
     bad = np.flatnonzero(~(resid <= DEFAULT_TOL))
     if bad.size:
@@ -508,14 +542,14 @@ def bruhat_cell(obj) -> BruhatCell:
 def uniton_factorize(spec: ExtendedSolutionSpec, z):
     """Affine projector factors at z and the unitary factor of the whole loop.
 
-    Walks the chain of exponent subsets J_1 subset J_2 subset ... obtained by
-    adding marked positions in decreasing order, unitarizes each partial loop
-    exp(C) gamma_J at z, whose coefficients are those of exp C at z with
-    column b moved up k^J_b powers (one evaluation of exp C for the whole
-    chain), and returns the successive quotients u_{j-1}^* u_j (with
-    u_0 = I) and the last u_j (I for an empty chain).
-    Each quotient is affine, pi + lambda*(1 - pi) with pi a Hermitian
-    projection, and the factors multiply back to the full unitary part.
+    The factors are pi_j + lambda (I - pi_j), j = 0 .. r-1, read off the
+    uniton chain (`_uniton_chain`) of the raw values of Psi = exp(C) gamma
+    at z: exp C evaluated once, column b moved up k_b blocks, no trim.
+    exp C is unipotent at lambda = 0, so column b starts at block k_b, and
+    the chain always runs.  Canonical exponents (marks 0 or 1) give
+    r = max k factors, each one uniton.  The unitary factor is
+    `unitarize`'s of the whole loop (the numeric identity when r = 0), a
+    separate split, so the product of the factors against it checks both.
     """
     marks = marks_from_exponents(spec.exponents)
     if any(m not in (0, 1) for m in marks):
@@ -523,17 +557,9 @@ def uniton_factorize(spec: ExtendedSolutionSpec, z):
             f"exponents {spec.exponents} are not canonical (marks {marks})"
         )
     exp_c = CompiledLoop(exp_nilpotent(spec.c_lambda())).values([z])[0]
-    factors = []
-    unitary = LoopMat.identity(spec.n, kind="numeric")
-    chain = [0] * len(marks)
-    for i in reversed(range(len(marks))):
-        if not marks[i]:
-            continue
-        chain[i] = 1
-        partial = assemble_numeric(exp_c, exponents_from_marks(chain))
-        u = unitarize(partial, z=z).unitary_part
-        factors.append(unitary.circle_adjoint() @ u if factors else u)
-        unitary = u
+    projections = _uniton_chain(shift_columns(exp_c, spec.exponents)[None], 0, spec.exponents)
+    factors = [LoopMat.numeric(blocks) for blocks in _affine_blocks(projections[0])]
+    unitary = unitarize(assemble_numeric(exp_c, spec.exponents), z=z).unitary_part
     return factors, unitary
 
 

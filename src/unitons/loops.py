@@ -102,9 +102,10 @@ class LoopMat:
 
     `exponents` is None, or the exponents k of gamma for a loop exp(C) gamma
     built from a spec (`weierstrass.assemble_loop`): exp C is unipotent at
-    lambda = 0, so det = lambda^(sum k), and the split reads its det power
-    and height off k.  `to_numeric` and `CompiledLoop` keep it; every other
-    operation returns a loop without it.
+    lambda = 0, so column b starts at lambda^(k_b), and the split reads its
+    flag or its uniton chain off those columns, with no circle pass.
+    `to_numeric` and `CompiledLoop` keep it; every other operation returns
+    a loop without it.
     """
 
     __slots__ = ("kind", "n", "lo", "coeffs", "exponents")
@@ -248,16 +249,6 @@ class LoopMat:
         return (self - other).is_zero()
 
     # -- involutions ----------------------------------------------------------
-
-    def circle_adjoint(self) -> "LoopMat":
-        """Adjoint across the unit circle: coefficient A_k goes to A_k^* at -k.
-
-        On |lambda| = 1 this is the pointwise conjugate transpose.  Numeric
-        loops only: an exact loop would need z-free coefficients to conjugate.
-        """
-        if self.kind != "numeric":
-            raise ExactKindUnsupported("circle adjoint needs a numeric loop")
-        return LoopMat("numeric", self.n, -self.hi, self.coeffs[::-1].conj().swapaxes(1, 2))
 
     def negate_lambda(self) -> "LoopMat":
         """The exact loop lambda -> L(-lambda)."""

@@ -191,11 +191,6 @@ def group_max_uniton(rs):
     return sum(rs.highest_root)
 
 
-def canonical_reduce(rs, marks):
-    marks = _check_marks(rs, marks)
-    return tuple(1 if m > 0 else 0 for m in marks)
-
-
 # -- U_n bridge ---------------------------------------------------------------
 
 def marks_from_exponents(exponents):
@@ -205,12 +200,6 @@ def marks_from_exponents(exponents):
     if not k or k[-1] != 0 or any(k[i] < k[i + 1] for i in range(len(k) - 1)):
         raise InvalidType("exponents must be non-increasing and end in 0")
     return tuple(k[i] - k[i + 1] for i in range(len(k) - 1))
-
-
-def exponents_from_marks(marks):
-    marks = tuple(int(m) for m in marks)
-    n = len(marks) + 1
-    return tuple(sum(marks[i:]) for i in range(n - 1)) + (0,)
 
 
 # -- even-part classification and the symmetric-space survey -------------------

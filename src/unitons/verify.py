@@ -17,7 +17,7 @@ from . import exactmat
 from .errors import NotS1Invariant, StepBelowResolution
 from .factorization import _as_loop, bruhat_cell, harmonic_map_at
 from .loops import CompiledLoop, LoopMat
-from .roots import build_root_system, canonical_reduce, height_of, marks_from_exponents
+from .roots import marks_from_exponents
 from .weierstrass import ExtendedSolutionSpec, _assemble_with_inverse, left_log_derivative
 
 __all__ = [
@@ -166,21 +166,16 @@ def _loop_inverse_powers(loop: LoopMat):
 
 
 def _numbers(loop: LoopMat, lo_inv: int, hi_inv: int, spec=None) -> UnitonNumbers:
+    """The report from the width's ingredients.  The highest root of
+    A_(n-1) is the sum of the simple roots, so the group bound, its height,
+    is n - 1, and the height under canonical marks (each nonzero mark a 1)
+    is the number of nonzero marks; both hold at n = 1, with no roots."""
     w = max(loop.hi + hi_inv, -(loop.lo + lo_inv))
-    n = loop.n
-    if n >= 2:
-        rs = build_root_system("A", n - 1)
-        bound = height_of(rs, (1,) * (n - 1))
-    else:
-        bound = 0
+    bound = loop.n - 1
     height = canonical = attains = None
     if spec is not None:
         height = spec.height
-        if n >= 2:
-            marks = marks_from_exponents(spec.exponents)
-            canonical = height_of(rs, canonical_reduce(rs, marks))
-        else:
-            canonical = 0
+        canonical = sum(1 for m in marks_from_exponents(spec.exponents) if m)
         attains = w == height
     return UnitonNumbers(
         ad_width=w,

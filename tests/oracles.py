@@ -27,7 +27,9 @@ block, as `cstar_flow` once computed it; the stacked scaling must round the
 same way.  `projector_const` and `two_projector_frame` build exact test
 loops from Hermitian projectors, `non_harmonic_control` is a map the
 harmonicity residual must reject, and `grading` and
-`max_uniton_for_space` read dimensions and heights off the root tables.
+`max_uniton_for_space` read dimensions and heights off the root tables;
+`canonical_reduce` and `exponents_from_marks` are marks arithmetic that
+only the tests use.
 `twistor_value` is the exact map value of a lambda-free spec read off the
 flag of exp C by exact projectors, for points where the flag unitarizer's
 exact arithmetic is too slow.
@@ -346,8 +348,22 @@ def free_function_count(rs, marks):
     return sum(1 for p in rs.positive_roots if level(p, marks) >= 1)
 
 
+def canonical_reduce(rs, marks):
+    """Each nonzero mark becomes 1; marks are checked against rs."""
+    marks = tuple(int(m) for m in marks)
+    if len(marks) != rs.rank or any(m < 0 for m in marks):
+        raise InvalidType(f"expected {rs.rank} non-negative marks, got {marks}")
+    return tuple(1 if m > 0 else 0 for m in marks)
+
+
 def odd_canonical_reduce(rs, marks):
     return tuple(int(m) % 2 for m in marks)
+
+
+def exponents_from_marks(marks):
+    """The U_n exponents k_i = m_i + ... + m_(n-1), k_n = 0, of A_(n-1) marks."""
+    marks = tuple(int(m) for m in marks)
+    return tuple(sum(marks[i:]) for i in range(len(marks))) + (0,)
 
 
 def signature(record):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from oracles import flag_unitarize, seeded_free_poly
 from unitons import cli, factorization, jsonio, weierstrass
 from unitons.cli import main
-from unitons.factorization import bruhat_cell
+from unitons.errors import NoConvergence
+from unitons.factorization import bruhat_cell, cstar_flow
 from unitons.loops import LoopMat
 from unitons.scalars import RatFun
 from unitons.verify import uniton_number_report
@@ -236,11 +237,31 @@ def _build_file(tmp_path, name):
 
 
 def test_flow_past_the_split_bound_is_one_line_error(tmp_path):
-    # the column rebalancing cannot follow the U_3 build to t = -20; the split
-    # there is 6e-8 from unitary, so flow refuses it instead of printing it
-    code, out, err = _call(["flow", _build_file(tmp_path, "u3"), "--z=0.3,0.1", "--t=-20"])
+    # the U_3 build flows to t = -25 by its uniton chain, at energy 3; its
+    # bare copy (exponents stripped) takes the generator split, which is
+    # 6.0e-8 from unitary at t = -20 and refused.  `flow` reads specs only,
+    # so its one-line refusal is pinned on the U_4 build at t = -15, where
+    # the trim drops the lambda^0 block
+    path = _build_file(tmp_path, "u3")
+    code, out, err = _call(["flow", path, "--z=0.3,0.1", "--t=-20,-25"])
+    assert code == 0 and err == ""
+    assert all(abs(step["energy"] - 3.0) <= 1e-9 for step in json.loads(out)["steps"])
+    loop = assemble_loop(cli._load_spec(path))
+    with pytest.raises(NoConvergence, match=r": unitarity 6\.020e-08 \(bound 1e-09\), split "):
+        cstar_flow(LoopMat("exact", loop.n, loop.lo, loop.coeffs), -20.0, complex(0.3, 0.1))
+    code, out, err = _call(["flow", _build_file(tmp_path, "u4"), "--z=0.3,0.1", "--t=-15"])
     assert code == 2 and out == ""
-    assert err.startswith("error: NoConvergence: ") and err.count("\n") == 1, err
+    assert err.startswith("error: SingularOnCircle: ") and err.count("\n") == 1, err
+
+
+def test_flow_of_the_u4_builds_reaches_t_minus_10(tmp_path):
+    # the U_4 and even (3,2,1,0) builds split by their uniton chains at
+    # t = -10, where the generator split was refused; the energy has climbed
+    # to 10 there
+    for name in ("u4", "even"):
+        code, out, err = _call(["flow", _build_file(tmp_path, name), "--z=0.3,0.1", "--t=-10"])
+        assert code == 0, err
+        assert abs(json.loads(out)["steps"][0]["energy"] - 10.0) <= 1e-6, name
 
 
 def test_flow_trimmed_past_the_lowest_block_takes_the_circle_verdict(tmp_path):
@@ -272,12 +293,18 @@ def test_factor_veronese4_three_factors(tmp_path, capsys):
 
 
 def test_map_far_from_unitary_is_one_line_error(tmp_path):
-    # the lambda-dependent even (3,2,1,0) build at z = 1000: the generator
-    # split's value is 4.6e-7 from unitary, past the 1e-9 bound, so it is
-    # refused instead of printed
-    code, out, err = _call(["map", _build_file(tmp_path, "even"), "--z=1000,0"])
-    assert code == 2 and out == ""
-    assert err.startswith("error: NoConvergence: map value is ") and err.count("\n") == 1, err
+    # the lambda-dependent even (3,2,1,0) build at z = 1000 splits by its
+    # uniton chain and prints the flag oracle's value to rounding, where the
+    # generator split's value was 4.6e-7 from unitary and refused.  A chain
+    # value is a product of reflections 2 pi - I, so the map-value guard is
+    # reachable only on bare loops, which `map` does not read;
+    # test_harmonic_map_far_from_unitary_is_refused pins it on one
+    path = _build_file(tmp_path, "even")
+    code, out, err = _call(["map", path, "--z=1000,0"])
+    assert code == 0 and err == ""
+    phi = np.array([[complex(*entry) for entry in row] for row in json.loads(out)["matrix"]])
+    u_ref, _ = flag_unitarize(assemble_loop(cli._load_spec(path)).at_z(1000))
+    assert np.abs(phi - u_ref.to_numeric().evaluate(-1.0)).max() <= 1e-13
     # Veronese 5 at z = 30 splits by the flag of exp C, 4.7e-16 from unitary
     code, out, err = _call(["map", veronese_file(tmp_path, 5), "--z=30,0"])
     assert code == 0 and err == ""
@@ -295,15 +322,16 @@ def test_map_veronese5_far_out_prints_the_oracle_value(tmp_path):
 
 
 def test_factor_lambda_free_specs_prints_two_blocks_per_factor(tmp_path):
-    # each partial loop of a lambda-free spec splits by its flag, so every
-    # factor is pi + lambda (1 - pi) with no rounding-noise lambda^-1 block,
-    # which a generator split leaves at Veronese 5 z = 30
+    # the factors are read off the uniton chain as pi + lambda (1 - pi), so
+    # no rounding-noise block reaches them: a generator split left one at
+    # Veronese 5 z = 30, and the chained partial splits left three or four
+    # blocks on the lambda-dependent U_4 and even builds there
     z, one = RatFun.x(), RatFun.one()
     specs = {
         "even110": even_grassmannian_build(3, (1, 1, 0), [z, one]),
         "even2110": even_grassmannian_build(4, (2, 1, 1, 0), [z, z * z, one, -z]),
     }
-    paths = [veronese_file(tmp_path, 5)]
+    paths = [veronese_file(tmp_path, 5)] + [_build_file(tmp_path, n) for n in ("u3", "u4", "even")]
     for name, spec in specs.items():
         paths.append(str(tmp_path / f"{name}.json"))
         (tmp_path / f"{name}.json").write_text(jsonio.dumps(jsonio.spec_record(spec)) + "\n")
@@ -335,9 +363,8 @@ _POLE_BUILD = (("--n", "3", "--exponents", "2,1,0"),
 
 def test_every_spec_split_takes_the_qr_branch(tmp_path, monkeypatch):
     # each loop these commands split is built from a spec: a lambda-free one
-    # splits by one QR of exp C, and any other takes m and R from its
-    # exponents, with exactly nR - m nonzero generator columns, so no circle
-    # pass (whose det FFT would run) and no SVD runs
+    # splits by one QR of exp C, and any other by the QRs of its uniton
+    # chain, so no circle pass (whose det FFT would run) and no SVD runs
     paths = [veronese_file(tmp_path, n) for n in range(2, 9)]
     builds = [(name, _BUILDS[name]) for name in ("u3", "u4", "even")]
     builds += [("pole", _POLE_BUILD), ("u1", (("--n", "1", "--exponents", "0"), {}))]
@@ -358,9 +385,7 @@ def test_every_spec_split_takes_the_qr_branch(tmp_path, monkeypatch):
     for path in paths:
         for command, *flags in commands:
             code, _, err = _call([command, path, *flags])
-            # the U_4 and even builds flowed to t = -10 are past the residual bound
-            refused = err.startswith("error: NoConvergence: Iwasawa split residuals exceed")
-            assert code == 0 or (code == 2 and refused), (command, path, flags, err)
+            assert code == 0, (command, path, flags, err)
 
 
 def _count_exp_builds(monkeypatch):

@@ -14,8 +14,10 @@ import pytest
 from oracles import (
     ad_width_by_conjugation,
     cstar_flow_reference,
+    exponents_from_marks,
     flag_unitarize,
     projector_const,
+    seeded_free_poly,
     twistor_value,
     two_projector_frame,
 )
@@ -46,7 +48,7 @@ from unitons.factorization import (
     uniton_factorize,
 )
 from unitons.loops import CompiledLoop, LoopMat, trim_blocks, values_at
-from unitons.roots import exponents_from_marks, marks_from_exponents
+from unitons.roots import marks_from_exponents
 from unitons.scalars import GaussianRational, Poly, RatFun
 from unitons.verify import harmonicity_residual, map_sampler, uniton_number_report
 from unitons.weierstrass import (
@@ -157,6 +159,10 @@ def _u3_build():
     return build_from_free_functions(3, (2, 1, 0), [Z, ONE + Z, Z])
 
 
+def _pole_build():
+    return build_from_free_functions(3, (2, 1, 0), [Z, ONE / ((ONE + Z) * (ONE + Z)), Z])
+
+
 def test_unitarize_keeps_powers_above_the_loop():
     # W = I - c lambda E_31 has det 1, so it lies in Lambda+ and leaves the
     # based unitary part alone, but Psi W has top power 1 below deg Phi = 2
@@ -172,15 +178,23 @@ def test_unitarize_keeps_powers_above_the_loop():
     assert loops_close(fac.unitary_part, unitarize(psi).unitary_part, 1e-12)
 
 
+def _bare(loop):
+    """The same exact loop without its exponents: it takes the circle pass
+    and the generator split."""
+    return LoopMat("exact", loop.n, loop.lo, loop.coeffs)
+
+
 def test_split_residual_past_the_bound_raises_no_convergence():
-    # the column rebalancing cannot follow the U_3 build to t = -20: the
-    # split's unitarity residual reads 6e-8 there
+    # the U_3 build flowed to t = -20 splits by its uniton chain (energy 3);
+    # its bare copy takes the generator split, whose unitarity residual reads
+    # 6e-8 there
     z = complex(0.3, 0.1)
+    assert abs(energy(cstar_flow(_u3_build(), -20.0, z)) - 3.0) <= 1e-9
     with pytest.raises(NoConvergence) as info:
-        cstar_flow(_u3_build(), -20.0, z)
+        cstar_flow(_bare(assemble_loop(_u3_build())), -20.0, z)
     message = str(info.value)
     assert f"z = {z}" in message
-    assert "unitarity " in message and "split " in message and "bound" in message
+    assert "unitarity 6.020e-08 " in message and "split " in message and "bound" in message
 
 
 def _random_exact_loop(rng, n):
@@ -233,9 +247,8 @@ def _reference_factor(psi, rows):
 
 
 def _partial_loops(spec):
-    """The partial loops exp(C) gamma_J that `uniton_factorize` unitarizes,
-    as exact loops: J takes the marks of the spec one at a time, the last
-    mark first."""
+    """The partial loops exp(C) gamma_J, as exact loops: J takes the marks
+    of the spec one at a time, the last mark first."""
     marks = marks_from_exponents(spec.exponents)
     exp_c = exp_nilpotent(spec.c_lambda())
     for count in range(1, sum(marks) + 1):
@@ -246,13 +259,13 @@ def _partial_loops(spec):
 
 def test_height_rule_is_the_exponent_span():
     # R = m - sum o_j + max o_j is k_1 - k_n on every built spec and on every
-    # partial loop of its uniton factorization
+    # partial loop exp(C) gamma_J
     zs = [complex(0.3, -0.2), 0.0, complex(-0.45, 0.6)]
     for spec in _harmonic_specs():
         loops = [(assemble_loop(spec), spec.exponents), *_partial_loops(spec)]
         for loop, exponents in loops:
             blocks = trim_blocks(CompiledLoop(loop).values(zs))
-            m, height = _power_and_height(blocks, loop.lo, zs, None)
+            m, height = _power_and_height(blocks, loop.lo, zs)
             assert list(m) == [sum(exponents) - loop.n * loop.lo] * len(zs)
             assert height == max(exponents) - min(exponents)
 
@@ -267,7 +280,7 @@ def test_splitting_above_the_height_gives_the_same_values():
     cases += [(_random_exact_loop(rng, 2 + trial % 2), [0.0], 1e-12) for trial in range(8)]
     for loop, points, tol in cases:
         blocks = trim_blocks(CompiledLoop(loop).values(points))
-        m, height = _power_and_height(blocks, loop.lo, points, None)
+        m, height = _power_and_height(blocks, loop.lo, points)
         ends = [
             values_at(_wandering_blocks(blocks, m, r, points), loop.lo, [-1, 1])
             for r in (height, height + 3)
@@ -323,10 +336,10 @@ def _assert_same_verdict(blocks, zs):
     if verdict is None:
         # past the SVD, the det of a loop near the bound may read several powers
         with contextlib.suppress(NoConvergence):
-            _power_and_height(blocks, 0, zs, None)
+            _power_and_height(blocks, 0, zs)
         return
     with pytest.raises(SingularOnCircle) as info:
-        _power_and_height(blocks, 0, zs, None)
+        _power_and_height(blocks, 0, zs)
     z, smin = verdict
     assert f"at z = {z} (sigma_min = {smin:.3e})" in str(info.value)
 
@@ -383,7 +396,7 @@ def test_overflowing_det_is_refused_after_the_svd_without_warnings():
         _assert_same_verdict(blocks, [0, 1])
         assert _svd_verdict(blocks, [0, 1])[0] == 1
         with pytest.raises(PoleAtZ, match=r"det Psi on \|lambda\| = 1 is not finite at z = 0$"):
-            _power_and_height(blocks[:1], 0, [0], None)
+            _power_and_height(blocks[:1], 0, [0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -510,18 +523,30 @@ def test_harmonic_map_far_from_unitary_is_refused():
         harmonic_map_at(family, np.array([1e3, 1e9, 1.0]))
 
 
+def _seeded_u4(seed):
+    """The U_4 (3,2,1,0) build of the CLI suite's seed: six free polynomials
+    of degrees 1, 2, 3, 1, 2, 3."""
+    rng = random.Random(seed)
+    return u4_build(*[seeded_free_poly(rng, 1 + k % 3) for k in range(6)])
+
+
 def test_spec_values_far_out_match_the_flag_oracle():
     # a lambda-free spec splits by one QR of exp C, read off untrimmed
     # values, over the whole input range.  Read after the trim, which drops
     # the small low-k columns, the flag is 8.0e-6 off at Veronese 5 z = 1e6
     # and still unitary
-    cases = [(5, z) for z in (30, 45, 100, 1000, 10**4, 10**6)]
-    cases += [(6, 25), (8, 15), (8, 40), (9, 30)]
-    for n, z in cases:
-        spec = veronese_solution(n)
+    cases = [(veronese_solution(5), z, 1e-12) for z in (30, 45, 100, 1000, 10**4, 10**6)]
+    cases += [(veronese_solution(n), z, 1e-12) for n, z in ((6, 25), (8, 15), (8, 40), (9, 30))]
+    # a lambda-dependent spec splits by its uniton chain, read off untrimmed
+    # values too: the generator split read 6.6e-11 (U_4 at z = 10), or was
+    # refused (U_4 at z = 30, the even build at z = 1e4)
+    cases += [(spec, z, 1e-13) for spec in (_u3_build(), _pole_build()) for z in (10**4, 10**6)]
+    even = even_grassmannian_build(4, (3, 2, 1, 0), [Z, Z * Z, RatFun.const(gr(2)), Z])
+    cases += [(spec, z, 1e-13) for spec in (_seeded_u4(31), even) for z in (10, 30, 10**4)]
+    for spec, z, bound in cases:
         u_ref, _ = flag_unitarize(assemble_loop(spec).at_z(gr(z)))
         value = harmonic_map_at(spec, float(z))
-        assert np.abs(value - u_ref.to_numeric().evaluate(-1.0)).max() <= 1e-12, (n, z)
+        assert np.abs(value - u_ref.to_numeric().evaluate(-1.0)).max() <= bound, (spec.exponents, z)
     # the flag unitarizer takes about a minute at Veronese 14 z = 1e4, so the
     # exact twistor formula stands in; the two agree exactly where both run
     spec = veronese_solution(5)
@@ -569,7 +594,7 @@ def test_flag_split_agrees_with_the_generator_split(monkeypatch):
     zs = np.array(_NEAR_POINTS)
     for spec in _lambda_free_specs():
         loop = assemble_loop(spec)
-        bare = LoopMat("exact", loop.n, loop.lo, loop.coeffs)
+        bare = _bare(loop)
         flag = harmonic_map_at(loop, zs)
         assert taken == [True], spec.exponents
         assert np.abs(flag - harmonic_map_at(bare, zs)).max() <= 1e-13, spec.exponents
@@ -583,23 +608,44 @@ def test_flag_split_agrees_with_the_generator_split(monkeypatch):
         taken.clear()
 
 
-def test_lambda_dependent_specs_never_take_the_flag_split(monkeypatch):
-    # their map values, flowed loops and partial loops keep the generator split
-    taken = _flag_spy(monkeypatch)
-    z = _NEAR_POINTS[0]
-    specs = [
+def _lambda_dependent_specs():
+    return [
         _u3_build(),
         u4_build(Z, Z * Z, ONE + Z, 2 * Z, 3 * Z * Z, RatFun.const(gr(5))),
+        _seeded_u4(31),
         even_grassmannian_build(4, (3, 2, 1, 0), [Z, Z * Z, RatFun.const(gr(2)), Z]),
-        build_from_free_functions(3, (2, 1, 0), [Z, ONE / ((ONE + Z) * (ONE + Z)), Z]),
+        _pole_build(),
     ]
-    for spec in specs:
-        harmonic_map_at(spec, np.array(_NEAR_POINTS))
-        psi = assemble_loop(spec).to_numeric(z)
-        for t in (-1.0, 0.0, 2.0):
-            cstar_flow(psi, t, z)
-        uniton_factorize(spec, z)
+
+
+def test_lambda_dependent_specs_never_take_the_flag_split(monkeypatch):
+    # nor the circle pass and the generator split: map values near 0, at 0
+    # and far out, splits, flowed loops from t = -10 to 30 and factors all
+    # read the uniton chain
+    def refuse(*args):
+        raise AssertionError("a lambda-dependent spec loop took the generator split")
+
+    taken, chained = _flag_spy(monkeypatch), []
+    original = factorization._uniton_chain
+
+    def spy(*args):
+        projections = original(*args)
+        chained.append(projections is not None)
+        return projections
+
+    monkeypatch.setattr(factorization, "_power_and_height", refuse)
+    monkeypatch.setattr(factorization, "_wandering_blocks", refuse)
+    monkeypatch.setattr(factorization, "_uniton_chain", spy)
+    for spec in _lambda_dependent_specs():
+        harmonic_map_at(spec, np.array([0, *_NEAR_POINTS, 30, 1e4]))
+        for z in _NEAR_POINTS:
+            psi = assemble_loop(spec).to_numeric(z)
+            unitarize(psi, z)
+            for t in (-10.0, -1.0, 0.0, 2.0, 30.0):
+                cstar_flow(psi, t, z)
+            uniton_factorize(spec, z)
     assert taken and not any(taken)
+    assert chained and all(chained)
 
 
 def test_unitarize_splits_lambda_free_loops_by_the_flag(monkeypatch):
@@ -1094,8 +1140,8 @@ def test_uniton_factorize_constant_spec():
 
 
 def test_uniton_factorize_returns_the_full_unitary_factor():
-    # the chain's last partial loop is the full loop, so its unitary factor
-    # is the one a separate split of the assembled loop gives, bit for bit
+    # the unitary factor is the split of the whole loop, bit for bit the one
+    # a separate split of the assembled loop gives
     z = complex(0.3, 0.1)
     for spec in [veronese_solution(n) for n in range(2, 6)] + [_u3_build()]:
         _, unitary = uniton_factorize(spec, z)
@@ -1134,18 +1180,23 @@ def _same_stack(a, b):
 
 
 def test_column_moves_of_exp_c_match_the_exact_loops(tmp_path, monkeypatch):
-    # `flow` and `factor` move the columns of one evaluation of exp C; each
-    # loop they split is the numeric value of the exact loop, bit for bit
-    partials = _recorder(monkeypatch, factorization, "unitarize")
+    # `flow` and `factor` move the columns of one evaluation of exp C; the
+    # stack `uniton_factorize` chains is the values of the exact loop, bit
+    # for bit (up to zero top blocks, which the exact loop trims), and each
+    # loop they split is the numeric value of the exact loop
+    chained = _recorder(monkeypatch, factorization, "_uniton_chain")
+    split = _recorder(monkeypatch, factorization, "unitarize")
     flowed = _recorder(monkeypatch, cli, "cstar_flow")
     for z in (complex(0.3, 0.1), complex(-0.45, 0.6)):
         for spec in _column_move_specs():
-            partials.clear()
+            chained.clear()
+            split.clear()
             uniton_factorize(spec, z)
-            exact = list(_partial_loops(spec))
-            assert len(partials) == len(exact)
-            for got, (loop, _) in zip(partials, exact):
-                assert _same_stack(got, loop.to_numeric(z))
+            got = chained[0]
+            want = CompiledLoop(assemble_loop(spec)).values([z])
+            assert not got[:, want.shape[1] :].any()
+            assert np.array_equal(got[:, : want.shape[1]], want), (spec.exponents, z)
+            assert len(split) == 1 and _same_stack(split[0], assemble_loop(spec).to_numeric(z))
             path = tmp_path / "spec.json"
             path.write_text(jsonio.dumps(jsonio.spec_record(spec)))
             flowed.clear()

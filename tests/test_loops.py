@@ -93,7 +93,7 @@ def test_construction_keeps_the_callers_list_and_numeric_coeffs_are_one_stack():
     b = frame_loop().to_numeric(0.3)
     loops = [
         a, b, LoopMat.identity(2, "numeric"), a @ b, a - b, a.scale(2j),
-        a.circle_adjoint(), unitarize(b).unitary_part,
+        unitarize(b).unitary_part,
     ]
     for loop in loops:
         assert isinstance(loop.coeffs, np.ndarray) and loop.coeffs.dtype == complex
@@ -245,36 +245,6 @@ def test_compiled_values_name_the_pole():
         CompiledLoop(loop).values([0.5, -1.0, 2.0])
     with pytest.raises(ExactKindUnsupported):
         CompiledLoop(loop).values([None])
-
-
-# -- circle adjoint ----------------------------------------------------------
-
-def test_circle_adjoint_constant_exact():
-    # numeric loops only, even where an exact loop is z-free
-    m = [[GaussianRational(0, 1), 1], [0, 2]]
-    with pytest.raises(ExactKindUnsupported, match="needs a numeric loop"):
-        LoopMat.exact([m], lo=1).circle_adjoint()
-
-
-def test_circle_adjoint_rejects_z_dependence():
-    with pytest.raises(ExactKindUnsupported):
-        frame_loop().circle_adjoint()
-
-
-def test_circle_adjoint_numeric_unitary_inverse():
-    loop = su2_projector_loop(GaussianRational(1, 2)).to_numeric()
-    prod = loop @ loop.circle_adjoint()
-    assert (prod - LoopMat.identity(2, "numeric")).max_coeff_norm() < 1e-12
-
-
-@given(st.integers(-2, 2), st.integers(-2, 2))
-def test_circle_adjoint_antihomomorphism(a, b):
-    rng = np.random.default_rng(abs(a) * 7 + abs(b) * 3 + 1)
-    A = LoopMat.numeric([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))], lo=a)
-    B = LoopMat.numeric([rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))], lo=b)
-    lhs = (A @ B).circle_adjoint()
-    rhs = B.circle_adjoint() @ A.circle_adjoint()
-    assert (lhs - rhs).max_coeff_norm() < 1e-12
 
 
 # -- T involution -------------------------------------------------------------

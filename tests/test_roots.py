@@ -7,6 +7,8 @@ from unitons.errors import InvalidType, UnrecognizedSubsystem
 from unitons import roots
 from oracles import (
     big_cell_fiber_dim,
+    canonical_reduce,
+    exponents_from_marks,
     free_function_count,
     grading,
     max_uniton_for_space,
@@ -16,8 +18,6 @@ from oracles import (
 )
 from unitons.roots import (
     build_root_system,
-    canonical_reduce,
-    exponents_from_marks,
     group_max_uniton,
     height_of,
     marks_from_exponents,

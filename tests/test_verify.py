@@ -7,11 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import non_harmonic_control, seeded_free_poly, two_projector_frame
+from oracles import (
+    canonical_reduce,
+    exponents_from_marks,
+    non_harmonic_control,
+    seeded_free_poly,
+    two_projector_frame,
+)
 from unitons import exactmat
 from unitons.errors import ExactKindUnsupported, NotS1Invariant, PoleAtZ, StepBelowResolution
 from unitons.factorization import bruhat_cell, flow_limit, unitarize
 from unitons.loops import LoopMat
+from unitons.roots import build_root_system, height_of
 from unitons.scalars import GaussianRational, Poly, RatFun
 from unitons.verify import (
     check_extended,
@@ -134,6 +141,23 @@ def test_uniton_numbers_veronese4():
     assert rep.group_bound == 3
     assert rep.canonical_bound == 3
     assert rep.attains_height and rep.within_group_bound
+
+
+def test_uniton_number_bounds_are_the_a_series_closed_forms():
+    # the group bound is n - 1 and the canonical bound the count of nonzero
+    # marks; both against heights over the root system of A_(n-1), and 0 at
+    # n = 1, where there are no roots
+    rng = random.Random(5)
+    for n in range(1, 10):
+        rs = build_root_system("A", n - 1) if n >= 2 else None
+        for _ in range(4):
+            marks = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n - 1))
+            rep = uniton_number_report(ExtendedSolutionSpec(n, exponents_from_marks(marks), {}))
+            if rs is None:
+                assert (rep.group_bound, rep.canonical_bound) == (0, 0)
+                continue
+            assert rep.group_bound == height_of(rs, (1,) * (n - 1)), n
+            assert rep.canonical_bound == height_of(rs, canonical_reduce(rs, marks)), marks
 
 
 def test_uniton_numbers_constant():
