@@ -6,14 +6,13 @@ model: for an algebraic loop (det Psi = c lambda^m) shifted to powers >= 0,
 W = Psi H+ lies between lambda^R H+ and H+, and the unitary factor's columns
 are an orthonormal basis of W - lambda W.  A loop built from a spec,
 Psi = exp(C) gamma with exp C unipotent at lambda = 0, has column b starting
-at block k_b, and splits by one of two QR routes.  A lambda-free spec has
-column b = (exp C) e_b lambda^(k_b) alone, so W is fixed by the flag
-F_j = exp C span{e_b : k_b <= j} (the twistor lift of Eells & Wood): one
-n x n QR of exp C, its columns in increasing k, gives Phi = sum_j lambda^j
-P_j, P_j the projection onto F_j - F_(j-1).  Any other spec loop splits by
-its uniton chain (Uhlenbeck; Burstall & Guest): Phi = prod_j (pi_j +
-lambda (I - pi_j)), each pi_j one QR of lambda^0 columns, each step dividing
-one uniton out of Psi.  Both read untrimmed values, since the trim of small
+at block k_b, and splits by its uniton chain (Uhlenbeck; Burstall & Guest):
+Phi = prod_j (pi_j + lambda (I - pi_j)), each step dividing one uniton out of
+Psi, each pi_j one QR of lambda^0 columns.  For a lambda-free spec, column
+b = (exp C) e_b lambda^(k_b) alone, the projections nest: pi_j projects
+onto the flag F_j = exp C span{e_b : k_b <= j} (the twistor lift of Eells &
+Wood), and one n x n QR of exp C, its columns in increasing k, gives them
+all.  The projections read untrimmed values, since the trim of small
 blocks drops the low-k blocks that fix them.  Any other loop, bare or
 trimmed past its shape, is sampled on |lambda| = 1, where one SVD finds it
 regular and det Psi gives m, whose single lambda power is checked; its
@@ -53,7 +52,6 @@ from .weierstrass import (
     ExtendedSolutionSpec,
     WeierstrassData,
     assemble_loop,
-    assemble_numeric,
     exp_nilpotent,
     left_log_derivative,
 )
@@ -163,44 +161,7 @@ def _power_and_height(blocks, lo, zs):
     return m, int((m - low.sum(axis=1) + low.max(axis=1)).max())
 
 
-def _flag_blocks(blocks, lo, exponents):
-    """Blocks 0..R, R = max k, of the unitary Phi = sum_j lambda^j P_j with
-    Phi H+ = Psi H+ for each loop of the (Z, K, n, n) stack of untrimmed
-    coefficients of loops Psi = lambda^lo (blocks[0] + blocks[1] lambda + ...)
-    with exponents k; None unless the stack is finite, lo = 0 and column b of
-    every loop has exactly one nonzero block, block k_b.
-
-    Those are the loops exp(C) gamma of a lambda-free spec and their flowed
-    loops: Psi = A diag(lambda^k) with A = exp C
-    (times a constant diagonal), so W = Psi H+ is fixed by the flag
-    F_j = A span{e_b : k_b <= j}.  With A's columns stably sorted by k,
-    A = QR gives Psi = Q diag(lambda^k) (diag(lambda^-k) R diag(lambda^k)),
-    the last factor in Lambda+ and invertible at lambda = 0 (its constant
-    term is R's diagonal blocks of equal k), so Phi = Q diag(lambda^k) Q*,
-    and P_j projects onto the Q columns with k = j.  exp C is unipotent, so
-    no column of A is zero; a stack in which block k_b of column b is zero
-    has been trimmed, and its flag is lost (the trim drops small low-k
-    columns at large |z|, and a QR of a zero column returns a unitary but
-    wrong Phi), so it gets None too.
-    """
-    if exponents is None or lo != 0 or blocks.shape[-3] != max(exponents) + 1:
-        return None
-    k = np.asarray(exponents)
-    one_block = np.arange(blocks.shape[-3])[:, None] == k
-    if not (np.isfinite(blocks).all() and (blocks.any(axis=-2) == one_block).all()):
-        return None
-    order = np.argsort(k, kind="stable")
-    sorted_k = k[order]
-    # column b of A is block k_b of column b; the gather puts the column axis first
-    q = np.linalg.qr(np.moveaxis(blocks[:, sorted_k, :, order], 0, -1))[0]
-    phi = np.zeros_like(blocks)
-    for j in set(exponents):
-        cols = q[..., sorted_k == j]
-        phi[:, j] = cols @ cols.conj().swapaxes(-1, -2)
-    return phi
-
-
-def _uniton_chain(blocks, lo, exponents):
+def _spec_projections(blocks, lo, exponents):
     """The (Z, r, n, n) stack of projections pi_0 .. pi_(r-1), r = max k,
     with Phi = prod_j (pi_j + lambda (I - pi_j)) the unitary of Phi H+ =
     Psi H+ for each loop of the (Z, K, n, n) stack of untrimmed coefficients
@@ -217,6 +178,16 @@ def _uniton_chain(blocks, lo, exponents):
     columns of X_j[0] with k_b > j are zero, those with k_b <= j lie in the
     range of pi_j, and X_(j+1) has no lambda^-1 part.  pi_j reads X_0's
     blocks 0..j alone, so X_j is kept to blocks 0..r-1-j.
+
+    When every column has one nonzero block, block k_b (a lambda-free spec,
+    Psi = A diag(lambda^k) with A = exp C times a constant diagonal), the
+    projections nest: pi_j projects onto the flag F_j = A span{e_b : k_b <=
+    j}, the twistor lift of Eells & Wood.  With A's columns stably sorted by
+    k, one QR of A gives every pi_j from the Q columns with k <= j, with no
+    chain steps, so the split keeps the accuracy of A's QR at large |z|.
+    exp C is unipotent, so no column of A is zero; a stack in which block
+    k_b of column b is zero has been trimmed (the trim drops small low-k
+    blocks at large |z|), and gets None.
     """
     if exponents is None or lo != 0 or not np.isfinite(blocks).all():
         return None
@@ -224,6 +195,13 @@ def _uniton_chain(blocks, lo, exponents):
     nonzero = blocks.any(axis=-2)  # (Z, K, n): block i of column b is nonzero
     if not (nonzero.any(axis=1).all() and (nonzero.argmax(axis=1) == k).all()):
         return None
+    if (nonzero.sum(axis=1) == 1).all():
+        order = np.argsort(k, kind="stable")
+        # column b of A is block k_b of column b; the gather puts the column axis first
+        q = np.linalg.qr(np.moveaxis(blocks[:, k[order], :, order], 0, -1))[0]
+        cols = q[:, None] * (k[order] <= np.arange(k.max())[:, None])[:, None]
+        pi = cols @ cols.conj().swapaxes(-1, -2)
+        return (pi + pi.conj().swapaxes(-1, -2)) / 2
     x = blocks[:, : k.max()]
     projections = []
     for j in range(k.max()):
@@ -245,7 +223,7 @@ def _wandering_blocks(blocks, m, height, zs):
     """Blocks 0..R of a unitary Phi with Phi H+ = W = Psi H+, for each loop
     of the (Z, K, n, n) coefficient stack of polynomial loops Psi, given the
     powers m of their dets and a height R with lambda^R H+ inside W; the
-    split of every loop that `_flag_blocks` and `_uniton_chain` do not take.
+    split of every loop that `_spec_projections` does not take.
 
     Phi's columns are an orthonormal basis of W - lambda W, which lies in
     the polynomials P_R of degree <= R (Beurling-Lax).  Truncated to P_R,
@@ -281,6 +259,39 @@ def _wandering_blocks(blocks, m, height, zs):
     return q.reshape(count, height + 1, n, n)
 
 
+def _split(blocks, lo, exponents, z):
+    """The IwasawaFactors of the loop lambda^lo (blocks[0] + blocks[1] lambda
+    + ...) with exponents k, split from its (K, n, n) coefficient stack as
+    given, trimmed or not, and the (r, n, n) projections its unitary Phi is
+    the product of, or None for a loop that takes the generator split."""
+    stack = blocks[None]
+    projections = _spec_projections(stack, lo, exponents)
+    if projections is None:
+        phi = _wandering_blocks(stack, *_power_and_height(stack, lo, [z]), [z])[0]
+    else:
+        projections = projections[0]
+        phi = np.eye(blocks.shape[-1], dtype=complex)[None]
+        for factor in _affine_blocks(projections):
+            phi = convolve(phi, factor)
+    phi_one = phi.sum(axis=0)
+    unitary = LoopMat.numeric(phi @ np.linalg.inv(phi_one), lo)
+    adjoint = phi[::-1].conj().swapaxes(-1, -2)
+    plus = LoopMat.numeric(phi_one @ convolve(adjoint, blocks)[len(phi) - 1 :])
+    resid_u = unitary.unitarity_residual()
+    # the 64 points of `LoopMat.circle_values(64, 0.5)`
+    psi_v = values_at(blocks, lo, np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64))
+    unitary_v, plus_v = (loop.circle_values(64, 0.5) for loop in (unitary, plus))
+    resid_s = float(np.linalg.norm(psi_v - unitary_v @ plus_v, axis=(1, 2)).max())
+    bound = DEFAULT_TOL * max(1.0, *(np.linalg.norm(b) for b in blocks))
+    if not (resid_u <= DEFAULT_TOL and resid_s <= bound):
+        raise NoConvergence(
+            f"Iwasawa split residuals exceed their bounds{_at(z)}: unitarity "
+            f"{resid_u:.3e} (bound {DEFAULT_TOL:.0e}), split {resid_s:.3e} "
+            f"(bound {bound:.3e})"
+        )
+    return IwasawaFactors(unitary, plus, resid_u, resid_s), projections
+
+
 def unitarize(psi, z=None) -> IwasawaFactors:
     """Split an invertible loop into (based unitary) times (powers >= 0).
 
@@ -294,43 +305,16 @@ def unitarize(psi, z=None) -> IwasawaFactors:
     generator whose rank nR - m is not separated, a unitarity residual
     above 1e-9 or a split residual above 1e-9 times max(1, max_k ||Psi_k||)
     raises NoConvergence naming its values, the bound and z.  A loop built
-    from a spec needs no circle pass and no generator: a lambda-free spec's
-    loop (or its flowed loop) splits by one QR of exp C (`_flag_blocks`),
-    and any other by its uniton chain (`_uniton_chain`), whose factors
-    multiply to Phi's blocks.  A numeric LoopMat has trimmed its small
-    blocks; one whose trim zeroed the lowest block of a column, at large |z|
-    or far down the flow, has lost its shape and takes the circle pass and
-    the generator split.
+    from a spec (or its flowed loop) needs no circle pass and no generator:
+    Phi is the product of the affine factors pi_j + lambda (I - pi_j) of its
+    projections (`_spec_projections`), read off its uniton chain, or off
+    one QR of exp C for a lambda-free spec, whose projections nest.  A
+    numeric LoopMat has trimmed its small blocks; one whose trim zeroed the
+    lowest block of a column, at large |z| or far down the flow, has lost
+    its shape and takes the circle pass and the generator split.
     """
     psi = _as_loop(psi).to_numeric(z)
-    blocks = psi.coeffs[None]
-    phi = _flag_blocks(blocks, psi.lo, psi.exponents)
-    if phi is None:
-        projections = _uniton_chain(blocks, psi.lo, psi.exponents)
-        if projections is None:
-            phi = _wandering_blocks(blocks, *_power_and_height(blocks, psi.lo, [z]), [z])
-        else:
-            phi = np.eye(psi.n, dtype=complex)[None, None]
-            for factor in _affine_blocks(projections[0]):
-                phi = convolve(phi, factor)
-    phi = phi[0]
-    phi_one = phi.sum(axis=0)
-    unitary = LoopMat.numeric(phi @ np.linalg.inv(phi_one), psi.lo)
-    adjoint = phi[::-1].conj().swapaxes(-1, -2)
-    plus = LoopMat.numeric(phi_one @ convolve(adjoint, psi.coeffs)[len(phi) - 1 :])
-    resid_u = unitary.unitarity_residual()
-    psi_v, unitary_v, plus_v = (
-        loop.circle_values(64, 0.5) for loop in (psi, unitary, plus)
-    )
-    resid_s = float(np.linalg.norm(psi_v - unitary_v @ plus_v, axis=(1, 2)).max())
-    bound = DEFAULT_TOL * max(1.0, psi.max_coeff_norm())
-    if not (resid_u <= DEFAULT_TOL and resid_s <= bound):
-        raise NoConvergence(
-            f"Iwasawa split residuals exceed their bounds{_at(z)}: unitarity "
-            f"{resid_u:.3e} (bound {DEFAULT_TOL:.0e}), split {resid_s:.3e} "
-            f"(bound {bound:.3e})"
-        )
-    return IwasawaFactors(unitary, plus, resid_u, resid_s)
+    return _split(psi.coeffs, psi.lo, psi.exponents, z)[0]
 
 
 def harmonic_map_at(obj, z) -> np.ndarray:
@@ -349,34 +333,32 @@ def harmonic_map_at(obj, z) -> np.ndarray:
     rank that is not separated or a value ||phi phi* - I||_F above the 1e-9
     bound NoConvergence, each naming the first z that fails.  A loop built
     from a spec skips the circle pass with its regularity and algebraicity
-    guards, and splits its untrimmed values: a lambda-free spec's by one
-    n x n QR of exp C (`_flag_blocks`), any other's by its uniton chain
-    (`_uniton_chain`), whose value Phi(-1) = prod_j (2 pi_j - I) is built
-    from the projections alone.  The trim drops the small low-k blocks that
-    fix both, so read untrimmed they work over the whole input range, where
-    the generator split of the trimmed stack is refused.  A chain value is
-    a product of reflections, so the unitarity guard can fail only on a
-    loop that takes the generator split.
+    guards, and splits its untrimmed values into projections
+    (`_spec_projections`: one n x n QR of exp C for a lambda-free spec, the
+    uniton chain for any other), whose value Phi(-1) = prod_j (2 pi_j - I)
+    is a product of reflections, so the unitarity guard can fail only on a
+    loop that takes the generator split.  The trim drops the small low-k
+    blocks that fix the projections, so read untrimmed they work over the
+    whole input range, where the generator split of the trimmed stack is
+    refused.
     """
     one_point = np.ndim(z) == 0
     zs = [z] if one_point else z
     loop = obj if isinstance(obj, CompiledLoop) else CompiledLoop(_as_loop(obj))
     coeffs = loop.values(zs)
-    phi = _flag_blocks(coeffs, loop.lo, loop.exponents)
-    projections = None if phi is not None else _uniton_chain(coeffs, loop.lo, loop.exponents)
-    if phi is None and projections is None:
+    projections = _spec_projections(coeffs, loop.lo, loop.exponents)
+    if projections is None:
         # trimmed as a numeric LoopMat is, so each point splits as in `unitarize`
         blocks = trim_blocks(coeffs)
         phi = _wandering_blocks(blocks, *_power_and_height(blocks, loop.lo, zs), zs)
-    if projections is None:
         # lambda^lo Phi at lambda = -1 and 1 for each z
         ends = values_at(phi, loop.lo, [-1, 1])
         values = ends[:, 0] @ np.linalg.inv(ends[:, 1])
     else:
         # Phi(1) = I and Phi(-1) = prod_j (2 pi_j - I)
         values = np.repeat(np.eye(loop.n, dtype=complex)[None], len(zs), axis=0)
-        for pi in projections.swapaxes(0, 1):
-            values = values @ (2 * pi - np.eye(loop.n))
+        for reflection in (2 * projections - np.eye(loop.n)).swapaxes(0, 1):
+            values = values @ reflection
     resid = np.linalg.norm(values @ values.conj().transpose(0, 2, 1) - np.eye(loop.n), axis=(1, 2))
     bad = np.flatnonzero(~(resid <= DEFAULT_TOL))
     if bad.size:
@@ -543,13 +525,14 @@ def uniton_factorize(spec: ExtendedSolutionSpec, z):
     """Affine projector factors at z and the unitary factor of the whole loop.
 
     The factors are pi_j + lambda (I - pi_j), j = 0 .. r-1, read off the
-    uniton chain (`_uniton_chain`) of the raw values of Psi = exp(C) gamma
-    at z: exp C evaluated once, column b moved up k_b blocks, no trim.
+    projections (`_spec_projections`) of the raw values of Psi = exp(C)
+    gamma at z: exp C evaluated once, column b moved up k_b blocks, no trim.
     exp C is unipotent at lambda = 0, so column b starts at block k_b, and
-    the chain always runs.  Canonical exponents (marks 0 or 1) give
-    r = max k factors, each one uniton.  The unitary factor is
-    `unitarize`'s of the whole loop (the numeric identity when r = 0), a
-    separate split, so the product of the factors against it checks both.
+    the projections always exist.  Canonical exponents (marks 0 or 1) give
+    r = max k factors, each one uniton.  The unitary factor is the split of
+    the same raw stack (the numeric identity when r = 0), whose unitarity
+    and split residuals are checked, so no trim at large |z| costs the loop
+    its shape.
     """
     marks = marks_from_exponents(spec.exponents)
     if any(m not in (0, 1) for m in marks):
@@ -557,10 +540,8 @@ def uniton_factorize(spec: ExtendedSolutionSpec, z):
             f"exponents {spec.exponents} are not canonical (marks {marks})"
         )
     exp_c = CompiledLoop(exp_nilpotent(spec.c_lambda())).values([z])[0]
-    projections = _uniton_chain(shift_columns(exp_c, spec.exponents)[None], 0, spec.exponents)
-    factors = [LoopMat.numeric(blocks) for blocks in _affine_blocks(projections[0])]
-    unitary = unitarize(assemble_numeric(exp_c, spec.exponents), z=z).unitary_part
-    return factors, unitary
+    parts, projections = _split(shift_columns(exp_c, spec.exponents), 0, spec.exponents, z)
+    return [LoopMat.numeric(blocks) for blocks in _affine_blocks(projections)], parts.unitary_part
 
 
 def big_cell_check(spec: ExtendedSolutionSpec) -> WeierstrassData:

@@ -103,7 +103,8 @@ class LoopMat:
     `exponents` is None, or the exponents k of gamma for a loop exp(C) gamma
     built from a spec (`weierstrass.assemble_loop`): exp C is unipotent at
     lambda = 0, so column b starts at lambda^(k_b), and the split reads its
-    flag or its uniton chain off those columns, with no circle pass.
+    uniton projections off those columns, with no circle pass (they nest,
+    the flag, when the spec is lambda-free).
     `to_numeric` and `CompiledLoop` keep it; every other operation returns
     a loop without it.
     """

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import flag_unitarize, seeded_free_poly
+from oracles import flag_unitarize, seeded_free_poly, twistor_value
 from unitons import cli, factorization, jsonio, weierstrass
 from unitons.cli import main
 from unitons.errors import NoConvergence
@@ -331,7 +331,11 @@ def test_factor_lambda_free_specs_prints_two_blocks_per_factor(tmp_path):
         "even110": even_grassmannian_build(3, (1, 1, 0), [z, one]),
         "even2110": even_grassmannian_build(4, (2, 1, 1, 0), [z, z * z, one, -z]),
     }
-    paths = [veronese_file(tmp_path, 5)] + [_build_file(tmp_path, n) for n in ("u3", "u4", "even")]
+    # a lambda-free spec's factors and unitary factor come from one QR of
+    # exp C, where the chain read a reassembly residual of 4.0e-9 at
+    # Veronese 14 and 1.8e-12 at Veronese 9
+    paths = [veronese_file(tmp_path, n) for n in (5, 9, 14)]
+    paths += [_build_file(tmp_path, n) for n in ("u3", "u4", "even")]
     for name, spec in specs.items():
         paths.append(str(tmp_path / f"{name}.json"))
         (tmp_path / f"{name}.json").write_text(jsonio.dumps(jsonio.spec_record(spec)) + "\n")
@@ -340,8 +344,32 @@ def test_factor_lambda_free_specs_prints_two_blocks_per_factor(tmp_path):
         assert code == 0, err
         payload = json.loads(out)
         assert payload["count"] > 0
+        assert payload["reassembly_residual"] <= 1e-13, path
         for rec in payload["factors"]:
             assert (rec["lo"], len(rec["coeffs"])) == (0, 2), path
+
+
+def test_factor_far_out_multiplies_to_the_oracle_value(tmp_path):
+    # `factor` splits the raw stack it reads the factors off, so no trim
+    # drops a column's lowest block: on the trimmed loop the split took the
+    # circle pass and exited 2 with SingularOnCircle at these points
+    v5, u4 = veronese_file(tmp_path, 5), _build_file(tmp_path, "u4")
+    exact = twistor_value(veronese_solution(5), 10**6)
+    u_ref, _ = flag_unitarize(weierstrass.assemble_loop(cli._load_spec(u4)).at_z(3000))
+    cases = [
+        (v5, 10**6, np.array([[complex(x.const_value()) for x in row] for row in exact])),
+        (u4, 3000, u_ref.to_numeric().evaluate(-1.0)),
+    ]
+    for path, z, want in cases:
+        code, out, err = _call(["factor", path, f"--z={z},0"])
+        assert code == 0 and err == "", err
+        payload = json.loads(out)
+        assert payload["reassembly_residual"] <= 1e-13, path
+        value = np.eye(len(want))
+        for rec in payload["factors"]:
+            blocks = [np.array([[complex(*e) for e in row] for row in c]) for c in rec["coeffs"]]
+            value = value @ sum((-1) ** (rec["lo"] + i) * b for i, b in enumerate(blocks))
+        assert np.abs(value - want).max() <= 1e-12, path
 
 
 def test_u1_spec_builds_and_factors_into_no_factors(tmp_path):

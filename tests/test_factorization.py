@@ -37,6 +37,7 @@ from unitons.errors import (
 from unitons.factorization import (
     SINGULAR_TOL,
     _power_and_height,
+    _spec_projections,
     _wandering_blocks,
     big_cell_check,
     bruhat_cell,
@@ -571,17 +572,25 @@ def _lambda_free_specs():
     return specs
 
 
-def _flag_spy(monkeypatch):
-    """A list that records, per call of `_flag_blocks`, whether it split."""
-    taken = []
-    original = factorization._flag_blocks
+def _projection_spy(monkeypatch):
+    """A list that records, per call of `_spec_projections`, None if it
+    refused the stack and otherwise the number of QRs it ran: one for the
+    flag of a lambda-free stack, max k for a uniton chain."""
+    taken, qrs = [], []
+    original, qr = factorization._spec_projections, np.linalg.qr
+
+    def counted(*args, **kwargs):
+        qrs.append(None)
+        return qr(*args, **kwargs)
 
     def spy(*args):
-        phi = original(*args)
-        taken.append(phi is not None)
-        return phi
+        before = len(qrs)
+        projections = original(*args)
+        taken.append(None if projections is None else len(qrs) - before)
+        return projections
 
-    monkeypatch.setattr(factorization, "_flag_blocks", spy)
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    monkeypatch.setattr(factorization, "_spec_projections", spy)
     return taken
 
 
@@ -589,21 +598,22 @@ _NEAR_POINTS = [complex(0.3, 0.1), complex(-0.45, 0.6), complex(0.7, -0.1)]
 
 
 def test_flag_split_agrees_with_the_generator_split(monkeypatch):
-    # the same loop without its exponents takes the generator split
-    taken = _flag_spy(monkeypatch)
+    # the same loop without its exponents takes the generator split; the
+    # flag of a lambda-free stack is one QR, whatever its max k
+    taken = _projection_spy(monkeypatch)
     zs = np.array(_NEAR_POINTS)
     for spec in _lambda_free_specs():
         loop = assemble_loop(spec)
         bare = _bare(loop)
         flag = harmonic_map_at(loop, zs)
-        assert taken == [True], spec.exponents
+        assert taken == [1], spec.exponents
         assert np.abs(flag - harmonic_map_at(bare, zs)).max() <= 1e-13, spec.exponents
         for z in _NEAR_POINTS:
             taken.clear()
             flag = unitarize(loop, z).unitary_part.circle_values(16)
-            assert taken == [True], (spec.exponents, z)
+            assert taken == [1], (spec.exponents, z)
             gen = unitarize(bare, z).unitary_part.circle_values(16)
-            assert taken == [True, False], (spec.exponents, z)
+            assert taken == [1, None], (spec.exponents, z)
             assert np.abs(flag - gen).max() <= 1e-13, (spec.exponents, z)
         taken.clear()
 
@@ -621,22 +631,16 @@ def _lambda_dependent_specs():
 def test_lambda_dependent_specs_never_take_the_flag_split(monkeypatch):
     # nor the circle pass and the generator split: map values near 0, at 0
     # and far out, splits, flowed loops from t = -10 to 30 and factors all
-    # read the uniton chain
+    # read the uniton chain, one QR per projection
     def refuse(*args):
         raise AssertionError("a lambda-dependent spec loop took the generator split")
 
-    taken, chained = _flag_spy(monkeypatch), []
-    original = factorization._uniton_chain
-
-    def spy(*args):
-        projections = original(*args)
-        chained.append(projections is not None)
-        return projections
-
+    taken = _projection_spy(monkeypatch)
     monkeypatch.setattr(factorization, "_power_and_height", refuse)
     monkeypatch.setattr(factorization, "_wandering_blocks", refuse)
-    monkeypatch.setattr(factorization, "_uniton_chain", spy)
     for spec in _lambda_dependent_specs():
+        r = max(spec.exponents)
+        assert r > 1, spec.exponents
         harmonic_map_at(spec, np.array([0, *_NEAR_POINTS, 30, 1e4]))
         for z in _NEAR_POINTS:
             psi = assemble_loop(spec).to_numeric(z)
@@ -644,12 +648,12 @@ def test_lambda_dependent_specs_never_take_the_flag_split(monkeypatch):
             for t in (-10.0, -1.0, 0.0, 2.0, 30.0):
                 cstar_flow(psi, t, z)
             uniton_factorize(spec, z)
-    assert taken and not any(taken)
-    assert chained and all(chained)
+        assert taken and all(count == r for count in taken), (spec.exponents, taken)
+        taken.clear()
 
 
 def test_unitarize_splits_lambda_free_loops_by_the_flag(monkeypatch):
-    taken = _flag_spy(monkeypatch)
+    taken = _projection_spy(monkeypatch)
     for spec in _lambda_free_specs():
         for z in _NEAR_POINTS:
             psi = assemble_loop(spec).to_numeric(z)
@@ -657,7 +661,15 @@ def test_unitarize_splits_lambda_free_loops_by_the_flag(monkeypatch):
             assert parts.plus_part.lo >= 0
             assert parts.residual_unitarity <= 1e-9
             assert parts.residual_split <= 1e-9 * max(1.0, psi.max_coeff_norm())
-    assert taken and all(taken)
+    assert taken and all(count == 1 for count in taken)
+    # the projections of a lambda-free stack nest: pi_i pi_j = pi_min(i, j)
+    for spec in _lambda_free_specs():
+        values = CompiledLoop(assemble_loop(spec)).values(_NEAR_POINTS)
+        pi = _spec_projections(values, 0, spec.exponents)
+        for i in range(pi.shape[1]):
+            for j in range(pi.shape[1]):
+                gap = np.abs(pi[:, i] @ pi[:, j] - pi[:, min(i, j)]).max()
+                assert gap <= 1e-14, (spec.exponents, i, j, gap)
 
 
 def test_veronese10_values_near_z_10_are_unitary():
@@ -1181,11 +1193,11 @@ def _same_stack(a, b):
 
 def test_column_moves_of_exp_c_match_the_exact_loops(tmp_path, monkeypatch):
     # `flow` and `factor` move the columns of one evaluation of exp C; the
-    # stack `uniton_factorize` chains is the values of the exact loop, bit
+    # stack `uniton_factorize` splits is the values of the exact loop, bit
     # for bit (up to zero top blocks, which the exact loop trims), and each
-    # loop they split is the numeric value of the exact loop
-    chained = _recorder(monkeypatch, factorization, "_uniton_chain")
-    split = _recorder(monkeypatch, factorization, "unitarize")
+    # loop they split, trimmed, is the numeric value of the exact loop
+    chained = _recorder(monkeypatch, factorization, "_spec_projections")
+    split = _recorder(monkeypatch, factorization, "_split")
     flowed = _recorder(monkeypatch, cli, "cstar_flow")
     for z in (complex(0.3, 0.1), complex(-0.45, 0.6)):
         for spec in _column_move_specs():
@@ -1196,7 +1208,8 @@ def test_column_moves_of_exp_c_match_the_exact_loops(tmp_path, monkeypatch):
             want = CompiledLoop(assemble_loop(spec)).values([z])
             assert not got[:, want.shape[1] :].any()
             assert np.array_equal(got[:, : want.shape[1]], want), (spec.exponents, z)
-            assert len(split) == 1 and _same_stack(split[0], assemble_loop(spec).to_numeric(z))
+            assert len(split) == 1 and np.array_equal(split[0], got[0])
+            assert _same_stack(LoopMat.numeric(split[0]), assemble_loop(spec).to_numeric(z))
             path = tmp_path / "spec.json"
             path.write_text(jsonio.dumps(jsonio.spec_record(spec)))
             flowed.clear()
