@@ -4,8 +4,8 @@ The package implements the loop-group pipeline for harmonic maps of the
 two-sphere: exact Weierstrass-type construction of extended solutions from
 free rational data, root-system bookkeeping for uniton-number bounds,
 Bruhat-cell detection by Smith normal form, numerical Iwasawa factorization
-in the Grassmannian model (one QR of the shifted loop's generator columns
-for a loop built from a spec), and a verification suite.
+in the Grassmannian model (the uniton projections of the loop, one QR per
+projection for a loop built from a spec), and a verification suite.
 """
 
 from .errors import (

@@ -2,25 +2,16 @@
 
 Four pieces live here.  `unitarize` splits an invertible numeric loop into a
 based unitary factor and a disc-holomorphic factor in Segal's Grassmannian
-model: for an algebraic loop (det Psi = c lambda^m) shifted to powers >= 0,
-W = Psi H+ lies between lambda^R H+ and H+, and the unitary factor's columns
-are an orthonormal basis of W - lambda W.  A loop built from a spec,
-Psi = exp(C) gamma with exp C unipotent at lambda = 0, has column b starting
-at block k_b, and splits by its uniton chain (Uhlenbeck; Burstall & Guest):
-Phi = prod_j (pi_j + lambda (I - pi_j)), each step dividing one uniton out of
-Psi, each pi_j one QR of lambda^0 columns.  For a lambda-free spec, column
-b = (exp C) e_b lambda^(k_b) alone, the projections nest: pi_j projects
-onto the flag F_j = exp C span{e_b : k_b <= j} (the twistor lift of Eells &
-Wood), and one n x n QR of exp C, its columns in increasing k, gives them
-all.  The projections read untrimmed values, since the trim of small
-blocks drops the low-k blocks that fix them.  Any other loop, bare or
-trimmed past its shape, is sampled on |lambda| = 1, where one SVD finds it
-regular and det Psi gives m, whose single lambda power is checked; its
-split is an SVD of the n(R+1) x nR generator matrix of lambda W, whose
-singular values must be separated at the known rank nR - m.  The split's
-unitarity and reassembly residuals and the map value's unitarity are
-always checked against the fixed bound 1e-9 (relative where it has a
-scale), and a loop that fails a check raises NoConvergence.
+model: shifted to powers >= 0, Psi spans W = Psi H+, and its uniton
+factorization Phi = prod_j (pi_j + lambda (I - pi_j)) (Uhlenbeck; Segal)
+has Phi H+ = W.  `_uniton_projections` finds the pi_j of every loop: a
+loop built from a spec reads its ranks off its exponents (one QR of exp C
+for a lambda-free spec, whose projections nest), and any other loop counts
+them by SVD, after a circle pass that finds it regular and reads the power
+m of det Psi.  The split's unitarity and reassembly residuals and the map
+value's unitarity are always checked against the fixed bound 1e-9
+(relative where it has a scale), and a loop that fails a check raises
+NoConvergence.
 `bruhat_cell` recovers the diagonal lambda-exponents of an exact loop by
 Smith reduction over the rational-function field, and reads a spec's off
 its exponents.  `cstar_flow` and `flow_limit` implement the
@@ -101,11 +92,11 @@ def _at(z) -> str:
     return "" if z is None else f" at z = {z}"
 
 
-def _power_and_height(blocks, lo, zs):
-    """(m, R) for the (Z, K, n, n) coefficient stack of loops Psi = lambda^lo
-    (blocks[0] + blocks[1] lambda + ...), loop i taken at zs[i]: m, an array,
-    is each point's power of det(lambda^-lo Psi) = c lambda^m, and R, one
-    integer for the stack, a height with lambda^R H+ inside W = Psi H+.
+def _det_power(blocks, lo, zs):
+    """The powers m, an array, of det(lambda^-lo Psi) = c lambda^m for the
+    (Z, K, n, n) coefficient stack of loops Psi = lambda^lo (blocks[0] +
+    blocks[1] lambda + ...), loop i taken at zs[i]: the circle pass,
+    with its regularity and algebraicity guards.
 
     The loops are sampled at S points of |lambda| = 1: S = 64, or the next
     multiple of 64 above n*(K-1), the degree of det Psi, so that no power
@@ -117,10 +108,7 @@ def _power_and_height(blocks, lo, zs):
     power above DEFAULT_TOL times its largest raises NoConvergence.  That
     error names the condition number kappa = max sigma_max / sigma_min over
     the samples when the det's rounding, n eps kappa, exceeds DEFAULT_TOL,
-    and otherwise the powers, since the loop is not algebraic.  If column j
-    has lowest power o_j, then lambda^(m - sum o + max o) Psi^-1 is a
-    polynomial (by Cramer's rule on the column-shifted loop), so R is the
-    largest m - sum o + max o over the stack; any larger R serves as well.
+    and otherwise the powers, since the loop is not algebraic.
     """
     n = blocks.shape[-1]
     samples = 64 * (n * (blocks.shape[-3] - 1) // 64 + 1)
@@ -156,62 +144,122 @@ def _power_and_height(blocks, lo, zs):
             f"det Psi has lambda powers {(np.flatnonzero(powers) + n * lo).tolist()}{_at(z)}; "
             "the loop is not algebraic (det Psi = c lambda^m)"
         )
-    m = coeffs.argmax(axis=1)
-    low = (blocks != 0).any(axis=-2).argmax(axis=1)
-    return m, int((m - low.sum(axis=1) + low.max(axis=1)).max())
+    return coeffs.argmax(axis=1)
 
 
-def _spec_projections(blocks, lo, exponents):
-    """The (Z, r, n, n) stack of projections pi_0 .. pi_(r-1), r = max k,
-    with Phi = prod_j (pi_j + lambda (I - pi_j)) the unitary of Phi H+ =
-    Psi H+ for each loop of the (Z, K, n, n) stack of untrimmed coefficients
-    of loops Psi = lambda^lo (blocks[0] + blocks[1] lambda + ...) with
-    exponents k; None unless the stack is finite, lo = 0 and column b of
-    every loop starts at block k_b.
+def _peel_basis(x0, floor, deficits, m, zs, j):
+    """One bare peel of the (Z, n, n) stack x0 of X_j(0): (q, deficits), q
+    an orthonormal basis of range X_j(0), padded with zero columns, where a
+    point's deficits are below m and the identity where they have reached
+    it, and the deficits after the peel.
 
-    Those are the loops exp(C) gamma of a spec and their flowed loops: exp C
-    is unipotent at lambda = 0.  Each step splits off one uniton (Uhlenbeck;
-    Burstall & Guest): with X_0 = Psi, pi_j projects onto the span of the
-    lambda^0 columns b of X_j with k_b <= j, and X_(j+1) = (pi_j +
+    rank_j counts the singular values above the floor.  The one below must
+    be at most DEFAULT_TOL times the one above, and a peel that leaves the
+    deficits past m, or stops short of m at full rank, raises NoConvergence
+    naming z.
+    """
+    n = x0.shape[-1]
+    done = deficits == m
+    u, sing, _ = np.linalg.svd(x0)
+    rank = np.where(done, n, (sing > floor[:, None]).sum(axis=1))
+    after = deficits + n - rank
+    # sigma_(-1) := inf and sigma_n := 0 at the ends
+    sing = np.pad(sing, ((0, 0), (1, 1)), constant_values=((0, 0), (np.inf, 0)))
+    upper, lower = sing[np.arange(len(x0)), rank], sing[np.arange(len(x0)), rank + 1]
+    for z, r, s_up, s_low, d, want in zip(zs, rank, upper, lower, after, m):
+        if not s_low <= DEFAULT_TOL * s_up:
+            raise NoConvergence(
+                f"singular values {s_up:.3e} and {s_low:.3e} on either side of rank {r} "
+                f"of X_{j}(0) are not separated (bound {DEFAULT_TOL:.0e}){_at(z)}; "
+                "the loop is too ill-conditioned"
+            )
+        if d > want or d < want and r == n:
+            raise NoConvergence(
+                f"the uniton peel stops at a rank deficit of {d}, not the power "
+                f"m = {want} of det Psi{_at(z)}; the loop is too ill-conditioned"
+            )
+    q = u * (np.arange(n) < rank[:, None])[:, None]
+    return np.where(done[:, None, None], np.eye(n), q), after
+
+
+def _uniton_projections(blocks, lo, exponents, zs):
+    """(projections, values) for the (Z, K, n, n) coefficient stack of loops
+    Psi = lambda^lo (blocks[0] + blocks[1] lambda + ...) with exponents k or
+    None, loop i taken at zs[i]: the (Z, r, n, n) projections pi_0 ..
+    pi_(r-1), with Phi = prod_j (pi_j + lambda (I - pi_j)) the unitary of
+    Phi H+ = lambda^-lo Psi H+, and the (Z, n, n) map values (-1)^lo Phi(-1).
+
+    Each step splits off one uniton (Uhlenbeck; Segal): with X_0 =
+    lambda^-lo Psi, pi_j projects onto range X_j(0), and X_(j+1) = (pi_j +
     lambda^-1 (I - pi_j)) X_j, whose block i is X_j[i+1] + pi_j (X_j[i] -
-    X_j[i+1]).  Column b of X_j is exactly zero below block k_b - j, so the
-    columns of X_j[0] with k_b > j are zero, those with k_b <= j lie in the
-    range of pi_j, and X_(j+1) has no lambda^-1 part.  pi_j reads X_0's
-    blocks 0..j alone, so X_j is kept to blocks 0..r-1-j.
+    X_j[i+1]), has no lambda^-1 part, and det X_(j+1) = det X_j
+    lambda^-(n - rank X_j(0)).  Once these deficits add up to m, X_r is a
+    unit of Lambda+ and Psi = lambda^lo Phi X_r.  Only the source of the
+    ranks differs.
 
+    A spec loop exp(C) gamma, or its flowed loop, has lo = 0 and column b
+    starting at block k_b, since exp C is unipotent at lambda = 0; a finite
+    stack of them is split as given, untrimmed.  Column b of X_j is exactly
+    zero below block k_b - j, so range X_j(0) is spanned by the columns with
+    k_b <= j, pi_j is one QR of them and r = max k, with no rank decision;
+    pi_j reads X_0's blocks 0..j alone, so X is kept to blocks 0..r-1-j.
     When every column has one nonzero block, block k_b (a lambda-free spec,
     Psi = A diag(lambda^k) with A = exp C times a constant diagonal), the
     projections nest: pi_j projects onto the flag F_j = A span{e_b : k_b <=
     j}, the twistor lift of Eells & Wood.  With A's columns stably sorted by
-    k, one QR of A gives every pi_j from the Q columns with k <= j, with no
-    chain steps, so the split keeps the accuracy of A's QR at large |z|.
-    exp C is unipotent, so no column of A is zero; a stack in which block
-    k_b of column b is zero has been trimmed (the trim drops small low-k
-    blocks at large |z|), and gets None.
+    k, one QR A = QT gives every pi_j from the Q columns with k <= j, with
+    no chain steps, and Phi(-1) = Q diag((-1)^k) Q*.
+
+    Any other stack is bare, a spec stack the trim has cut past its shape
+    included (it drops small low-k blocks at large |z| and far down the
+    flow).  Trimmed as a numeric LoopMat is, it takes the circle pass
+    (`_det_power`), which finds each loop regular and reads its m, and
+    rank_j counts the singular values of X_j(0) above DEFAULT_TOL max(1,
+    max_k ||Psi_k||) (`_peel_basis`).  X keeps its full length, one zero
+    block padded per step, and a point whose deficits have reached m peels
+    with pi = I, so one loop serves the whole stack.  Apart from the nested
+    stack, Phi(-1) = prod_j (2 pi_j - I) is a product of reflections.
     """
-    if exponents is None or lo != 0 or not np.isfinite(blocks).all():
-        return None
-    k = np.asarray(exponents)
-    nonzero = blocks.any(axis=-2)  # (Z, K, n): block i of column b is nonzero
-    if not (nonzero.any(axis=1).all() and (nonzero.argmax(axis=1) == k).all()):
-        return None
-    if (nonzero.sum(axis=1) == 1).all():
+    n = blocks.shape[-1]
+    k = None
+    if exponents is not None and lo == 0 and np.isfinite(blocks).all():
+        nonzero = blocks.any(axis=-2)  # (Z, K, n): block i of column b is nonzero
+        if nonzero.any(axis=1).all() and (nonzero.argmax(axis=1) == exponents).all():
+            k = np.asarray(exponents)
+    if k is not None and (nonzero.sum(axis=1) == 1).all():
         order = np.argsort(k, kind="stable")
         # column b of A is block k_b of column b; the gather puts the column axis first
         q = np.linalg.qr(np.moveaxis(blocks[:, k[order], :, order], 0, -1))[0]
         cols = q[:, None] * (k[order] <= np.arange(k.max())[:, None])[:, None]
         pi = cols @ cols.conj().swapaxes(-1, -2)
-        return (pi + pi.conj().swapaxes(-1, -2)) / 2
-    x = blocks[:, : k.max()]
+        values = (q * (-1.0) ** k[order]) @ q.conj().swapaxes(-1, -2)
+        return (pi + pi.conj().swapaxes(-1, -2)) / 2, values
+    if k is None:
+        x = trim_blocks(blocks)
+        m = _det_power(x, lo, zs)
+        floor = DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)).max(axis=1))
+        deficits, steps = np.zeros_like(m), m.max()
+        x = np.concatenate([x, np.zeros_like(x, shape=(len(x), steps, n, n))], axis=1)
+    else:
+        x, steps = blocks[:, : k.max()], k.max()
     projections = []
-    for j in range(k.max()):
-        q = np.linalg.qr(x[:, 0][..., k <= j])[0]
+    for j in range(steps):
+        if k is not None:
+            q = np.linalg.qr(x[:, 0][..., k <= j])[0]
+        elif (deficits == m).all():
+            break
+        else:
+            q, deficits = _peel_basis(x[:, 0], floor, deficits, m, zs, j)
         pi = q @ q.conj().swapaxes(-1, -2)
         # Hermitian to the last bit, so the printed diagonal is real
         pi = (pi + pi.conj().swapaxes(-1, -2)) / 2
         projections.append(pi)
         x = x[:, 1:] + pi[:, None] @ (x[:, :-1] - x[:, 1:])
-    return np.stack(projections, axis=1) if projections else blocks[:, :0]
+    pi = np.stack(projections, axis=1) if projections else blocks[:, :0]
+    values = np.repeat(np.eye(n, dtype=complex)[None], len(blocks), axis=0)
+    for reflection in (2 * pi - np.eye(n)).swapaxes(0, 1):
+        values = values @ reflection
+    return pi, values * (-1) ** lo
 
 
 def _affine_blocks(projections):
@@ -219,60 +267,15 @@ def _affine_blocks(projections):
     return np.stack([projections, np.eye(projections.shape[-1]) - projections], axis=-3)
 
 
-def _wandering_blocks(blocks, m, height, zs):
-    """Blocks 0..R of a unitary Phi with Phi H+ = W = Psi H+, for each loop
-    of the (Z, K, n, n) coefficient stack of polynomial loops Psi, given the
-    powers m of their dets and a height R with lambda^R H+ inside W; the
-    split of every loop that `_spec_projections` does not take.
-
-    Phi's columns are an orthonormal basis of W - lambda W, which lies in
-    the polynomials P_R of degree <= R (Beurling-Lax).  Truncated to P_R,
-    lambda W is spanned by the columns lambda^j Psi e_i, j = 1..R, of one
-    n(R+1) x nR generator matrix of rank nR - m, known in advance.  An SVD
-    gives an orthonormal basis of truncated lambda W; Psi's columns less
-    their part in it span W - lambda W, and a QR of them gives Phi.  The
-    singular values on either side of rank nR - m must be separated, the
-    lower at most DEFAULT_TOL times the upper, or NoConvergence names z.
-    """
-    count, k, n = len(blocks), blocks.shape[1], blocks.shape[-1]
-    gen = np.zeros((count, height + 1, n, height + 1, n), dtype=complex)
-    for j in range(height + 1):
-        top = min(k, height + 1 - j)
-        gen[:, j : j + top, :, j] = blocks[:, :top]
-    gen = gen.reshape(count, (height + 1) * n, (height + 1) * n)
-    psi, shifted = gen[..., :n], gen[..., n:]
-    rank = n * height - m
-    u, sing, _ = np.linalg.svd(shifted, full_matrices=False)
-    # sigma_0 := sigma_1 and sigma_(nR+1) := 0 at the ends
-    sing = np.pad(sing, ((0, 0), (1, 1)))
-    sing[:, 0] = sing[:, 1]
-    upper, lower = sing[np.arange(count), rank], sing[np.arange(count), rank + 1]
-    for z, r, s_up, s_low in zip(zs, rank, upper, lower):
-        if not s_low <= DEFAULT_TOL * s_up:
-            raise NoConvergence(
-                f"singular values {s_up:.3e} and {s_low:.3e} on either side of rank {r} "
-                f"of lambda W are not separated (bound {DEFAULT_TOL:.0e}){_at(z)}; "
-                "the loop is too ill-conditioned"
-            )
-    basis = u * (np.arange(n * height) < rank[:, None])[:, None, :]
-    q = np.linalg.qr(psi - basis @ (basis.conj().swapaxes(-1, -2) @ psi))[0]
-    return q.reshape(count, height + 1, n, n)
-
-
 def _split(blocks, lo, exponents, z):
     """The IwasawaFactors of the loop lambda^lo (blocks[0] + blocks[1] lambda
-    + ...) with exponents k, split from its (K, n, n) coefficient stack as
-    given, trimmed or not, and the (r, n, n) projections its unitary Phi is
-    the product of, or None for a loop that takes the generator split."""
-    stack = blocks[None]
-    projections = _spec_projections(stack, lo, exponents)
-    if projections is None:
-        phi = _wandering_blocks(stack, *_power_and_height(stack, lo, [z]), [z])[0]
-    else:
-        projections = projections[0]
-        phi = np.eye(blocks.shape[-1], dtype=complex)[None]
-        for factor in _affine_blocks(projections):
-            phi = convolve(phi, factor)
+    + ...) with exponents k or None, split from its (K, n, n) coefficient
+    stack as given, trimmed or not, and the (r, n, n) projections its
+    unitary Phi is the product of (`_uniton_projections`)."""
+    projections = _uniton_projections(blocks[None], lo, exponents, [z])[0][0]
+    phi = np.eye(blocks.shape[-1], dtype=complex)[None]
+    for factor in _affine_blocks(projections):
+        phi = convolve(phi, factor)
     phi_one = phi.sum(axis=0)
     unitary = LoopMat.numeric(phi @ np.linalg.inv(phi_one), lo)
     adjoint = phi[::-1].conj().swapaxes(-1, -2)
@@ -295,23 +298,21 @@ def _split(blocks, lo, exponents, z):
 def unitarize(psi, z=None) -> IwasawaFactors:
     """Split an invertible loop into (based unitary) times (powers >= 0).
 
-    Shifted to powers >= 0, the loop spans W = Psi H+ with
-    lambda^R H+ inside W inside H+, and the unitary Phi whose columns are an
-    orthonormal basis of W - lambda W has Phi H+ = W (see `_wandering_blocks`).
-    The returned parts are lambda^lo Phi(lambda) Phi(1)^-1 and
-    Phi(1) (Phi* Psi)+, from Phi's R + 1 blocks without circle samples or
-    truncation.  The loop must be algebraic, det Psi = c lambda^m, as
-    every loop this package builds is; a det with other powers, a
-    generator whose rank nR - m is not separated, a unitarity residual
-    above 1e-9 or a split residual above 1e-9 times max(1, max_k ||Psi_k||)
-    raises NoConvergence naming its values, the bound and z.  A loop built
-    from a spec (or its flowed loop) needs no circle pass and no generator:
-    Phi is the product of the affine factors pi_j + lambda (I - pi_j) of its
-    projections (`_spec_projections`), read off its uniton chain, or off
-    one QR of exp C for a lambda-free spec, whose projections nest.  A
-    numeric LoopMat has trimmed its small blocks; one whose trim zeroed the
-    lowest block of a column, at large |z| or far down the flow, has lost
-    its shape and takes the circle pass and the generator split.
+    Shifted to powers >= 0, the loop spans W = Psi H+, and its uniton
+    projections (`_uniton_projections`) give the unitary Phi = prod_j (pi_j
+    + lambda (I - pi_j)) with Phi H+ = W.  The returned parts are lambda^lo
+    Phi(lambda) Phi(1)^-1 and Phi(1) (Phi* Psi)+, from Phi's blocks without
+    circle samples or truncation.  A loop built from a spec (or its flowed
+    loop) reads its projections off its uniton chain, or off one QR of exp
+    C for a lambda-free spec, whose projections nest.  A numeric LoopMat has
+    trimmed its small blocks; one whose trim zeroed the lowest block of a
+    column, at large |z| or far down the flow, has lost its shape and is
+    peeled as a bare loop, after the circle pass.  A bare loop must be
+    algebraic, det Psi = c lambda^m, as every loop this package builds is;
+    a det with other powers, a peel whose ranks are not separated or do not
+    add up to m, a unitarity residual above 1e-9 or a split residual above
+    1e-9 times max(1, max_k ||Psi_k||) raises NoConvergence naming its
+    values, the bound and z.
     """
     psi = _as_loop(psi).to_numeric(z)
     return _split(psi.coeffs, psi.lo, psi.exponents, z)[0]
@@ -323,42 +324,24 @@ def harmonic_map_at(obj, z) -> np.ndarray:
 
     obj is a LoopMat, an ExtendedSolutionSpec or a CompiledLoop; an exact
     loop is compiled once and evaluated at every z with one array pass.
-    The value is Phi(-1) Phi(1)^-1 for the unitary Phi of `unitarize`, read
-    off its blocks: no Fourier extraction involved.  The whole stack is
-    split at one height R, and any R with lambda^R H+ inside Psi H+ gives
-    the same Phi, so a point of lower height (z = 0 of a Veronese loop)
-    splits exactly too, and the value is a smooth function of z.  The
-    guards work per z: a pole raises PoleAtZ, a loop singular on the circle
-    SingularOnCircle, and a det that is not a lambda monomial, a generator
-    rank that is not separated or a value ||phi phi* - I||_F above the 1e-9
-    bound NoConvergence, each naming the first z that fails.  A loop built
-    from a spec skips the circle pass with its regularity and algebraicity
-    guards, and splits its untrimmed values into projections
-    (`_spec_projections`: one n x n QR of exp C for a lambda-free spec, the
-    uniton chain for any other), whose value Phi(-1) = prod_j (2 pi_j - I)
-    is a product of reflections, so the unitarity guard can fail only on a
-    loop that takes the generator split.  The trim drops the small low-k
-    blocks that fix the projections, so read untrimmed they work over the
-    whole input range, where the generator split of the trimmed stack is
-    refused.
+    The value is (-1)^lo Phi(-1) for the unitary Phi of `unitarize`, read
+    off its uniton projections (`_uniton_projections`): a product of
+    reflections 2 pi_j - I, or Q diag((-1)^k) Q* from the one QR of exp C
+    of a lambda-free spec.  A loop built from a spec splits its untrimmed
+    values, which keep the small low-k blocks that fix its projections, so
+    it works over the whole input range and skips the circle pass.  A bare
+    loop is trimmed and peeled; a point whose peel is done early peels with
+    pi = I while the rest of the stack goes on, so the value is a smooth
+    function of z.  The guards work per z: a pole raises PoleAtZ, a bare
+    loop singular on the circle SingularOnCircle, and a det that is not a
+    lambda monomial, a peel whose ranks are not separated or miss m, or a
+    value ||phi phi* - I||_F above the 1e-9 bound NoConvergence, each naming
+    the first z that fails.
     """
     one_point = np.ndim(z) == 0
     zs = [z] if one_point else z
     loop = obj if isinstance(obj, CompiledLoop) else CompiledLoop(_as_loop(obj))
-    coeffs = loop.values(zs)
-    projections = _spec_projections(coeffs, loop.lo, loop.exponents)
-    if projections is None:
-        # trimmed as a numeric LoopMat is, so each point splits as in `unitarize`
-        blocks = trim_blocks(coeffs)
-        phi = _wandering_blocks(blocks, *_power_and_height(blocks, loop.lo, zs), zs)
-        # lambda^lo Phi at lambda = -1 and 1 for each z
-        ends = values_at(phi, loop.lo, [-1, 1])
-        values = ends[:, 0] @ np.linalg.inv(ends[:, 1])
-    else:
-        # Phi(1) = I and Phi(-1) = prod_j (2 pi_j - I)
-        values = np.repeat(np.eye(loop.n, dtype=complex)[None], len(zs), axis=0)
-        for reflection in (2 * projections - np.eye(loop.n)).swapaxes(0, 1):
-            values = values @ reflection
+    values = _uniton_projections(loop.values(zs), loop.lo, loop.exponents, zs)[1]
     resid = np.linalg.norm(values @ values.conj().transpose(0, 2, 1) - np.eye(loop.n), axis=(1, 2))
     bad = np.flatnonzero(~(resid <= DEFAULT_TOL))
     if bad.size:
@@ -525,7 +508,7 @@ def uniton_factorize(spec: ExtendedSolutionSpec, z):
     """Affine projector factors at z and the unitary factor of the whole loop.
 
     The factors are pi_j + lambda (I - pi_j), j = 0 .. r-1, read off the
-    projections (`_spec_projections`) of the raw values of Psi = exp(C)
+    projections (`_uniton_projections`) of the raw values of Psi = exp(C)
     gamma at z: exp C evaluated once, column b moved up k_b blocks, no trim.
     exp C is unipotent at lambda = 0, so column b starts at block k_b, and
     the projections always exist.  Canonical exponents (marks 0 or 1) give

@@ -19,8 +19,8 @@ from .loops import LoopMat
 from .weierstrass import ExtendedSolutionSpec, free_slot_layout
 
 # input limit: a spec of height k assembles loops with k + 1 lambda powers and
-# splits them with a generator matrix of at most n(k + 1) rows, so the height
-# is capped well above every built solution (tests, demos and bench stay <= 4)
+# splits them into k uniton factors, so the height is capped well above every
+# built solution (tests, demos and bench stay <= 4)
 MAX_EXPONENT = 64
 
 

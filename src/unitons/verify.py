@@ -222,12 +222,12 @@ def map_sampler(spec_or_loop):
     """Map an array of z to the stacked harmonic-map values, (Z, n, n).
 
     The loop is assembled and compiled once; each call evaluates every z in
-    one batched `harmonic_map_at`.  The whole batch splits at one height R
-    read off the loop, exact for algebraic loops, so the split never
-    changes with z and the sampled map is smooth down to rounding, as
-    finite differencing needs.  A sample whose det is not a lambda monomial,
-    whose generator rank is not separated or whose value is more than 1e-9
-    from unitary raises NoConvergence naming its z.
+    one batched `harmonic_map_at`.  The whole batch splits by its uniton
+    projections, exact for algebraic loops, so the split never changes
+    with z and the sampled map is smooth down to rounding, as finite
+    differencing needs.  A sample whose det is not a lambda monomial, whose
+    peel ranks are not separated or miss the det's power, or whose value
+    is more than 1e-9 from unitary raises NoConvergence naming its z.
     """
     compiled = CompiledLoop(_as_loop(spec_or_loop))
 

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from oracles import flag_unitarize, seeded_free_poly, twistor_value
 from unitons import cli, factorization, jsonio, weierstrass
 from unitons.cli import main
-from unitons.errors import NoConvergence
-from unitons.factorization import bruhat_cell, cstar_flow
+from unitons.factorization import bruhat_cell, cstar_flow, energy
 from unitons.loops import LoopMat
 from unitons.scalars import RatFun
 from unitons.verify import uniton_number_report
@@ -238,17 +237,21 @@ def _build_file(tmp_path, name):
 
 def test_flow_past_the_split_bound_is_one_line_error(tmp_path):
     # the U_3 build flows to t = -25 by its uniton chain, at energy 3; its
-    # bare copy (exponents stripped) takes the generator split, which is
-    # 6.0e-8 from unitary at t = -20 and refused.  `flow` reads specs only,
-    # so its one-line refusal is pinned on the U_4 build at t = -15, where
-    # the trim drops the lambda^0 block
+    # bare copy (exponents stripped) is peeled to the same loop at t = -20.
+    # `flow` reads specs only, so its one-line refusal is pinned on the U_4
+    # build at t = -15, where the trim drops the lambda^0 block and the
+    # circle pass finds the loop singular
     path = _build_file(tmp_path, "u3")
     code, out, err = _call(["flow", path, "--z=0.3,0.1", "--t=-20,-25"])
     assert code == 0 and err == ""
-    assert all(abs(step["energy"] - 3.0) <= 1e-9 for step in json.loads(out)["steps"])
+    steps = json.loads(out)["steps"]
+    assert all(abs(step["energy"] - 3.0) <= 1e-9 for step in steps)
     loop = assemble_loop(cli._load_spec(path))
-    with pytest.raises(NoConvergence, match=r": unitarity 6\.020e-08 \(bound 1e-09\), split "):
-        cstar_flow(LoopMat("exact", loop.n, loop.lo, loop.coeffs), -20.0, complex(0.3, 0.1))
+    peel = cstar_flow(LoopMat("exact", loop.n, loop.lo, loop.coeffs), -20.0, complex(0.3, 0.1))
+    assert abs(energy(peel) - 3.0) <= 1e-9
+    chain = np.array([[[complex(*e) for e in row] for row in m] for m in steps[0]["loop"]["coeffs"]])
+    assert (peel.lo, peel.hi) == (steps[0]["loop"]["lo"], len(chain) - 1)
+    assert np.abs(peel.coeffs - chain).max() <= 1e-14
     code, out, err = _call(["flow", _build_file(tmp_path, "u4"), "--z=0.3,0.1", "--t=-15"])
     assert code == 2 and out == ""
     assert err.startswith("error: SingularOnCircle: ") and err.count("\n") == 1, err
@@ -274,8 +277,8 @@ def test_flow_trimmed_past_the_lowest_block_takes_the_circle_verdict(tmp_path):
 
 def test_flow_at_negative_time_prints_no_noise_blocks(tmp_path, capsys):
     # the unitary factor of the U_3 build has powers 0..2 at every t; the
-    # split reads its R + 1 = 3 blocks off W - lambda W, so no rounding
-    # noise above lambda^2 reaches the printed loop
+    # split multiplies its r = 2 uniton factors pi_j + lambda (I - pi_j), so
+    # no rounding noise above lambda^2 reaches the printed loop
     code, out, _ = run(capsys, "flow", _build_file(tmp_path, "u3"), "--z=0.5,0.0", "--t=-5,0,5")
     assert code == 0
     for step in json.loads(out)["steps"]:
@@ -294,11 +297,11 @@ def test_factor_veronese4_three_factors(tmp_path, capsys):
 
 def test_map_far_from_unitary_is_one_line_error(tmp_path):
     # the lambda-dependent even (3,2,1,0) build at z = 1000 splits by its
-    # uniton chain and prints the flag oracle's value to rounding, where the
-    # generator split's value was 4.6e-7 from unitary and refused.  A chain
-    # value is a product of reflections 2 pi - I, so the map-value guard is
-    # reachable only on bare loops, which `map` does not read;
-    # test_harmonic_map_far_from_unitary_is_refused pins it on one
+    # uniton chain and prints the flag oracle's value to rounding.  Every
+    # map value is a product of reflections 2 pi - I, or Q diag(+-1) Q*, so
+    # the map-value guard is safety code that
+    # test_harmonic_map_far_from_unitary_is_refused reaches with a routine
+    # that returns a non-projection
     path = _build_file(tmp_path, "even")
     code, out, err = _call(["map", path, "--z=1000,0"])
     assert code == 0 and err == ""

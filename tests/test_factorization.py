@@ -36,9 +36,8 @@ from unitons.errors import (
 )
 from unitons.factorization import (
     SINGULAR_TOL,
-    _power_and_height,
-    _spec_projections,
-    _wandering_blocks,
+    _det_power,
+    _uniton_projections,
     big_cell_check,
     bruhat_cell,
     cstar_flow,
@@ -181,21 +180,19 @@ def test_unitarize_keeps_powers_above_the_loop():
 
 def _bare(loop):
     """The same exact loop without its exponents: it takes the circle pass
-    and the generator split."""
+    and the peel."""
     return LoopMat("exact", loop.n, loop.lo, loop.coeffs)
 
 
-def test_split_residual_past_the_bound_raises_no_convergence():
+def test_bare_flowed_loop_splits_by_the_peel():
     # the U_3 build flowed to t = -20 splits by its uniton chain (energy 3);
-    # its bare copy takes the generator split, whose unitarity residual reads
-    # 6e-8 there
+    # its bare copy, peeled after the circle pass, gives the same loop
     z = complex(0.3, 0.1)
-    assert abs(energy(cstar_flow(_u3_build(), -20.0, z)) - 3.0) <= 1e-9
-    with pytest.raises(NoConvergence) as info:
-        cstar_flow(_bare(assemble_loop(_u3_build())), -20.0, z)
-    message = str(info.value)
-    assert f"z = {z}" in message
-    assert "unitarity 6.020e-08 " in message and "split " in message and "bound" in message
+    chain = cstar_flow(_u3_build(), -20.0, z)
+    peel = cstar_flow(_bare(assemble_loop(_u3_build())), -20.0, z)
+    assert abs(energy(chain) - 3.0) <= 1e-9 and abs(energy(peel) - 3.0) <= 1e-9
+    assert (peel.lo, peel.hi) == (chain.lo, chain.hi) == (0, 2)
+    assert loops_close(peel, chain, 1e-14)
 
 
 def _random_exact_loop(rng, n):
@@ -258,37 +255,45 @@ def _partial_loops(spec):
         yield exp_c.times_diag_powers(exponents), exponents
 
 
-def test_height_rule_is_the_exponent_span():
-    # R = m - sum o_j + max o_j is k_1 - k_n on every built spec and on every
-    # partial loop exp(C) gamma_J
+def _shaped_loops(spec):
+    """The spec's loop and its partial loops exp(C) gamma_J, each with its
+    exponents."""
+    for loop, exponents in [(assemble_loop(spec), spec.exponents), *_partial_loops(spec)]:
+        loop = LoopMat("exact", loop.n, loop.lo, loop.coeffs)
+        loop.exponents = exponents
+        yield loop
+
+
+def test_peel_deficits_are_the_det_power():
+    # the bare copies of the built specs and of their partial loops peel in
+    # max k - min k steps, and the rank deficits n - rank pi_j add up to
+    # the power m = sum k - n lo of det Psi read off the circle
     zs = [complex(0.3, -0.2), 0.0, complex(-0.45, 0.6)]
     for spec in _harmonic_specs():
-        loops = [(assemble_loop(spec), spec.exponents), *_partial_loops(spec)]
-        for loop, exponents in loops:
-            blocks = trim_blocks(CompiledLoop(loop).values(zs))
-            m, height = _power_and_height(blocks, loop.lo, zs)
-            assert list(m) == [sum(exponents) - loop.n * loop.lo] * len(zs)
-            assert height == max(exponents) - min(exponents)
+        for loop in _shaped_loops(spec):
+            values = CompiledLoop(_bare(loop)).values(zs)
+            m = sum(loop.exponents) - loop.n * loop.lo
+            assert list(_det_power(trim_blocks(values), loop.lo, zs)) == [m] * len(zs)
+            pi = _uniton_projections(values, loop.lo, None, zs)[0]
+            assert pi.shape[1] == max(loop.exponents) - min(loop.exponents), loop.exponents
+            deficits = np.trace(np.eye(loop.n) - pi, axis1=-2, axis2=-1).sum(axis=1)
+            assert np.abs(deficits - m).max() <= 1e-12, loop.exponents
 
 
-def test_splitting_above_the_height_gives_the_same_values():
-    # lambda^R H+ inside W holds for every R past the rule's, and the
-    # wandering subspace W - lambda W does not depend on it: R is exact (to
-    # 1e-13 on the built specs, 1e-12 on the rougher random loops)
-    zs = [complex(0.3, 0.2), complex(-0.45, 0.6), complex(0.7, -0.1)]
+def test_bare_copies_split_as_their_specs():
+    # the peel finds by rank what the exponents say: bare copies of the
+    # built specs and their partial loops give the spec path's values to
+    # 1e-13, and the rougher random loops the flag oracle's to 1e-12
+    zs = np.array([complex(0.3, 0.2), complex(-0.45, 0.6), complex(0.7, -0.1)])
+    for spec in _harmonic_specs():
+        for loop in _shaped_loops(spec):
+            gap = np.abs(harmonic_map_at(_bare(loop), zs) - harmonic_map_at(loop, zs)).max()
+            assert gap <= 1e-13, (loop.exponents, gap)
     rng = random.Random(7)
-    cases = [(assemble_loop(spec), zs, 1e-13) for spec in _harmonic_specs()]
-    cases += [(_random_exact_loop(rng, 2 + trial % 2), [0.0], 1e-12) for trial in range(8)]
-    for loop, points, tol in cases:
-        blocks = trim_blocks(CompiledLoop(loop).values(points))
-        m, height = _power_and_height(blocks, loop.lo, points)
-        ends = [
-            values_at(_wandering_blocks(blocks, m, r, points), loop.lo, [-1, 1])
-            for r in (height, height + 3)
-        ]
-        values = [e[:, 0] @ np.linalg.inv(e[:, 1]) for e in ends]
-        assert np.abs(values[0] - values[1]).max() <= tol
-        assert np.abs(values[0] - harmonic_map_at(loop, np.array(points))).max() <= tol
+    for trial in range(8):
+        loop = _random_exact_loop(rng, 2 + trial % 2)
+        u_ref, _ = flag_unitarize(loop)
+        assert np.abs(harmonic_map_at(loop, 0.0) - u_ref.to_numeric().evaluate(-1.0)).max() <= 1e-12
 
 
 def test_non_algebraic_numeric_loop_raises_no_convergence():
@@ -337,10 +342,10 @@ def _assert_same_verdict(blocks, zs):
     if verdict is None:
         # past the SVD, the det of a loop near the bound may read several powers
         with contextlib.suppress(NoConvergence):
-            _power_and_height(blocks, 0, zs)
+            _det_power(blocks, 0, zs)
         return
     with pytest.raises(SingularOnCircle) as info:
-        _power_and_height(blocks, 0, zs)
+        _det_power(blocks, 0, zs)
     z, smin = verdict
     assert f"at z = {z} (sigma_min = {smin:.3e})" in str(info.value)
 
@@ -397,7 +402,7 @@ def test_overflowing_det_is_refused_after_the_svd_without_warnings():
         _assert_same_verdict(blocks, [0, 1])
         assert _svd_verdict(blocks, [0, 1])[0] == 1
         with pytest.raises(PoleAtZ, match=r"det Psi on \|lambda\| = 1 is not finite at z = 0$"):
-            _power_and_height(blocks[:1], 0, [0])
+            _det_power(blocks[:1], 0, [0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -453,7 +458,7 @@ def test_ill_conditioned_algebraic_loop_names_its_condition_number():
     [unitarize, harmonic_map_at, cstar_flow, uniton_factorize, map_sampler],
 )
 def test_no_truncation_order_argument(func):
-    # the split's height R comes from the loop itself, never from a caller
+    # the split stops where the loop itself says, never where a caller does
     params = {
         "unitarize": ["psi", "z"],
         "harmonic_map_at": ["obj", "z"],
@@ -505,10 +510,9 @@ def _flowed_u3_family():
     return LoopMat.exact(coeffs, psi.lo)
 
 
-def test_harmonic_map_far_from_unitary_is_refused():
+def test_harmonic_map_far_from_unitary_is_refused(monkeypatch):
     # Veronese 5 is unitary to rounding at z = 0.3 and to 6.5e-11 at z = 30;
-    # the U_3 loop flowed to t = -log 1e9 is 1e-7 from unitary, and to
-    # t = -log 1e3 within 1e-11
+    # the U_3 loop flowed to t = -log 1e9 peels to the flag oracle's value
     spec = veronese_solution(5)
     phi = harmonic_map_at(spec, 0.3)
     assert np.linalg.norm(phi @ phi.conj().T - np.eye(5)) <= 1e-14
@@ -517,6 +521,22 @@ def test_harmonic_map_far_from_unitary_is_refused():
     family = _flowed_u3_family()
     phi = harmonic_map_at(family, 1e3)
     assert np.linalg.norm(phi @ phi.conj().T - np.eye(3)) <= 1e-11
+    u_ref, _ = flag_unitarize(family.at_z(gr(10**9)))
+    assert np.abs(harmonic_map_at(family, 1e9) - u_ref.to_numeric().evaluate(-1.0)).max() <= 1e-14
+    # a value is a product of reflections, so only a routine that returns a
+    # non-projection, 1 + 1e-7 times pi at z = 1e9, reaches the guard
+    original = factorization._uniton_projections
+
+    def bent(blocks, lo, exponents, zs):
+        pi = original(blocks, lo, exponents, zs)[0]
+        pi = pi * (1 + 1e-7 * (np.asarray(zs) == 1e9))[:, None, None, None]
+        values = np.repeat(np.eye(3, dtype=complex)[None], len(zs), axis=0)
+        for reflection in (2 * pi - np.eye(3)).swapaxes(0, 1):
+            values = values @ reflection
+        return pi, values
+
+    monkeypatch.setattr(factorization, "_uniton_projections", bent)
+    assert np.array_equal(harmonic_map_at(family, 1e3), phi)
     message = r"map value is \S+e-0[78] from unitary \(bound 1e-09\) at z = 1000000000\.0;"
     with pytest.raises(NoConvergence, match=message):
         harmonic_map_at(family, 1e9)
@@ -561,6 +581,68 @@ def test_spec_values_far_out_match_the_flag_oracle():
     assert np.abs(harmonic_map_at(spec, 1e4) - want).max() <= 1e-10
 
 
+def _twistor_matrix(spec, z):
+    """`twistor_value` of a lambda-free spec at the Gaussian rational of z."""
+    exact = twistor_value(spec, gr(Fraction(z.real), Fraction(z.imag)))
+    return np.array([[complex(x.const_value()) for x in row] for row in exact])
+
+
+def test_lambda_free_map_value_is_one_reflection_of_the_flag():
+    # Phi(-1) = Q diag((-1)^k) Q* from the one QR, where a product of the r
+    # reflections 2 pi_j - I would compound their rounding
+    z = complex(0.25, 0.125)
+    for n in (8, 14, 20):
+        spec = veronese_solution(n)
+        gap = np.abs(harmonic_map_at(spec, z) - _twistor_matrix(spec, z)).max()
+        assert gap <= 2e-15, (n, gap)
+
+
+@pytest.mark.parametrize(
+    "n, bounds",
+    [(5, (3.1e-14, 1.6e-14, 2.1e-13)), (8, (2.0e-14, 2.6e-14, 2.1e-12)), (14, (5.5e-14, 4.0e-14, 3.1e-9))],
+)
+def test_bare_veronese_peel_reads_the_twistor_value(n, bounds):
+    # each bound is ten times the reading at z = 0.25 + 0.125i, 2 - i and 10
+    spec = veronese_solution(n)
+    bare = _bare(assemble_loop(spec))
+    for z, bound in zip((complex(0.25, 0.125), complex(2, -1), complex(10)), bounds):
+        gap = np.abs(harmonic_map_at(bare, z) - _twistor_matrix(spec, z)).max()
+        assert gap <= bound, (n, z, gap)
+
+
+def test_peel_without_a_rank_gap_is_refused():
+    # diag(1e-3, 5e-10 + lambda): det = 1e-3 lambda + 5e-13 reads m = 1, and
+    # X_0(0) = diag(1e-3, 5e-10) has its second singular value below the
+    # floor 1e-9 but not 1e-9 times the first
+    loop = LoopMat.numeric([np.diag([1e-3, 5e-10]), np.diag([0.0, 1.0])])
+    message = (
+        r"singular values 1\.000e-03 and 5\.000e-10 on either side of rank 1 of X_0\(0\) "
+        r"are not separated \(bound 1e-09\) at z = 0\.5; "
+    )
+    with pytest.raises(NoConvergence, match=message):
+        harmonic_map_at(loop, 0.5)
+    with pytest.raises(NoConvergence, match=message):
+        unitarize(loop, 0.5)
+    # diag(5e-10, 5e-10 + lambda): m = 1, but X_0(0) is below the floor, rank 0
+    loop = LoopMat.numeric([np.diag([5e-10, 5e-10]), np.diag([0.0, 1.0])])
+    with pytest.raises(NoConvergence, match=r"rank deficit of 2, not the power m = 1 .* at z = 0\.5;"):
+        harmonic_map_at(loop, 0.5)
+
+
+def test_peeling_the_unitary_part_again_moves_it_little():
+    # the unitary part of a bare loop is its own unitary part, with plus part I
+    rng = random.Random(7)
+    loops = [(_bare(assemble_loop(spec)), z) for spec in _harmonic_specs() for z in _NEAR_POINTS]
+    loops += [(_random_exact_loop(rng, 2 + trial % 2), None) for trial in range(8)]
+    for loop, z in loops:
+        unitary = unitarize(loop, z).unitary_part
+        again = unitarize(unitary)
+        assert (again.unitary_part.lo, again.unitary_part.hi) == (unitary.lo, unitary.hi)
+        assert (again.plus_part.lo, again.plus_part.hi) == (0, 0)
+        assert np.abs(again.unitary_part.coeffs - unitary.coeffs).max() <= 1e-14, z
+        assert np.abs(again.plus_part.coeffs[0] - np.eye(loop.n)).max() <= 1e-14, z
+
+
 def _lambda_free_specs():
     """Every lambda-free spec the suite builds: Veronese 2-9, the lambda-free
     even builds and the flow limits of the U_3 and U_4 builds."""
@@ -573,11 +655,11 @@ def _lambda_free_specs():
 
 
 def _projection_spy(monkeypatch):
-    """A list that records, per call of `_spec_projections`, None if it
-    refused the stack and otherwise the number of QRs it ran: one for the
-    flag of a lambda-free stack, max k for a uniton chain."""
+    """A list that records, per call of `_uniton_projections`, the number of
+    QRs it ran: one for the flag of a lambda-free stack, max k for a uniton
+    chain, none for the peel of a bare loop."""
     taken, qrs = [], []
-    original, qr = factorization._spec_projections, np.linalg.qr
+    original, qr = factorization._uniton_projections, np.linalg.qr
 
     def counted(*args, **kwargs):
         qrs.append(None)
@@ -586,20 +668,20 @@ def _projection_spy(monkeypatch):
     def spy(*args):
         before = len(qrs)
         projections = original(*args)
-        taken.append(None if projections is None else len(qrs) - before)
+        taken.append(len(qrs) - before)
         return projections
 
     monkeypatch.setattr(np.linalg, "qr", counted)
-    monkeypatch.setattr(factorization, "_spec_projections", spy)
+    monkeypatch.setattr(factorization, "_uniton_projections", spy)
     return taken
 
 
 _NEAR_POINTS = [complex(0.3, 0.1), complex(-0.45, 0.6), complex(0.7, -0.1)]
 
 
-def test_flag_split_agrees_with_the_generator_split(monkeypatch):
-    # the same loop without its exponents takes the generator split; the
-    # flag of a lambda-free stack is one QR, whatever its max k
+def test_flag_split_agrees_with_the_peel_of_the_bare_copy(monkeypatch):
+    # the same loop without its exponents is peeled, with no QR; the flag of
+    # a lambda-free stack is one QR, whatever its max k
     taken = _projection_spy(monkeypatch)
     zs = np.array(_NEAR_POINTS)
     for spec in _lambda_free_specs():
@@ -608,13 +690,14 @@ def test_flag_split_agrees_with_the_generator_split(monkeypatch):
         flag = harmonic_map_at(loop, zs)
         assert taken == [1], spec.exponents
         assert np.abs(flag - harmonic_map_at(bare, zs)).max() <= 1e-13, spec.exponents
+        assert taken == [1, 0], spec.exponents
         for z in _NEAR_POINTS:
             taken.clear()
             flag = unitarize(loop, z).unitary_part.circle_values(16)
             assert taken == [1], (spec.exponents, z)
-            gen = unitarize(bare, z).unitary_part.circle_values(16)
-            assert taken == [1, None], (spec.exponents, z)
-            assert np.abs(flag - gen).max() <= 1e-13, (spec.exponents, z)
+            peel = unitarize(bare, z).unitary_part.circle_values(16)
+            assert taken == [1, 0], (spec.exponents, z)
+            assert np.abs(flag - peel).max() <= 1e-13, (spec.exponents, z)
         taken.clear()
 
 
@@ -629,15 +712,15 @@ def _lambda_dependent_specs():
 
 
 def test_lambda_dependent_specs_never_take_the_flag_split(monkeypatch):
-    # nor the circle pass and the generator split: map values near 0, at 0
-    # and far out, splits, flowed loops from t = -10 to 30 and factors all
-    # read the uniton chain, one QR per projection
+    # nor the circle pass and the peel: map values near 0, at 0 and far
+    # out, splits, flowed loops from t = -10 to 30 and factors all read the
+    # uniton chain, one QR per projection
     def refuse(*args):
-        raise AssertionError("a lambda-dependent spec loop took the generator split")
+        raise AssertionError("a lambda-dependent spec loop took the circle pass or the peel")
 
     taken = _projection_spy(monkeypatch)
-    monkeypatch.setattr(factorization, "_power_and_height", refuse)
-    monkeypatch.setattr(factorization, "_wandering_blocks", refuse)
+    monkeypatch.setattr(factorization, "_det_power", refuse)
+    monkeypatch.setattr(factorization, "_peel_basis", refuse)
     for spec in _lambda_dependent_specs():
         r = max(spec.exponents)
         assert r > 1, spec.exponents
@@ -665,7 +748,7 @@ def test_unitarize_splits_lambda_free_loops_by_the_flag(monkeypatch):
     # the projections of a lambda-free stack nest: pi_i pi_j = pi_min(i, j)
     for spec in _lambda_free_specs():
         values = CompiledLoop(assemble_loop(spec)).values(_NEAR_POINTS)
-        pi = _spec_projections(values, 0, spec.exponents)
+        pi = _uniton_projections(values, 0, spec.exponents, _NEAR_POINTS)[0]
         for i in range(pi.shape[1]):
             for j in range(pi.shape[1]):
                 gap = np.abs(pi[:, i] @ pi[:, j] - pi[:, min(i, j)]).max()
@@ -1196,7 +1279,7 @@ def test_column_moves_of_exp_c_match_the_exact_loops(tmp_path, monkeypatch):
     # stack `uniton_factorize` splits is the values of the exact loop, bit
     # for bit (up to zero top blocks, which the exact loop trims), and each
     # loop they split, trimmed, is the numeric value of the exact loop
-    chained = _recorder(monkeypatch, factorization, "_spec_projections")
+    chained = _recorder(monkeypatch, factorization, "_uniton_projections")
     split = _recorder(monkeypatch, factorization, "_split")
     flowed = _recorder(monkeypatch, cli, "cstar_flow")
     for z in (complex(0.3, 0.1), complex(-0.45, 0.6)):
