@@ -182,20 +182,28 @@ def _peel_basis(x0, floor, deficits, m, zs, j):
     return np.where(done[:, None, None], np.eye(n), q), after
 
 
-def _uniton_projections(blocks, lo, exponents, zs):
-    """(projections, values) for the (Z, K, n, n) coefficient stack of loops
-    Psi = lambda^lo (blocks[0] + blocks[1] lambda + ...) with exponents k or
-    None, loop i taken at zs[i]: the (Z, r, n, n) projections pi_0 ..
-    pi_(r-1), with Phi = prod_j (pi_j + lambda (I - pi_j)) the unitary of
-    Phi H+ = lambda^-lo Psi H+, and the (Z, n, n) map values (-1)^lo Phi(-1).
+def _projection(q):
+    """q q*, the projection onto the orthonormal columns of q, Hermitian to
+    the last bit, so that a printed diagonal is real."""
+    pi = q @ q.conj().swapaxes(-1, -2)
+    return (pi + pi.conj().swapaxes(-1, -2)) / 2
+
+
+def _uniton_projections(blocks, lo, exponents, zs, map_value=False):
+    """The (Z, r, n, n) projections pi_0 .. pi_(r-1) of the (Z, K, n, n)
+    coefficient stack of loops Psi = lambda^lo (blocks[0] + blocks[1] lambda
+    + ...) with exponents k or None, loop i taken at zs[i], with Phi =
+    prod_j (pi_j + lambda (I - pi_j)) the unitary of Phi H+ = lambda^-lo Psi
+    H+; with map_value, in their place, the (Z, n, n) map values (-1)^lo
+    Phi(-1), and no projection stack.
 
     Each step splits off one uniton (Uhlenbeck; Segal): with X_0 =
     lambda^-lo Psi, pi_j projects onto range X_j(0), and X_(j+1) = (pi_j +
     lambda^-1 (I - pi_j)) X_j, whose block i is X_j[i+1] + pi_j (X_j[i] -
     X_j[i+1]), has no lambda^-1 part, and det X_(j+1) = det X_j
     lambda^-(n - rank X_j(0)).  Once these deficits add up to m, X_r is a
-    unit of Lambda+ and Psi = lambda^lo Phi X_r.  Only the source of the
-    ranks differs.
+    unit of Lambda+ and Psi = lambda^lo Phi X_r, so the last step makes no
+    X_r.  Only the source of the ranks differs.
 
     A spec loop exp(C) gamma, or its flowed loop, has lo = 0 and column b
     starting at block k_b, since exp C is unipotent at lambda = 0; a finite
@@ -208,7 +216,7 @@ def _uniton_projections(blocks, lo, exponents, zs):
     projections nest: pi_j projects onto the flag F_j = A span{e_b : k_b <=
     j}, the twistor lift of Eells & Wood.  With A's columns stably sorted by
     k, one QR A = QT gives every pi_j from the Q columns with k <= j, with
-    no chain steps, and Phi(-1) = Q diag((-1)^k) Q*.
+    no chain steps, and Phi(-1) = Q diag((-1)^k) Q* from Q alone.
 
     Any other stack is bare, a spec stack the trim has cut past its shape
     included (it drops small low-k blocks at large |z| and far down the
@@ -218,7 +226,8 @@ def _uniton_projections(blocks, lo, exponents, zs):
     max_k ||Psi_k||) (`_peel_basis`).  X keeps its full length, one zero
     block padded per step, and a point whose deficits have reached m peels
     with pi = I, so one loop serves the whole stack.  Apart from the nested
-    stack, Phi(-1) = prod_j (2 pi_j - I) is a product of reflections.
+    stack, Phi(-1) = prod_j (2 pi_j - I) is a product of reflections, each
+    multiplied in as its step makes it.
     """
     n = blocks.shape[-1]
     k = None
@@ -230,36 +239,37 @@ def _uniton_projections(blocks, lo, exponents, zs):
         order = np.argsort(k, kind="stable")
         # column b of A is block k_b of column b; the gather puts the column axis first
         q = np.linalg.qr(np.moveaxis(blocks[:, k[order], :, order], 0, -1))[0]
-        cols = q[:, None] * (k[order] <= np.arange(k.max())[:, None])[:, None]
-        pi = cols @ cols.conj().swapaxes(-1, -2)
-        values = (q * (-1.0) ** k[order]) @ q.conj().swapaxes(-1, -2)
-        return (pi + pi.conj().swapaxes(-1, -2)) / 2, values
+        if map_value:
+            return (q * (-1.0) ** k[order]) @ q.conj().swapaxes(-1, -2)
+        return _projection(q[:, None] * (k[order] <= np.arange(k.max())[:, None])[:, None])
     if k is None:
         x = trim_blocks(blocks)
         m = _det_power(x, lo, zs)
         floor = DEFAULT_TOL * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)).max(axis=1))
-        deficits, steps = np.zeros_like(m), m.max()
+        deficits, steps = np.zeros_like(m), m.max(initial=0)
         x = np.concatenate([x, np.zeros_like(x, shape=(len(x), steps, n, n))], axis=1)
     else:
         x, steps = blocks[:, : k.max()], k.max()
-    projections = []
+    projections, value = [], None
     for j in range(steps):
         if k is not None:
             q = np.linalg.qr(x[:, 0][..., k <= j])[0]
-        elif (deficits == m).all():
-            break
         else:
             q, deficits = _peel_basis(x[:, 0], floor, deficits, m, zs, j)
-        pi = q @ q.conj().swapaxes(-1, -2)
-        # Hermitian to the last bit, so the printed diagonal is real
-        pi = (pi + pi.conj().swapaxes(-1, -2)) / 2
-        projections.append(pi)
+        pi = _projection(q)
+        if map_value:
+            reflection = 2 * pi - np.eye(n)
+            value = reflection if value is None else value @ reflection
+        else:
+            projections.append(pi)
+        if j + 1 == steps or k is None and (deficits == m).all():
+            break
         x = x[:, 1:] + pi[:, None] @ (x[:, :-1] - x[:, 1:])
-    pi = np.stack(projections, axis=1) if projections else blocks[:, :0]
-    values = np.repeat(np.eye(n, dtype=complex)[None], len(blocks), axis=0)
-    for reflection in (2 * pi - np.eye(n)).swapaxes(0, 1):
-        values = values @ reflection
-    return pi, values * (-1) ** lo
+    if not map_value:
+        return np.stack(projections, axis=1) if projections else blocks[:, :0]
+    if value is None:
+        value = np.repeat(np.eye(n, dtype=complex)[None], len(blocks), axis=0)
+    return value * (-1) ** lo
 
 
 def _affine_blocks(projections):
@@ -271,8 +281,9 @@ def _split(blocks, lo, exponents, z):
     """The IwasawaFactors of the loop lambda^lo (blocks[0] + blocks[1] lambda
     + ...) with exponents k or None, split from its (K, n, n) coefficient
     stack as given, trimmed or not, and the (r, n, n) projections its
-    unitary Phi is the product of (`_uniton_projections`)."""
-    projections = _uniton_projections(blocks[None], lo, exponents, [z])[0][0]
+    unitary Phi is the product of (`_uniton_projections`).  Phi is
+    multiplied out of those projections; no map value is formed."""
+    projections = _uniton_projections(blocks[None], lo, exponents, [z])[0]
     phi = np.eye(blocks.shape[-1], dtype=complex)[None]
     for factor in _affine_blocks(projections):
         phi = convolve(phi, factor)
@@ -324,10 +335,12 @@ def harmonic_map_at(obj, z) -> np.ndarray:
 
     obj is a LoopMat, an ExtendedSolutionSpec or a CompiledLoop; an exact
     loop is compiled once and evaluated at every z with one array pass.
-    The value is (-1)^lo Phi(-1) for the unitary Phi of `unitarize`, read
-    off its uniton projections (`_uniton_projections`): a product of
-    reflections 2 pi_j - I, or Q diag((-1)^k) Q* from the one QR of exp C
-    of a lambda-free spec.  A loop built from a spec splits its untrimmed
+    The value is (-1)^lo Phi(-1) for the unitary Phi of `unitarize`, the
+    one output `_uniton_projections` returns here in place of the
+    projections: Q diag((-1)^k) Q* from the one QR of exp C of a
+    lambda-free spec, with no projection formed, and otherwise the product
+    of the reflections 2 pi_j - I, each multiplied in as the uniton chain or
+    the peel makes pi_j.  A loop built from a spec splits its untrimmed
     values, which keep the small low-k blocks that fix its projections, so
     it works over the whole input range and skips the circle pass.  A bare
     loop is trimmed and peeled; a point whose peel is done early peels with
@@ -341,7 +354,7 @@ def harmonic_map_at(obj, z) -> np.ndarray:
     one_point = np.ndim(z) == 0
     zs = [z] if one_point else z
     loop = obj if isinstance(obj, CompiledLoop) else CompiledLoop(_as_loop(obj))
-    values = _uniton_projections(loop.values(zs), loop.lo, loop.exponents, zs)[1]
+    values = _uniton_projections(loop.values(zs), loop.lo, loop.exponents, zs, map_value=True)
     resid = np.linalg.norm(values @ values.conj().transpose(0, 2, 1) - np.eye(loop.n), axis=(1, 2))
     bad = np.flatnonzero(~(resid <= DEFAULT_TOL))
     if bad.size:

@@ -459,7 +459,7 @@ class CompiledLoop:
         a real or imaginary part is not finite or exceeds MAX_COEFF.
         """
         out = np.repeat(self._const[None], len(zs), axis=0)
-        flat = out.reshape(len(zs), -1)
+        flat = out.reshape(len(zs), self._const.size)
         pole = np.zeros(len(zs), dtype=bool)
         if self._where.size:
             if any(z is None for z in zs):

@@ -238,7 +238,7 @@ def map_sampler(spec_or_loop):
 
 
 def _stencil(z0, h: float):
-    """The 20 points `_fd_residual` reads at step h, in its order: for each
+    """The 20 points `_fd_residual` reads for step h, in its order: for each
     ring point w = z0 + h, z0 - h, z0 + ih, z0 - ih, the points w, w + h,
     w - h, w + ih, w - ih, as that arithmetic rounds them."""
     ring = (z0 + h, z0 - h, z0 + 1j * h, z0 - 1j * h)
@@ -260,16 +260,19 @@ def _check_resolution(z0, h: float):
 
 
 def _fd_residual(values, h: float):
-    """d_zbar(phi^-1 phi_z) + d_z(phi^-1 phi_zbar) at z0 by central
-    differences with step h, from phi at `_stencil(z0, h)`, (20, n, n)."""
-    v = values.reshape((4, 5) + values.shape[1:])
-    dx = v[:, 1] - v[:, 2]
-    dy = v[:, 3] - v[:, 4]
-    inv = np.linalg.inv(v[:, 0])
-    a = inv @ ((dx - 1j * dy) / (4 * h))  # phi^-1 phi_z at the ring
-    b = inv @ ((dx + 1j * dy) / (4 * h))  # phi^-1 phi_zbar at the ring
-    d_zbar_a = ((a[0] - a[1]) + 1j * (a[2] - a[3])) / (4 * h)
-    d_z_b = ((b[0] - b[1]) - 1j * (b[2] - b[3])) / (4 * h)
+    """The (2, n, n) residual matrices d_zbar(phi^-1 phi_z) + d_z(phi^-1
+    phi_zbar) at z0 by central differences with steps h and h/2, from phi
+    at `_stencil(z0, h) + _stencil(z0, h / 2)`, (40, n, n): both steps in
+    one pass, with the 8 ring inverses in one call."""
+    v = values.reshape((2, 4, 5) + values.shape[1:])
+    step = np.array([h, h / 2])[:, None, None, None]  # broadcast over (2, 4, n, n)
+    dx = v[:, :, 1] - v[:, :, 2]
+    dy = v[:, :, 3] - v[:, :, 4]
+    inv = np.linalg.inv(v[:, :, 0])
+    a = inv @ ((dx - 1j * dy) / (4 * step))  # phi^-1 phi_z at the ring
+    b = inv @ ((dx + 1j * dy) / (4 * step))  # phi^-1 phi_zbar at the ring
+    d_zbar_a = ((a[:, 0] - a[:, 1]) + 1j * (a[:, 2] - a[:, 3])) / (4 * step[:, 0])
+    d_z_b = ((b[:, 0] - b[:, 1]) - 1j * (b[:, 2] - b[:, 3])) / (4 * step[:, 0])
     return d_zbar_a + d_z_b
 
 
@@ -282,8 +285,9 @@ def harmonicity_residual(sampler, grid, h: float = 1e-3) -> float:
     order in h.  The stencils of both steps, typically 21 to 27 distinct
     points (points that round to the same z are sampled once), go to the
     sampler in one call per node: it maps a 1-D array of z to a (Z, n, n)
-    array.  A non-finite node residual makes the result non-finite.  A step
-    below the float resolution at a node raises StepBelowResolution.
+    array.  R(h) and R(h/2) come out of one `_fd_residual` pass.  A
+    non-finite node residual makes the result non-finite.  A step below the
+    float resolution at a node raises StepBelowResolution.
     """
     node_residuals = []
     for z0 in grid:
@@ -297,9 +301,8 @@ def harmonicity_residual(sampler, grid, h: float = 1e-3) -> float:
                 f"sampler returned shape {values.shape} for {len(distinct)} points; "
                 "expected a (Z, n, n) stack"
             )
-        values = values[where]
-        resid = (4 * _fd_residual(values[20:], h / 2) - _fd_residual(values[:20], h)) / 3
-        node_residuals.append(float(np.linalg.norm(resid)))
+        coarse, fine = _fd_residual(values[where], h)
+        node_residuals.append(float(np.linalg.norm((4 * fine - coarse) / 3)))
     return float(np.max(node_residuals, initial=0.0))
 
 

@@ -24,15 +24,17 @@ reads the width of Ad L off n^2 conjugations by an inverse that the caller
 builds from the factors of L, so it shares no inversion with the package.
 `cstar_flow_reference` is the C*-flow with its scaling written block by
 block, as `cstar_flow` once computed it; the stacked scaling must round the
-same way.  `projector_const` and `two_projector_frame` build exact test
+same way.  `fd_residual_reference` is the finite-difference residual one
+step per call, as `verify._fd_residual` once computed it; the pass over both
+steps must round the same way.  `projector_const` and `two_projector_frame` build exact test
 loops from Hermitian projectors, `non_harmonic_control` is a map the
 harmonicity residual must reject, and `grading` and
 `max_uniton_for_space` read dimensions and heights off the root tables;
 `canonical_reduce` and `exponents_from_marks` are marks arithmetic that
 only the tests use.
 `twistor_value` is the exact map value of a lambda-free spec read off the
-flag of exp C by exact projectors, for points where the flag unitarizer's
-exact arithmetic is too slow.
+flag of exp C by one exact Gram-Schmidt pass, for points where the flag
+unitarizer's exact arithmetic is too slow.
 """
 
 import math
@@ -443,18 +445,55 @@ def twistor_value(spec: ExtendedSolutionSpec, z):
     """Exact phi = sum_j (-1)^j (Pi_j - Pi_(j-1)) of a lambda-free spec at a
     Gaussian-rational z, Pi_j the projector onto the flag
     F_j = exp C span{e_b : k_b <= j} (Pi_(-1) = 0): the twistor formula,
-    with no loop split and no floats."""
+    with no loop split and no floats.
+
+    One exact Gram-Schmidt pass over Q(i) takes the columns a_b of exp C at
+    z in increasing k_b and makes each orthogonal to those before it, v_b;
+    the v_b with k_b <= j span F_j, so Pi_j - Pi_(j-1) is the sum of the
+    P_b = v_b v_b* / (v_b* v_b) over k_b = j.  The P_b add up to I, so phi
+    = I - 2 sum of P_b over odd k_b, Hermitian: its lower triangle is the
+    conjugate of its upper one."""
     assert all(i == 0 for i, _ in spec.c_slots), "the spec is not lambda-free"
     a = exp_nilpotent(spec.c_lambda()).at_z(z).coeffs[0]
-    n = spec.n
-    phi, below = exactmat.zeros(n), exactmat.zeros(n)
-    for j in sorted(set(spec.exponents)):
-        cols = [[a[i][b] for i in range(n)] for b in range(n) if spec.exponents[b] <= j]
-        upto = projector_const(cols)
-        step = exactmat.mat_sub(upto, below)
-        phi = (exactmat.mat_add if j % 2 == 0 else exactmat.mat_sub)(phi, step)
-        below = upto
+    n, k = spec.n, spec.exponents
+    zero = GaussianRational.zero()
+    odd = [[zero] * n for _ in range(n)]  # upper triangle of the sum over odd k_b
+    done = []  # (v_b, conj(v_b), v_b* v_b) so far
+    for b in sorted(range(n), key=lambda b: k[b]):
+        col = [a[i][b].const_value() for i in range(n)]
+        v = col
+        for u, u_bar, norm in done:
+            c = sum((x * y for x, y in zip(u_bar, col)), zero) / norm
+            v = [x - c * y for x, y in zip(v, u)]
+        v_bar = [x.conjugate() for x in v]
+        norm = sum((x * y for x, y in zip(v_bar, v)), zero)
+        done.append((v, v_bar, norm))
+        if k[b] % 2:
+            for i in range(n):
+                w = v[i] / norm
+                odd[i][i:] = [p + w * y for p, y in zip(odd[i][i:], v_bar[i:])]
+    phi = exactmat.zeros(n)
+    for i in range(n):
+        for j in range(i, n):
+            p = GaussianRational(int(i == j)) - odd[i][j] * 2
+            phi[i][j], phi[j][i] = RatFun.const(p), RatFun.const(p.conjugate())
     return phi
+
+
+def fd_residual_reference(values, h: float):
+    """d_zbar(phi^-1 phi_z) + d_z(phi^-1 phi_zbar) at z0 by central
+    differences with step h alone, from phi at `verify._stencil(z0, h)`,
+    (20, n, n): one step per call, its own 4 ring inverses, as
+    `verify._fd_residual` once computed each step."""
+    v = values.reshape((4, 5) + values.shape[1:])
+    dx = v[:, 1] - v[:, 2]
+    dy = v[:, 3] - v[:, 4]
+    inv = np.linalg.inv(v[:, 0])
+    a = inv @ ((dx - 1j * dy) / (4 * h))  # phi^-1 phi_z at the ring
+    b = inv @ ((dx + 1j * dy) / (4 * h))  # phi^-1 phi_zbar at the ring
+    d_zbar_a = ((a[0] - a[1]) + 1j * (a[2] - a[3])) / (4 * h)
+    d_z_b = ((b[0] - b[1]) - 1j * (b[2] - b[3])) / (4 * h)
+    return d_zbar_a + d_z_b
 
 
 def cstar_flow_reference(loop: LoopMat, t: float, z=None) -> LoopMat:

@@ -274,7 +274,7 @@ def test_peel_deficits_are_the_det_power():
             values = CompiledLoop(_bare(loop)).values(zs)
             m = sum(loop.exponents) - loop.n * loop.lo
             assert list(_det_power(trim_blocks(values), loop.lo, zs)) == [m] * len(zs)
-            pi = _uniton_projections(values, loop.lo, None, zs)[0]
+            pi = _uniton_projections(values, loop.lo, None, zs)
             assert pi.shape[1] == max(loop.exponents) - min(loop.exponents), loop.exponents
             deficits = np.trace(np.eye(loop.n) - pi, axis1=-2, axis2=-1).sum(axis=1)
             assert np.abs(deficits - m).max() <= 1e-12, loop.exponents
@@ -527,13 +527,15 @@ def test_harmonic_map_far_from_unitary_is_refused(monkeypatch):
     # non-projection, 1 + 1e-7 times pi at z = 1e9, reaches the guard
     original = factorization._uniton_projections
 
-    def bent(blocks, lo, exponents, zs):
-        pi = original(blocks, lo, exponents, zs)[0]
+    def bent(blocks, lo, exponents, zs, map_value=False):
+        pi = original(blocks, lo, exponents, zs)
         pi = pi * (1 + 1e-7 * (np.asarray(zs) == 1e9))[:, None, None, None]
+        if not map_value:
+            return pi
         values = np.repeat(np.eye(3, dtype=complex)[None], len(zs), axis=0)
         for reflection in (2 * pi - np.eye(3)).swapaxes(0, 1):
             values = values @ reflection
-        return pi, values
+        return values
 
     monkeypatch.setattr(factorization, "_uniton_projections", bent)
     assert np.array_equal(harmonic_map_at(family, 1e3), phi)
@@ -585,6 +587,33 @@ def _twistor_matrix(spec, z):
     """`twistor_value` of a lambda-free spec at the Gaussian rational of z."""
     exact = twistor_value(spec, gr(Fraction(z.real), Fraction(z.imag)))
     return np.array([[complex(x.const_value()) for x in row] for row in exact])
+
+
+def _twistor_value_by_projectors(spec, z):
+    """The twistor formula the long way: each flag projector Pi_j from its
+    own Gram matrix (`projector_const`), and phi = sum_j (-1)^j (Pi_j -
+    Pi_(j-1))."""
+    a = exp_nilpotent(spec.c_lambda()).at_z(z).coeffs[0]
+    n = spec.n
+    phi, below = exactmat.zeros(n), exactmat.zeros(n)
+    for j in sorted(set(spec.exponents)):
+        cols = [[a[i][b] for i in range(n)] for b in range(n) if spec.exponents[b] <= j]
+        upto = projector_const(cols)
+        step = exactmat.mat_sub(upto, below)
+        phi = (exactmat.mat_add if j % 2 == 0 else exactmat.mat_sub)(phi, step)
+        below = upto
+    return phi
+
+
+def test_twistor_value_is_the_projector_formula():
+    # one Gram-Schmidt pass gives every flag projector's step exactly
+    for n in range(3, 7):
+        spec = veronese_solution(n)
+        for z in (gr(Fraction(1, 4), Fraction(1, 8)), gr(-2, 3)):
+            assert twistor_value(spec, z) == _twistor_value_by_projectors(spec, z), (n, z)
+    spec = even_grassmannian_build(4, (2, 1, 1, 0), [Z, Z * Z, ONE, -Z])
+    z = gr(Fraction(1, 3), -1)
+    assert twistor_value(spec, z) == _twistor_value_by_projectors(spec, z)
 
 
 def test_lambda_free_map_value_is_one_reflection_of_the_flag():
@@ -665,11 +694,11 @@ def _projection_spy(monkeypatch):
         qrs.append(None)
         return qr(*args, **kwargs)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         before = len(qrs)
-        projections = original(*args)
+        out = original(*args, **kwargs)
         taken.append(len(qrs) - before)
-        return projections
+        return out
 
     monkeypatch.setattr(np.linalg, "qr", counted)
     monkeypatch.setattr(factorization, "_uniton_projections", spy)
@@ -748,11 +777,52 @@ def test_unitarize_splits_lambda_free_loops_by_the_flag(monkeypatch):
     # the projections of a lambda-free stack nest: pi_i pi_j = pi_min(i, j)
     for spec in _lambda_free_specs():
         values = CompiledLoop(assemble_loop(spec)).values(_NEAR_POINTS)
-        pi = _uniton_projections(values, 0, spec.exponents, _NEAR_POINTS)[0]
+        pi = _uniton_projections(values, 0, spec.exponents, _NEAR_POINTS)
         for i in range(pi.shape[1]):
             for j in range(pi.shape[1]):
                 gap = np.abs(pi[:, i] @ pi[:, j] - pi[:, min(i, j)]).max()
                 assert gap <= 1e-14, (spec.exponents, i, j, gap)
+
+
+def test_each_caller_builds_only_what_it_reads(monkeypatch):
+    # a lambda-free map value is read off Q alone, with no projection stack;
+    # a chain's value multiplies in the reflection of each projection it
+    # makes; and the split gets the (1, r, n, n) projections, no map value
+    built = _recorder(monkeypatch, factorization, "_projection")
+    returned, original = [], factorization._uniton_projections
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        returned.append(out.shape)
+        return out
+
+    monkeypatch.setattr(factorization, "_uniton_projections", spy)
+    zs = np.array(_NEAR_POINTS)
+    # (spec, `_projection` calls per map value, per split)
+    cases = [(spec, 0, 1) for spec in _lambda_free_specs()]
+    cases += [(spec, max(spec.exponents), max(spec.exponents)) for spec in _lambda_dependent_specs()]
+    for spec, per_value, per_split in cases:
+        n, r = spec.n, max(spec.exponents)
+        built.clear()
+        returned.clear()
+        harmonic_map_at(spec, zs)
+        assert returned == [(len(zs), n, n)] and len(built) == per_value, spec.exponents
+        built.clear()
+        returned.clear()
+        unitarize(assemble_loop(spec).to_numeric(zs[0]), zs[0])
+        uniton_factorize(spec, zs[0])
+        assert returned == [(1, r, n, n)] * 2 and len(built) == 2 * per_split, spec.exponents
+
+
+def test_empty_batch_maps_to_an_empty_stack():
+    # a 1-D z with no points gives a (0, n, n) stack: a lambda-free spec
+    # loop, a chain, an exact bare loop and a numeric one
+    for spec in (veronese_solution(4), _u3_build()):
+        loop = assemble_loop(spec)
+        numeric = LoopMat.numeric(loop.to_numeric(0.3).coeffs)
+        for obj in (spec, loop, _bare(loop), numeric):
+            assert harmonic_map_at(obj, np.array([])).shape == (0, spec.n, spec.n)
+        assert map_sampler(spec)(np.zeros(0, dtype=complex)).shape == (0, spec.n, spec.n)
 
 
 def test_veronese10_values_near_z_10_are_unitary():

@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     canonical_reduce,
     exponents_from_marks,
+    fd_residual_reference,
     non_harmonic_control,
     seeded_free_poly,
     two_projector_frame,
@@ -21,6 +22,7 @@ from unitons.loops import LoopMat
 from unitons.roots import build_root_system, height_of
 from unitons.scalars import GaussianRational, Poly, RatFun
 from unitons.verify import (
+    _stencil,
     check_extended,
     check_superhorizontal,
     check_T_invariant,
@@ -333,6 +335,34 @@ def test_lambda_dependent_builds_pass_at_the_verify_tolerance(seed):
             n, exps, [seeded_free_poly(rng, 1 + k % 3) for k in range(count)])
         nodes = [complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)) for _ in range(3)]
         assert harmonicity_residual(map_sampler(spec), nodes, h=1e-3) <= 1e-5, (n, nodes)
+
+
+def test_one_fd_pass_is_the_two_step_formula():
+    # R(h) and R(h/2) from one pass over both stencils equal two one-step
+    # calls bit for bit, on the specs of the harmonic-grid benchmark
+    rng = random.Random(31)
+    specs = [veronese_solution(n) for n in range(2, 6)]
+    for n, exps, count in ((4, (3, 2, 1, 0), 6), (3, (2, 1, 0), 3)):
+        specs.append(build_from_free_functions(
+            n, exps, [seeded_free_poly(rng, 1 + k % 3) for k in range(count)]))
+    specs.append(build_from_free_functions(3, (2, 1, 0), [Z, ONE + Z, Z]))
+    nodes = [0.3 + 0.2j, -0.45 + 0.6j, 0.7 - 0.1j, 0j]
+    for spec in specs:
+        sampler, seen = map_sampler(spec), {}
+
+        def recording(zs):
+            values = sampler(zs)
+            seen.update(zip(zs.tolist(), values))
+            return values
+
+        for z0 in nodes:
+            for h in (1e-3, 4e-2):
+                got = harmonicity_residual(recording, [z0], h)
+                coarse, fine = (
+                    fd_residual_reference(np.array([seen[w] for w in _stencil(z0, s)]), s)
+                    for s in (h, h / 2)
+                )
+                assert got == float(np.linalg.norm((4 * fine - coarse) / 3)), (spec.exponents, z0, h)
 
 
 def test_harmonicity_working_set_does_not_grow_with_the_grid():
